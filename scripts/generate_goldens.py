@@ -17,28 +17,16 @@ import sys
 
 from projchan import cli
 
-GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
-CASES = {
-    "validate_wh3.json": ["validate", "--spec", "wh:d=3"],
-    "zoo_wh3.json": ["zoo", "--spec", "wh:d=3"],
-    "minent_wh3_a1.json": ["minent", "--spec", "wh:d=3", "--alpha", "1", "--starts", "4"],
-    "norm_wh3.json": ["norm", "--spec", "wh:d=3", "--starts", "4"],
-    "characterize_wh3.json": ["characterize", "--spec", "wh:d=3", "--alphas", "0,1,2,inf", "--starts", "4"],
-    "additivity_wh3_pair_a2.json": ["additivity", "--spec", "wh:d=3", "--spec", "wh:d=3",
-                                    "--alpha", "2", "--starts", "4"],
-    "capacity_weyl3.json": ["capacity", "--spec", "weyl:d=3", "--group", "auto", "--starts", "4"],
-    "covariance_weyl3.json": ["covariance", "--spec", "weyl:d=3", "--group", "auto"],
-    "eof_example9.json": ["eof", "--state", "example9", "--starts", "4"],
-    "dilate_wh3.json": ["dilate", "--spec", "wh:d=3"],
-    "minent_wh3_a1.csv": ["minent", "--spec", "wh:d=3", "--alpha", "1", "--starts", "4",
-                          "--format", "csv"],
-}
+sys.path.insert(0, str(ROOT / "tests"))
+from test_cli import GOLDEN_CASES  # noqa: E402  (the one table test_golden checks)
 
 
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in CASES.items():
+    for name, argv in GOLDEN_CASES.items():
         out = GOLDEN / name
         code = cli.main(argv + ["--out", str(out)])
         if code != 0:

@@ -16,7 +16,7 @@ from . import channels as ch
 from . import linalg
 from .entropy import OptConfig, OptReport, min_output_entropy
 from .errors import DimMismatch, NotProjectiveClass
-from .sampling import split_seed
+from .sampling import random_density, split_seed
 
 
 @dataclass
@@ -56,11 +56,17 @@ def additivity_gap(channel_list, alpha: float, cfg: OptConfig | None = None) -> 
 
     The joint optimization always includes the product of the single-channel
     argmins and the maximally entangled state as warm starts 0 and 1, followed
-    by the seeded random starts.
+    by the seeded random starts. Factors with equal Kraus operators share one
+    single-factor run.
     """
     cfg = cfg or OptConfig()
     channel_list = list(channel_list)
-    singles = [min_output_entropy(T, alpha, cfg) for T in channel_list]
+    runs, singles = {}, []
+    for T in channel_list:
+        key = tuple((A.shape, A.tobytes()) for A in T.kraus)
+        if key not in runs:
+            runs[key] = min_output_entropy(T, alpha, cfg)
+        singles.append(runs[key])
     if len(channel_list) == 1:
         rep = singles[0]
         return AdditivityReport(alpha, [rep.value], rep.value, 0.0, rep.arg_state, rep)
@@ -118,10 +124,7 @@ def trace_square_suite(maps, count: int, seed: int = 12648430):
     worst = -np.inf
     bound = float(np.prod([1.0 / M.m for M in maps]))
     for _ in range(count):
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        R = G @ G.conj().T
-        rho = R / np.trace(R).real
-        omega = apply_product_map(maps, rho)
+        omega = apply_product_map(maps, random_density(rng, n))
         worst = max(worst, float(np.trace(omega @ omega).real) - bound)
     return worst
 

@@ -9,6 +9,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,11 +98,6 @@ class QuantumChannel:
         """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
         K = self._kstack
         return np.einsum("kji,jl,klm->im", K.conj(), X, K, optimize=True)
-
-    def superoperator(self) -> np.ndarray:
-        """(d_out^2 x d_in^2) matrix acting on row-major vec."""
-        K = self._kstack
-        return sum(np.kron(A, A.conj()) for A in K)
 
 
 @dataclass
@@ -321,6 +317,30 @@ def is_normalized_projection(rho: DensityMatrix, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
+def read_json(path: str) -> dict:
+    """The JSON object stored in a file; ParseError if it cannot be read or is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
+
+
+def int_field(obj: dict, key: str, where: str) -> int:
+    """obj[key] as an int; ParseError if it is missing or not a number."""
+    if key not in obj:
+        raise ParseError(f"{where}: missing '{key}' field")
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: '{key}' must be an integer, got {obj[key]!r}") from exc
+
+
 def matrix_to_json(A: np.ndarray) -> dict:
     A = np.asarray(A, dtype=complex)
     return {"re": A.real.tolist(), "im": A.imag.tolist()}
@@ -349,11 +369,9 @@ def channel_to_json(T: QuantumChannel) -> dict:
 def channel_from_json(obj) -> QuantumChannel:
     if not isinstance(obj, dict):
         raise ParseError("channel: expected a JSON object")
-    if "dim" not in obj:
-        raise ParseError("channel: missing 'dim' field")
+    d = int_field(obj, "dim", "channel")
     if "kraus" not in obj or not isinstance(obj["kraus"], list) or not obj["kraus"]:
         raise ParseError("channel: missing or empty 'kraus' field")
-    d = int(obj["dim"])
     ops = [matrix_from_json(k, field_name=f"kraus[{i}]") for i, k in enumerate(obj["kraus"])]
     for i, A in enumerate(ops):
         if A.shape != (d, d):

@@ -17,7 +17,6 @@ if _threads:
         os.environ.setdefault(var, _threads)
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -128,16 +127,8 @@ def _load_channel_arg(args, zoo):
 def load_channel(path: str):
     """Parse and validate a channel JSON file."""
     from . import channels as ch
-    from .errors import ParseError
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return ch.channel_from_json(obj)
+    return ch.channel_from_json(ch.read_json(path))
 
 
 def _opt_config(args, entropy):
@@ -294,20 +285,9 @@ def run(argv) -> int:
 
 
 def _load_state(path: str, ch, eofmod):
-    from .errors import ParseError
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    for key in ("dimA", "dimB", "mat"):
-        if key not in obj:
-            raise ParseError(f"{path}: state file needs '{key}'")
-    mat = ch.matrix_from_json(obj["mat"], field_name="mat")
-    return eofmod.BipartiteState(int(obj["dimA"]), int(obj["dimB"]),
+    obj = ch.read_json(path)
+    mat = ch.matrix_from_json(obj.get("mat"), field_name="mat")
+    return eofmod.BipartiteState(ch.int_field(obj, "dimA", path), ch.int_field(obj, "dimB", path),
                                  ch.DensityMatrix(mat.shape[0], mat))
 
 

@@ -35,6 +35,7 @@ VON_NEUMANN_WINDOW = 1e-6   # |alpha - 1| below this is treated as alpha = 1
 RANK_CUTOFF = 1e-10         # alpha = 0 eigenvalue cutoff
 EIG_FLOOR = 1e-18           # floor inside logs / negative powers
 DEGENERATE_GAP = 1e-8
+ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
 
 
 @dataclass
@@ -122,64 +123,87 @@ def _entropy_gradient_matrix(w: np.ndarray, V: np.ndarray, alpha: float):
     return (alpha / ((1.0 - alpha) * LN2 * t)) * (V * pw) @ V.conj().T
 
 
+def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float):
+    """Steepest descent on a manifold with Armijo backtracking from a doubled,
+    capped step. `value(x)` returns (f, aux); `grad(x, aux)` returns the
+    direction, or None where f is flat; `retract` maps x - t g back onto the
+    manifold. Returns (f, x, aux, reason), reason being "flat", "stationary",
+    "armijo" (no step down to 1e-18 decreases f enough), "tol" (the last step
+    improved f by less than `tol`) or "max_iters".
+    """
+    x = x0
+    f, aux = value(x)
+    t = 1.0
+    for _ in range(max_iters):
+        g = grad(x, aux)
+        if g is None:
+            return f, x, aux, "flat"
+        gn2 = float(np.real(np.vdot(g, g)))
+        if gn2 < 1e-30:
+            return f, x, aux, "stationary"
+        t = min(t * 2.0, t_max)
+        while t > 1e-18:
+            cand = retract(x - t * g)
+            fc, aux_c = value(cand)
+            if fc <= f - 1e-4 * t * gn2:
+                break
+            t *= 0.5
+        else:
+            return f, x, aux, "armijo"
+        improvement = f - fc
+        x, f, aux = cand, fc, aux_c
+        if improvement < tol:
+            return f, x, aux, "tol"
+    return f, x, aux, "max_iters"
+
+
+def _best_start(values, pick_min: bool) -> int:
+    """Index of the extremal per-start value; ties within 1e-12 go to the lowest index."""
+    arr = np.asarray(values, dtype=float)
+    near = arr <= arr.min() + 1e-12 if pick_min else arr >= arr.max() - 1e-12
+    return int(np.argmax(near))
+
+
+def _sphere_retract(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
 def _descend(T: ch.QuantumChannel, alpha: float, psi0: np.ndarray, max_iters: int, tol: float):
     """One start of entropy minimization. Returns (value, psi, converged)."""
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi = _sphere_retract(np.asarray(psi0, dtype=complex).reshape(-1))
 
-    def evaluate(p):
+    def value(p):
         sigma = T.apply_raw(np.outer(p, p.conj()))
         w, V = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        return _entropy_from_eigs(w, alpha), w, V
+        return _entropy_from_eigs(w, alpha), (w, V)
 
-    f, w, V = evaluate(psi)
     if alpha == 0.0:
         # S_0 is piecewise constant, so descend the smooth alpha = 1/2
         # surrogate (same minimizer set when nu is alpha-independent) and
         # evaluate the rank there; both evaluations are upper bounds.
+        f, _ = value(psi)
         _, psi2, conv = _descend(T, 0.5, psi, max_iters, tol)
-        f2, _, _ = evaluate(psi2)
+        f2, _ = value(psi2)
         if f2 < f:
             return f2, psi2, conv
         return f, psi, True
-    maximize_norm = math.isinf(alpha)
-    t = 1.0
-    for _ in range(max_iters):
-        G = _entropy_gradient_matrix(w, V, alpha)
+
+    def grad(p, aux):
+        G = _entropy_gradient_matrix(*aux, alpha)
         if G is None:
-            # degenerate top eigenvalue: monotone polish on the norm objective
-            lam, psi2 = _norm_polish(T, psi, max_iters=max_iters, tol=tol)
-            f2 = float(-np.log2(max(lam, EIG_FLOOR)))
-            if f2 < f - tol:
-                return f2, psi2, True
-            return min(f, f2), psi2 if f2 < f else psi, True
-        g = 2.0 * (T.apply_adjoint_raw(G) @ psi)
-        g = g - np.real(np.vdot(psi, g)) * psi
-        gn2 = float(np.real(np.vdot(g, g)))
-        if gn2 < 1e-30:
-            return f, psi, True
-        t = min(t * 2.0, 1e3)
-        accepted = False
-        while t > 1e-18:
-            cand = psi - t * g
-            cand = cand / np.linalg.norm(cand)
-            fc, wc, Vc = evaluate(cand)
-            if fc <= f - 1e-4 * t * gn2:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            if maximize_norm:
-                lam, psi2 = _norm_polish(T, psi, max_iters=max_iters, tol=tol)
-                f2 = float(-np.log2(max(lam, EIG_FLOOR)))
-                if f2 < f:
-                    return f2, psi2, True
-            return f, psi, True
-        improvement = f - fc
-        psi, f, w, V = cand, fc, wc, Vc
-        if improvement < tol:
-            return f, psi, True
-    return f, psi, False
+            return None
+        g = 2.0 * (T.apply_adjoint_raw(G) @ p)
+        return g - np.real(np.vdot(p, g)) * p
+
+    f, psi, _, reason = _armijo_descent(value, grad, _sphere_retract, psi, max_iters, tol,
+                                        ENTROPY_STEP_CAP)
+    if reason == "flat" or (reason == "armijo" and math.isinf(alpha)):
+        # degenerate or stalled top eigenvalue: monotone polish on the norm objective
+        lam, psi2 = _norm_polish(T, psi, max_iters=max_iters, tol=tol)
+        f2 = float(-np.log2(max(lam, EIG_FLOOR)))
+        if f2 < f:
+            return f2, psi2, True
+    return f, psi, reason != "max_iters"
 
 
 def _norm_polish(T: ch.QuantumChannel, psi0: np.ndarray, max_iters: int, tol: float):
@@ -188,8 +212,7 @@ def _norm_polish(T: ch.QuantumChannel, psi0: np.ndarray, max_iters: int, tol: fl
     psi <- top eigenvector of T+(v v+) with v the top output eigenvector;
     each step satisfies lambda_max(new) >= lambda_max(old).
     """
-    psi = np.asarray(psi0, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi = _sphere_retract(np.asarray(psi0, dtype=complex).reshape(-1))
 
     def top(p):
         sigma = T.apply_raw(np.outer(p, p.conj()))
@@ -232,21 +255,14 @@ def _run_multistart(T: ch.QuantumChannel, cfg: OptConfig, single_start, pick_min
         values.append(float(val))
         args.append(psi)
         convs.append(conv)
-    arr = np.asarray(values)
-    extremum = float(arr.min() if pick_min else arr.max())
-    # the witness resolves ties within 1e-12 to the lowest start index
-    best = 0
-    for i, v in enumerate(values):
-        if (v <= extremum + 1e-12) if pick_min else (v >= extremum - 1e-12):
-            best = i
-            break
+    best = _best_start(values, pick_min)
     return OptReport(
-        value=extremum,
+        value=float(np.min(values) if pick_min else np.max(values)),
         arg_state=ch.DensityMatrix.from_vector(args[best]),
         starts=len(starts),
         seed=cfg.seed,
         per_start_values=values,
-        converged=bool(any(convs)),
+        converged=convs[best],
         best_start=best,
     )
 
@@ -310,19 +326,19 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     The norm witness is taken at the 2-entropy minimizer: among norm-achieving
     inputs of a class channel, exactly those with projection outputs maximize
     output purity, so the purity-extremal argmax makes the projection predicate
-    and the extraction numerically robust.
+    and the extraction numerically robust. Each distinct alpha of the grid runs
+    once, and the grid's alpha = 2 run doubles as that witness search.
     """
     cfg = cfg or OptConfig()
     alpha_grid = [_normalize_alpha(a) for a in alpha_grid]
     if not alpha_grid:
         raise BadAlpha("alpha grid must be nonempty")
-    nu = {}
-    for a in alpha_grid:
-        nu[a] = min_output_entropy(T, a, cfg).value
+    reports = {a: min_output_entropy(T, a, cfg) for a in dict.fromkeys(alpha_grid)}
+    nu = {a: rep.value for a, rep in reports.items()}
     spread = max(nu.values()) - min(nu.values())
     constant_nu = bool(spread <= cfg.tol_equiv)
 
-    two_report = min_output_entropy(T, 2.0, cfg)
+    two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg)
     witness_vec = _principal_vector(two_report.arg_state)
     norm_report = max_output_norm(T, cfg.with_warm_starts([witness_vec]))
     argmax_state = norm_report.arg_state

@@ -3,9 +3,9 @@ upper bounds.
 
 eof_upper optimizes over pure-state decompositions of a rank-r state: any
 size-k ensemble is W applied to the subnormalized eigenvectors for a k x r
-isometry W, so the search runs multistart gradient descent on the Stiefel
-manifold (QR retraction) with the same seeding contract as the entropy
-module. The average entanglement entropy of the induced ensemble is an upper
+isometry W, so the search runs the entropy module's Armijo descent on the
+Stiefel manifold (QR retraction), with the same seeding and best-start
+contract. The average entanglement entropy of the induced ensemble is an upper
 bound on E_F for every W.
 """
 
@@ -18,9 +18,12 @@ import numpy as np
 from . import channels as ch
 from . import linalg
 from .capacity import Ensemble
+from .entropy import _armijo_descent, _best_start
 from .errors import BadDims, DimMismatch
 from .linalg import dag
 from .sampling import split_seed
+
+EOF_STEP_CAP = 1e2  # largest Armijo trial step on the Stiefel manifold
 
 
 @dataclass
@@ -120,61 +123,39 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     r = E.shape[0]
     k = cfg.k or r * r
 
-    def value_and_grad(W, need_grad=True):
-        Phi = W @ E
-        C = Phi.reshape(k, dA, dB)
+    def value(W):
+        C = (W @ E).reshape(k, dA, dB)
         tau = np.einsum("jab,jcb->jac", C, C.conj())
         p = np.real(np.einsum("jaa->j", tau))
         val = 0.0
-        G = np.zeros((k, r), dtype=complex) if need_grad else None
+        eigs = []
         for j in range(k):
             if p[j] < 1e-14:
                 continue
             lj, Vj = np.linalg.eigh(tau[j] / p[j])
             lj = np.clip(lj, 1e-18, None)
             val += p[j] * float(-np.sum(np.where(lj > 1e-17, lj * np.log2(lj), 0.0)))
-            if need_grad:
-                logs = (Vj * np.log2(lj)) @ dag(Vj)
-                G[j] = E.conj() @ (-(logs @ C[j])).reshape(-1)
-        return float(val), G
+            eigs.append((j, lj, Vj))
+        return float(val), (C, eigs)
 
-    def one_start(idx):
-        rng = split_seed(cfg.seed, idx)
-        W = _qr_retract(rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
-        f, G = value_and_grad(W)
-        t = 1.0
-        for _ in range(cfg.max_iters):
-            gn2 = float(np.real(np.sum(G.conj() * G)))
-            if gn2 < 1e-30:
-                return f, W, True
-            t = min(t * 2.0, 1e2)
-            accepted = False
-            while t > 1e-18:
-                W2 = _qr_retract(W - t * G)
-                f2, G2 = value_and_grad(W2)
-                if f2 <= f - 1e-4 * t * gn2:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                return f, W, True
-            df = f - f2
-            W, f, G = W2, f2, G2
-            if df < cfg.tol:
-                return f, W, True
-        return f, W, False
+    def grad(W, aux):
+        C, eigs = aux
+        G = np.zeros((k, r), dtype=complex)
+        for j, lj, Vj in eigs:
+            logs = (Vj * np.log2(lj)) @ dag(Vj)
+            G[j] = E.conj() @ (-(logs @ C[j])).reshape(-1)
+        return G
 
     values, args, convs = [], [], []
     for i in range(cfg.starts):
-        f, W, conv = one_start(i)
+        rng = split_seed(cfg.seed, i)
+        W0 = _qr_retract(rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
+        f, W, _, reason = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol,
+                                          EOF_STEP_CAP)
         values.append(f)
         args.append(W)
-        convs.append(conv)
-    best = int(np.argmin(values))
-    for i, v in enumerate(values):
-        if v <= values[best] + 1e-12:
-            best = i
-            break
+        convs.append(reason != "max_iters")
+    best = _best_start(values, pick_min=True)
     W = args[best]
     Phi = W @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))
@@ -187,7 +168,7 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     return EofReport(
         value=float(values[best]),
         ensemble=ensemble,
-        converged=bool(any(convs)),
+        converged=convs[best],
         seed=cfg.seed,
         per_start_values=[float(v) for v in values],
     )

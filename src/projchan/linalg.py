@@ -70,13 +70,6 @@ def tensor(A: np.ndarray, B: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
     return np.kron(A, B)
 
 
-def tensor_many(ops, cap: int = DIM_CAP) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for o in ops[1:]:
-        out = tensor(out, o, cap=cap)
-    return out
-
-
 def _check_dims(X: np.ndarray, dims) -> None:
     if int(np.prod(dims)) != X.shape[0] or X.shape[0] != X.shape[1]:
         raise BadDims(f"dims {tuple(dims)} incompatible with matrix shape {X.shape}")

@@ -7,7 +7,6 @@ projection. Transposition is always taken in the computational basis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,6 +457,12 @@ def parse_spec(text: str):
             else:
                 raise ParseError(f"cannot parse spec parameter {token!r} in {text!r}")
 
+    def number(name, value, cast=int):
+        try:
+            return cast(value)
+        except ValueError as exc:
+            raise ParseError(f"parameter {name!r} in {text!r}: {exc}") from exc
+
     def one(name, cast=int, default=None):
         if name not in params:
             if default is not None:
@@ -465,7 +470,7 @@ def parse_spec(text: str):
             raise ParseError(f"spec {text!r} is missing parameter {name!r}")
         if len(params[name]) != 1:
             raise ParseError(f"parameter {name!r} expects a single value")
-        return cast(params[name][0])
+        return number(name, params[name][0], cast)
 
     if head == "wh":
         return WernerHolevo(one("d"))
@@ -475,14 +480,14 @@ def parse_spec(text: str):
         return WeylShift(one("d"))
     if head == "pinch":
         d = one("d")
-        sizes = [int(s) for s in one("blocks", str).split("+")]
+        sizes = [number("blocks", s) for s in one("blocks", str).split("+")]
         return Pinching(d, block_projectors(d, sizes))
     if head == "casimir":
         return CasimirIrreducible(one("d"))
     if head == "casimir-reducible":
         return CasimirReducibleExample()
     if head == "shiftpinch":
-        return ShiftsPinching(one("d"), tuple(int(k) for k in params.get("K", [])))
+        return ShiftsPinching(one("d"), tuple(number("K", k) for k in params.get("K", [])))
     if head == "coarse":
         return CoarseGraining(one("n"), one("D"))
     if head == "diag":
@@ -493,19 +498,16 @@ def parse_spec(text: str):
 
 
 def _diagonal_from_file(path: str) -> Diagonal:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if "dim" not in obj or "diagonals" not in obj:
-        raise ParseError(f"{path}: diagonal channel file needs 'dim' and 'diagonals'")
-    d = int(obj["dim"])
+    obj = ch.read_json(path)
+    d = ch.int_field(obj, "dim", path)
+    if not isinstance(obj.get("diagonals"), list):
+        raise ParseError(f"{path}: diagonal channel file needs a 'diagonals' list")
     diags = []
     for i, a in enumerate(obj["diagonals"]):
         if not isinstance(a, dict) or "re" not in a or "im" not in a:
             raise ParseError(f"{path}: diagonals[{i}] needs 're' and 'im' vectors")
-        diags.append(tuple(np.asarray(a["re"], dtype=float) + 1j * np.asarray(a["im"], dtype=float)))
+        try:
+            diags.append(tuple(np.asarray(a["re"], dtype=float) + 1j * np.asarray(a["im"], dtype=float)))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: diagonals[{i}]: ragged or non-numeric entries ({exc})") from exc
     return Diagonal(d, tuple(diags))

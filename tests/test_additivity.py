@@ -153,3 +153,28 @@ def test_apply_product_map_matches_kron_action():
     rho = random_density(split_seed(35), 6)
     out = add.apply_product_map([M1, M2], rho)
     assert linalg.herm_norm_inf(out - rho.reshape(2, 3, 2, 3).transpose(2, 3, 0, 1).reshape(6, 6)) < 1e-14
+
+
+@pytest.mark.parametrize("other", ["same", "rebuilt", "different"])
+def test_equal_factors_share_one_single_run(wh3, monkeypatch, other):
+    T, _ = wh3
+    second = {
+        "same": T,
+        "rebuilt": zoo.build(zoo.WernerHolevo(3))[0],
+        "different": zoo.build(zoo.dephasing(3))[0],
+    }[other]
+    calls = []
+    original = add.min_output_entropy
+
+    def counting(T, alpha, cfg=None):
+        calls.append(T.name)
+        return original(T, alpha, cfg)
+
+    monkeypatch.setattr(add, "min_output_entropy", counting)
+    rep = add.additivity_gap([T, second], 2.0, entropy.OptConfig(starts=2))
+    joint = f"{T.name} (x) {second.name}"
+    if other == "different":
+        assert calls == [T.name, second.name, joint]
+    else:
+        assert calls == [T.name, joint]
+        assert rep.singles[0] == rep.singles[1]

@@ -211,6 +211,33 @@ def test_load_channel_wrong_dims_exit2(tmp_path):
     assert cli.main(["validate", "--file", str(bad)]) == 2
 
 
+_KRAUS_ID2 = [{"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]
+_MALFORMED = {
+    "channel_dim_not_a_number": (json.dumps({"dim": "abc", "kraus": _KRAUS_ID2}),
+                                 ["validate", "--file", "{path}"]),
+    "channel_file_not_utf8": (b"\xff", ["validate", "--file", "{path}"]),
+    "spec_d_not_a_number": (None, ["validate", "--spec", "wh:d=abc"]),
+    "spec_block_not_a_number": (None, ["validate", "--spec", "pinch:d=3,blocks=2+x"]),
+    "spec_K_not_a_number": (None, ["validate", "--spec", "shiftpinch:d=4,K=1,y"]),
+    "diag_diagonals_not_a_list": (json.dumps({"dim": 2, "diagonals": 5}),
+                                  ["validate", "--spec", "diag:file={path}"]),
+    "diag_file_not_an_object": ("5", ["validate", "--spec", "diag:file={path}"]),
+    "diag_entries_not_numbers": (json.dumps({"dim": 2, "diagonals": [{"re": ["a", 0], "im": [0, 0]}]}),
+                                 ["validate", "--spec", "diag:file={path}"]),
+    "state_dim_not_a_number": (json.dumps({"dimA": "two", "dimB": 1, "mat": _KRAUS_ID2[0]}),
+                               ["eof", "--state", "{path}", "--starts", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exit2(case, tmp_path):
+    content, argv = _MALFORMED[case]
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert cli.main([a.replace("{path}", str(path)) for a in argv]) == 2
+
+
 def test_usage_errors_exit64():
     assert cli.main([]) == 64
     assert cli.main(["minent"]) == 64  # no spec/file

@@ -169,3 +169,32 @@ def test_constant_family_estimate_consistency(wh3):
     T, _ = wh3
     vals = {a: entropy.min_output_entropy(T, a, CFG).value for a in (0.0, 0.5, 1.0, 2.0)}
     assert max(vals.values()) - min(vals.values()) <= 2e-6
+
+
+def test_converged_is_the_best_starts_flag():
+    # |+> maximizes the dephasing output entropy, so warm start 0 is stationary
+    # and stops at once; the random starts go lower but hit the iteration cap
+    T, _ = zoo.build(zoo.dephasing(2))
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    cfg = entropy.OptConfig(starts=2, max_iters=1).with_warm_starts([plus])
+    rep = entropy.min_output_entropy(T, 1.0, cfg)
+    assert abs(rep.per_start_values[0] - 1.0) < 1e-12
+    assert entropy._descend(T, 1.0, plus, cfg.max_iters, cfg.tol)[2]
+    assert rep.best_start != 0
+    assert not rep.converged
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 1.0, math.inf]])
+def test_characterize_runs_each_alpha_once(wh3, monkeypatch, grid):
+    # the grid's distinct alphas plus alpha = 2 for the norm witness, each once
+    T, _ = wh3
+    calls = []
+    original = entropy.min_output_entropy
+
+    def counting(T, alpha, cfg=None):
+        calls.append(alpha)
+        return original(T, alpha, cfg)
+
+    monkeypatch.setattr(entropy, "min_output_entropy", counting)
+    entropy.characterize(T, grid, entropy.OptConfig(starts=2))
+    assert sorted(calls) == sorted(set(grid) | {2.0})

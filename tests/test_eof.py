@@ -145,3 +145,17 @@ def test_eof_monotone_in_starts():
 def _vec(state):
     w, V = np.linalg.eigh(state.mat)
     return V[:, -1]
+
+
+def test_converged_is_the_best_starts_flag():
+    # after two iterations the best start still improves by more than tol and
+    # hits the cap, while others have stopped: their values stay put when
+    # the cap is raised
+    st = eof.example9_state()
+    rep = eof.eof_upper(st, eof.EofConfig(starts=8, max_iters=2, tol=0.03))
+    more = eof.eof_upper(st, eof.EofConfig(starts=8, max_iters=3, tol=0.03))
+    best = int(np.argmin(rep.per_start_values))
+    assert not rep.converged
+    assert more.per_start_values[best] < rep.per_start_values[best]
+    assert any(a == b for i, (a, b) in enumerate(zip(rep.per_start_values, more.per_start_values))
+               if i != best)
