@@ -31,7 +31,7 @@ def main() -> None:
     print(f"{'channel':24s} {'capacity':>14s} {'analytic':>14s} {'error':>10s} {'cov':>9s} {'avg':>9s}")
     for name, spec, want in CASES:
         T, form = zoo.build(spec)
-        rho0, pi, Pi = cap.auto_group(spec, form)
+        rho0, pi, Pi = zoo.auto_group(spec, form)
         rep = cap.capacity_weakcov(T, rho0, pi, Pi, cfg)
         print(f"{name:24s} {rep.capacity:14.10f} {want:14.10f} {abs(rep.capacity - want):10.1e} "
               f"{rep.covariance_residual:9.1e} {rep.average_residual:9.1e}")
@@ -39,7 +39,7 @@ def main() -> None:
     # the stretching family is the known failure mode of the covariance route
     spec = zoo.Stretching(3, 0.5)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     cov, avg = cap.verify_weak_covariance(T, rho0, pi, Pi)
     print(f"\nstretch:d=3,lambda=0.5   not weakly covariant: covariance residual {cov:.3f}")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -110,23 +111,22 @@ class SU2Euler:
         if len(gs) != 3:
             raise SpecInvalid("SU2Euler needs three generators")
         object.__setattr__(self, "generators", gs)
+        # t -> exp(i t J) for J2 and J3, each from one eigendecomposition
+        object.__setattr__(self, "_e2", self._expm_factory(gs[1]))
+        object.__setattr__(self, "_e3", self._expm_factory(gs[2]))
 
-    def _expm_factory(self, J):
+    @staticmethod
+    def _expm_factory(J):
         w, V = np.linalg.eigh(J)
         return lambda t: (V * np.exp(1j * t * w)) @ dag(V)
 
     def element(self, x1: float, x2: float, x3: float) -> np.ndarray:
         """U = exp(i x3 J3) exp(i x2 J2) exp(i x1 J3), z-y-z angles."""
-        _, J2, J3 = self.generators
-        e2 = self._expm_factory(J2)
-        e3 = self._expm_factory(J3)
-        return e3(x3) @ e2(x2) @ e3(x1)
+        return self._e3(x3) @ self._e2(x2) @ self._e3(x1)
 
     def average(self, X: np.ndarray) -> np.ndarray:
         n1, n2, n3 = self.grid
-        _, J2, J3 = self.generators
-        e2 = self._expm_factory(J2)
-        e3 = self._expm_factory(J3)
+        e2, e3 = self._e2, self._e3
 
         def pass_axis(Y, efac, angles, wts):
             acc = np.zeros_like(Y)
@@ -156,17 +156,13 @@ class BlockUnitaryHaar:
     def _blocks(self):
         rng = split_seed(self.seed, 11, self.n, self.D)
         eye = np.eye(self.D)
-        out = []
         for _ in range(self.samples):
             V = haar_unitary(rng, self.n)
-            if self.conjugate:
-                V = V.conj()
-            out.append(np.kron(V, eye))
-        return out
+            yield np.kron(V.conj() if self.conjugate else V, eye)
 
     def average(self, X: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
         """Fixed point of the sampled averaging map (converges to the Haar twirl)."""
-        blocks = self._blocks()
+        blocks = list(self._blocks())
         Y = np.asarray(X, dtype=complex)
         for _ in range(max_sweeps):
             Z = sum(P @ Y @ dag(P) for P in blocks) / len(blocks)
@@ -198,15 +194,7 @@ def paired_elements(pi, Pi, count: int = COVARIANCE_SAMPLES, seed: int = 1264843
     if isinstance(pi, BlockUnitaryHaar):
         if (pi.n, pi.D, pi.samples, pi.seed) != (Pi.n, Pi.D, Pi.samples, Pi.seed):
             raise SpecMismatch("BlockUnitaryHaar parameters differ")
-        rng = split_seed(pi.seed, 11, pi.n, pi.D)
-        eye = np.eye(pi.D)
-        out = []
-        for _ in range(min(count, pi.samples)):
-            V = haar_unitary(rng, pi.n)
-            A = np.kron(V.conj() if pi.conjugate else V, eye)
-            B = np.kron(V.conj() if Pi.conjugate else V, eye)
-            out.append((A, B))
-        return out
+        return list(islice(zip(pi._blocks(), Pi._blocks()), count))
     raise SpecMismatch(f"unsupported twirl spec {type(pi).__name__}")
 
 
@@ -324,58 +312,3 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
         states = tuple(ch.DensityMatrix.from_vector(haar_state_vector(rng, d2)) for _ in range(size))
         max_chi = max(max_chi, holevo_chi(T2, Ensemble(probs, states)))
     return float(max_chi - 2.0 * capacity)
-
-
-# ---------------------------------------------------------------------------
-# Auto group selection for the zoo families
-# ---------------------------------------------------------------------------
-
-
-def auto_group(spec, form=None):
-    """(rho0, pi, Pi) for a zoo spec, following the constructions that make
-    each family weakly covariant.
-
-    Families with a transpose inside M need the conjugate family on the
-    output side.
-    """
-    from . import zoo
-
-    if isinstance(spec, zoo.WernerHolevo):
-        us = zoo.heisenberg_weyl_unitaries(spec.d)
-        rho0 = ch.DensityMatrix.from_vector(np.eye(spec.d)[:, 0])
-        return rho0, FiniteGroup(tuple(us)), FiniteGroup(tuple(U.conj() for U in us))
-    if isinstance(spec, zoo.WeylShift):
-        us = zoo.phase_unitaries(spec.d)
-        rho0 = ch.DensityMatrix(spec.d, np.full((spec.d, spec.d), 1.0 / spec.d, dtype=complex))
-        return rho0, FiniteGroup(tuple(us)), FiniteGroup(tuple(U.conj() for U in us))
-    if isinstance(spec, zoo.Pinching):
-        us = zoo.weyl_unitaries(spec.d)
-        rho0 = form.rho0 if form is not None else ch.DensityMatrix.from_vector(np.eye(spec.d)[:, 0])
-        return rho0, FiniteGroup(tuple(us)), FiniteGroup(tuple(us))
-    if isinstance(spec, zoo.CasimirReducibleExample):
-        gens = tuple(zoo.casimir_reducible_complementary_generators())
-        rho0 = zoo.casimir_reducible_rho0()
-        tw = SU2Euler(gens, (32, 32, 32))
-        return rho0, tw, tw
-    if isinstance(spec, zoo.CasimirIrreducible):
-        gens = tuple(zoo.su2_generators(spec.d))
-        rho0 = ch.DensityMatrix.from_vector(np.eye(spec.d)[:, 0])
-        tw = SU2Euler(gens, (32, 32, 32))
-        return rho0, tw, tw
-    if isinstance(spec, zoo.CoarseGraining):
-        rho0 = ch.DensityMatrix(spec.n * spec.D,
-                                np.full((spec.n * spec.D,) * 2, 1.0 / (spec.n * spec.D), dtype=complex))
-        pi = BlockUnitaryHaar(spec.n, spec.D)
-        Pi = BlockUnitaryHaar(spec.n, spec.D, conjugate=True)
-        return rho0, pi, Pi
-    if isinstance(spec, zoo.Diagonal):
-        us = zoo.weyl_unitaries(spec.d)
-        rho0 = ch.DensityMatrix.from_vector(np.eye(spec.d)[:, 0])
-        return rho0, FiniteGroup(tuple(us)), FiniteGroup(tuple(us))
-    if isinstance(spec, zoo.Stretching):
-        # only a single optimal input exists; any nontrivial group fails the gate
-        us = zoo.weyl_unitaries(spec.d)
-        omega = spec.omega if spec.omega is not None else linalg.projector_from_vector(np.eye(spec.d)[:, 0])
-        rho0 = ch.DensityMatrix(spec.d, np.asarray(omega, dtype=complex).T.copy())
-        return rho0, FiniteGroup(tuple(us)), FiniteGroup(tuple(us))
-    raise SpecInvalid(f"no automatic group for {spec!r}")

@@ -113,16 +113,6 @@ class LinearMap:
         d = self.dim
         return (self.superop @ np.asarray(X, dtype=complex).reshape(-1)).reshape(d, d)
 
-    @cached_property
-    def choi(self) -> np.ndarray:
-        """(M x id)(Omega), trace-1 convention."""
-        d = self.dim
-        C = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                C += np.kron(self.apply(linalg.basis_matrix_unit(d, i, j)), linalg.basis_matrix_unit(d, i, j)) / d
-        return C
-
     @classmethod
     def from_apply(cls, fn, d: int, m: int | None = None) -> "LinearMap":
         S = np.zeros((d * d, d * d), dtype=complex)
@@ -134,13 +124,24 @@ class LinearMap:
 
 @dataclass
 class ProjectiveForm:
-    """The (M, m, d) data of the projective class, with witness input rho0."""
+    """The map M of the projective class, carrying its integer m, with the
+    witness input rho0."""
 
-    m: int
-    d: int
     M: LinearMap
     rho0: DensityMatrix
-    projector: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.M.m
+
+    @property
+    def d(self) -> int:
+        return self.M.dim
+
+    @property
+    def projector(self) -> np.ndarray:
+        """m M(rho0), a rank-m projection for a valid witness."""
+        return self.m * self.M.apply(self.rho0.mat)
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         """(tr X * I - m M(X)) / (d - m), the channel the form encodes."""
@@ -256,15 +257,14 @@ def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm
     def M_fn(X):
         return (m0 / (d - m0)) * ((np.trace(X) / m0) * np.eye(d) - T.apply_raw(X))
 
-    M = LinearMap.from_apply(M_fn, d, m=m)
-    projector = m * M.apply(argmax_state.mat)
+    form = ProjectiveForm(LinearMap.from_apply(M_fn, d, m=m), argmax_state)
+    projector = form.projector
     idem = linalg.herm_norm_inf(projector @ projector - projector)
     tr_err = abs(np.trace(projector).real - m)
     if idem > RECON_TOL or tr_err > RECON_TOL:
         raise NotProjectiveClass(
             f"m*M(rho0) is not a rank-{m} projection (idempotency {idem:.2e}, trace error {tr_err:.2e})"
         )
-    form = ProjectiveForm(m=m, d=d, M=M, rho0=argmax_state, projector=projector)
     resid = reconstruction_residual(T, form)
     if resid > RECON_TOL:
         raise NotProjectiveClass(f"reconstruction residual {resid:.2e} > {RECON_TOL:.0e}")

@@ -243,7 +243,7 @@ def run(argv) -> int:
             raise UsageError("need --spec")
         spec = zoo.parse_spec(args.spec)
         T, form = zoo.build(spec)
-        rho0, pi, Pi = capmod.auto_group(spec, form)
+        rho0, pi, Pi = zoo.auto_group(spec, form)
         if args.command == "covariance":
             cov, avg = capmod.verify_weak_covariance(T, rho0, pi, Pi, seed=args.seed)
             report = {"covariance_residual": cov, "average_residual": avg}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .errors import BadAlpha, DimMismatch, NotProjectiveClass
+from .errors import BadAlpha, DimMismatch, NotProjectiveClass, SpecInvalid
 from .sampling import haar_state_vector, split_seed
 
 LN2 = math.log(2.0)
@@ -249,6 +249,8 @@ def _run_multistart(T: ch.QuantumChannel, cfg: OptConfig, single_start, pick_min
         starts.append(np.asarray(wv, dtype=complex) / np.linalg.norm(wv))
     for i in range(len(starts), len(starts) + cfg.starts):
         starts.append(haar_state_vector(split_seed(cfg.seed, i), d))
+    if not starts:
+        raise SpecInvalid(f"no optimizer start to run (starts = {cfg.starts}, no warm starts)")
     values, args, convs = [], [], []
     for psi0 in starts:
         val, psi, conv = single_start(psi0)

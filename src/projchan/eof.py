@@ -19,7 +19,7 @@ from . import channels as ch
 from . import linalg
 from .capacity import Ensemble
 from .entropy import _armijo_descent, _best_start
-from .errors import BadDims, DimMismatch
+from .errors import BadDims, DimMismatch, SpecInvalid
 from .linalg import dag
 from .sampling import split_seed
 
@@ -122,6 +122,9 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     E = (V[:, keep] * np.sqrt(lam)).T  # r x (dA dB), subnormalized eigvecs
     r = E.shape[0]
     k = cfg.k or r * r
+    if cfg.starts < 1 or k < r:
+        raise SpecInvalid(f"EoF search needs starts >= 1 and ensemble size k >= rank {r} "
+                          f"(starts = {cfg.starts}, k = {k})")
 
     def value(W):
         C = (W @ E).reshape(k, dA, dB)

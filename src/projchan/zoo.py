@@ -1,8 +1,11 @@
-"""Constructors for the channel families under study.
+"""The channel families under study, each declared once.
 
-Every builder returns a validated QuantumChannel plus, where the family admits
-one, the ProjectiveForm witness (M, m, rho0) with m * M(rho0) a rank-m
-projection. Transposition is always taken in the computational basis.
+Every family is a spec dataclass whose `_build` returns a QuantumChannel plus,
+where the family admits one, the ProjectiveForm witness (M, rho0) with
+m * M(rho0) a rank-m projection; `build` validates both. Where the family is
+weakly covariant under a known group, its `_group` returns the twirl pair
+(pi, Pi) that `auto_group` hands to the capacity formula. Transposition is
+always taken in the computational basis.
 """
 
 from __future__ import annotations
@@ -13,64 +16,9 @@ import numpy as np
 
 from . import channels as ch
 from . import linalg
+from .capacity import BlockUnitaryHaar, FiniteGroup, SU2Euler
 from .errors import ParseError, SpecInvalid
 from .linalg import dag
-
-
-# ---------------------------------------------------------------------------
-# Channel specs (tagged union as one dataclass per variant)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WernerHolevo:
-    d: int
-
-
-@dataclass(frozen=True)
-class Stretching:
-    d: int
-    lam: float
-    omega: np.ndarray | None = None  # pure state matrix; defaults to |0><0|
-
-
-@dataclass(frozen=True)
-class WeylShift:
-    d: int
-
-
-@dataclass(frozen=True)
-class Pinching:
-    d: int
-    projections: tuple = ()
-
-
-@dataclass(frozen=True)
-class CasimirIrreducible:
-    d: int
-
-
-@dataclass(frozen=True)
-class CasimirReducibleExample:
-    pass
-
-
-@dataclass(frozen=True)
-class ShiftsPinching:
-    d: int
-    K: tuple = (1,)  # subset of {1..d}
-
-
-@dataclass(frozen=True)
-class CoarseGraining:
-    n: int
-    D: int
-
-
-@dataclass(frozen=True)
-class Diagonal:
-    d: int
-    diagonals: tuple = ()  # sequence of length-d complex vectors
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +182,232 @@ def casimir_reducible_complementary_generators():
 
 
 # ---------------------------------------------------------------------------
-# build()
+# Channel families
 # ---------------------------------------------------------------------------
+
+
+def _zero_state(d: int) -> ch.DensityMatrix:
+    return ch.DensityMatrix.from_vector(np.eye(d)[:, 0])
+
+
+def _require_d2(d: int, family: str) -> None:
+    if d < 2:
+        raise SpecInvalid(f"{family} needs d >= 2")
+
+
+def _finite_pair(us, conjugate: bool = False):
+    """(pi, Pi) over a finite unitary family; Pi is the conjugate family when
+    M contains a transpose, otherwise the same group object."""
+    pi = FiniteGroup(tuple(us))
+    return pi, (FiniteGroup(tuple(U.conj() for U in us)) if conjugate else pi)
+
+
+@dataclass(frozen=True)
+class WernerHolevo:
+    d: int
+
+    def _build(self):
+        d = self.d
+        _require_d2(d, "Werner-Holevo")
+        T = ch.QuantumChannel(d, d, tuple(_wh_kraus(d)), name=f"wh:d={d}")
+        return T, ch.ProjectiveForm(transpose_map(d), _zero_state(d))
+
+    def _group(self):
+        return _finite_pair(heisenberg_weyl_unitaries(self.d), conjugate=True)
+
+
+@dataclass(frozen=True)
+class Stretching:
+    d: int
+    lam: float
+    omega: np.ndarray | None = None  # pure state matrix; defaults to |0><0|
+
+    def _build(self):
+        d, lam = self.d, float(self.lam)
+        _require_d2(d, "stretching")
+        if not 0.0 <= lam <= 1.0:
+            raise SpecInvalid(f"lambda {lam} outside [0, 1]")
+        omega = self.omega if self.omega is not None else linalg.projector_from_vector(np.eye(d)[:, 0])
+        omega = np.asarray(omega, dtype=complex)
+        if linalg.herm_norm_inf(omega @ omega - omega) > 1e-10 or abs(np.trace(omega).real - 1) > 1e-10:
+            raise SpecInvalid("stretching omega must be a pure state")
+        kraus = [np.sqrt(lam) * A for A in _wh_kraus(d)]
+        w, V = np.linalg.eigh(omega)
+        comp = [V[:, k] for k in range(d) if w[k] < 0.5]
+        for v in comp:
+            for b in range(d):
+                A = np.sqrt((1 - lam) / (d - 1)) * np.outer(v, np.eye(d)[:, b])
+                kraus.append(A)
+        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"stretch:d={d},lambda={lam}")
+        M = ch.LinearMap.from_apply(lambda X: lam * X.T + (1 - lam) * omega * np.trace(X), d, m=1)
+        return T, ch.ProjectiveForm(M, ch.DensityMatrix(d, omega.T.copy()))
+
+    def _group(self):
+        # only a single optimal input exists; any nontrivial group fails the gate
+        return _finite_pair(weyl_unitaries(self.d))
+
+
+@dataclass(frozen=True)
+class WeylShift:
+    d: int
+
+    def _build(self):
+        d = self.d
+        _require_d2(d, "Weyl shift")
+        W = weyl_unitaries(d)
+        kraus = [Wi @ A / np.sqrt(d) for Wi in W for A in _wh_kraus(d)]
+        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"weyl:d={d}")
+        return T, ch.ProjectiveForm(weyl_m_map(d), _flat_state(d))
+
+    def _group(self):
+        return _finite_pair(phase_unitaries(self.d), conjugate=True)
+
+
+@dataclass(frozen=True)
+class Pinching:
+    d: int
+    projections: tuple = ()
+
+    def _build(self):
+        d = self.d
+        _require_d2(d, "pinching")
+        projs = [np.asarray(P, dtype=complex) for P in self.projections]
+        if not projs:
+            raise SpecInvalid("pinching needs at least one projection")
+        acc = sum(projs)
+        if linalg.herm_norm_inf(acc - np.eye(d)) > 1e-10:
+            raise SpecInvalid("projections do not resolve the identity")
+        for i, P in enumerate(projs):
+            for j, Q in enumerate(projs):
+                want = P if i == j else np.zeros_like(P)
+                if linalg.herm_norm_inf(P @ Q - want) > 1e-10:
+                    raise SpecInvalid(f"projections {i},{j} are not orthogonal idempotents")
+        kraus = [P @ A for P in projs for A in _wh_kraus(d)]
+        kraus = [A for A in kraus if np.linalg.norm(A) > 1e-14]
+        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"pinch:d={d}")
+        # witness: a vector inside the support of the first projection
+        j_star = int(np.argmax(np.diag(projs[0]).real))
+        v = projs[0] @ np.eye(d)[:, j_star]
+        v = v / np.linalg.norm(v)
+        rho0 = ch.DensityMatrix(d, linalg.projector_from_vector(v).T.copy())
+        return T, ch.ProjectiveForm(pinching_m_map(projs), rho0)
+
+    def _group(self):
+        return _finite_pair(weyl_unitaries(self.d))
+
+
+@dataclass(frozen=True)
+class CasimirIrreducible:
+    d: int
+
+    def _build(self):
+        d = self.d
+        Js = su2_generators(d)
+        lam_pi = (d - 1) * (d + 1) / 4
+        kraus = tuple(J / np.sqrt(lam_pi) for J in Js)
+        return ch.QuantumChannel(d, d, kraus, name=f"casimir:d={d}"), None
+
+    def _group(self):
+        tw = SU2Euler(tuple(su2_generators(self.d)))
+        return tw, tw
+
+
+@dataclass(frozen=True)
+class CasimirReducibleExample:
+    def _build(self):
+        Js = casimir_reducible_generators()
+        kraus = tuple(Js) + (np.eye(4, dtype=complex) / 2,)
+        T = ch.QuantumChannel(4, 4, kraus, name="casimir-reducible")
+        M = ch.LinearMap.from_apply(lambda X: np.trace(X) * np.eye(4) / 2 - T.apply_raw(X), 4, m=2)
+        return T, ch.ProjectiveForm(M, casimir_reducible_rho0())
+
+    def _group(self):
+        tw = SU2Euler(tuple(casimir_reducible_complementary_generators()))
+        return tw, tw
+
+
+@dataclass(frozen=True)
+class ShiftsPinching:
+    d: int
+    K: tuple = (1,)  # subset of {1..d}
+
+    def _build(self):
+        d = self.d
+        K = tuple(sorted(set(int(k) for k in self.K)))
+        if not K or any(k < 1 or k > d for k in K):
+            raise SpecInvalid(f"K={K} must be a nonempty subset of 1..{d}")
+        if len(K) >= d:
+            raise SpecInvalid("K must be a proper subset (d - |K| >= 1)")
+        rest = [k for k in range(1, d + 1) if k not in K]
+        kraus = []
+        for i in range(d):
+            for k in rest:
+                A = np.zeros((d, d), dtype=complex)
+                A[(i - k) % d, i] = 1.0 / np.sqrt(d - len(K))
+                kraus.append(A)
+        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"shiftpinch:d={d},K={','.join(map(str, K))}")
+        W = weyl_unitaries(d)
+
+        def M_fn(X):
+            out = np.zeros((d, d), dtype=complex)
+            for k in K:
+                Y = dag(W[k - 1]) @ X @ W[k - 1]
+                out += np.diag(np.diag(Y))
+            return out / len(K)
+
+        return T, ch.ProjectiveForm(ch.LinearMap.from_apply(M_fn, d, m=len(K)), _zero_state(d))
+
+
+@dataclass(frozen=True)
+class CoarseGraining:
+    n: int
+    D: int
+
+    def _build(self):
+        n, D = self.n, self.D
+        if n < 2 or D < 1:
+            raise SpecInvalid("coarse graining needs n >= 2 and D >= 1")
+        d = n * D
+        kraus = []
+        for A in _wh_kraus(n):
+            for e in range(D):
+                for f in range(D):
+                    Kf = np.zeros((D, D), dtype=complex)
+                    Kf[f, e] = 1.0 / np.sqrt(D)
+                    kraus.append(np.kron(A, Kf))
+        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"coarse:n={n},D={D}")
+        return T, ch.ProjectiveForm(coarse_m_map(n, D), _flat_state(d))
+
+    def _group(self):
+        return BlockUnitaryHaar(self.n, self.D), BlockUnitaryHaar(self.n, self.D, conjugate=True)
+
+
+@dataclass(frozen=True)
+class Diagonal:
+    d: int
+    diagonals: tuple = ()  # sequence of length-d complex vectors
+
+    def _build(self):
+        d = self.d
+        diags = [np.asarray(a, dtype=complex).reshape(-1) for a in self.diagonals]
+        if not diags or any(len(a) != d for a in diags):
+            raise SpecInvalid("diagonal channel needs length-d diagonals")
+        col = np.stack(diags)
+        if np.abs((np.abs(col) ** 2).sum(axis=0) - 1.0).max() > 1e-10:
+            raise SpecInvalid("diagonal amplitudes do not preserve trace (sum_k |a_k(i)|^2 != 1)")
+        kraus = tuple(np.diag(a) for a in diags)
+        return ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}"), None
+
+    def _group(self):
+        return _finite_pair(weyl_unitaries(self.d))
 
 
 def build(spec):
     """Construct (QuantumChannel, ProjectiveForm or None) for a channel spec."""
-    if isinstance(spec, WernerHolevo):
-        return _build_wh(spec)
-    if isinstance(spec, Stretching):
-        return _build_stretch(spec)
-    if isinstance(spec, WeylShift):
-        return _build_weyl(spec)
-    if isinstance(spec, Pinching):
-        return _build_pinching(spec)
-    if isinstance(spec, CasimirIrreducible):
-        return _build_casimir(spec)
-    if isinstance(spec, CasimirReducibleExample):
-        return _build_casred()
-    if isinstance(spec, ShiftsPinching):
-        return _build_shiftpinch(spec)
-    if isinstance(spec, CoarseGraining):
-        return _build_coarse(spec)
-    if isinstance(spec, Diagonal):
-        return _build_diagonal(spec)
-    raise SpecInvalid(f"unknown channel spec {spec!r}")
+    make = getattr(spec, "_build", None)
+    if make is None:
+        raise SpecInvalid(f"unknown channel spec {spec!r}")
+    return _finish(*make())
 
 
 def _finish(T: ch.QuantumChannel, form: ch.ProjectiveForm | None):
@@ -278,155 +427,15 @@ def _finish(T: ch.QuantumChannel, form: ch.ProjectiveForm | None):
     return T, form
 
 
-def _build_wh(spec: WernerHolevo):
-    d = spec.d
-    if d < 2:
-        raise SpecInvalid("Werner-Holevo needs d >= 2")
-    T = ch.QuantumChannel(d, d, tuple(_wh_kraus(d)), name=f"wh:d={d}")
-    rho0 = ch.DensityMatrix.from_vector(np.eye(d)[:, 0])
-    M = transpose_map(d)
-    form = ch.ProjectiveForm(m=1, d=d, M=M, rho0=rho0, projector=M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_stretch(spec: Stretching):
-    d, lam = spec.d, float(spec.lam)
-    if not 0.0 <= lam <= 1.0:
-        raise SpecInvalid(f"lambda {lam} outside [0, 1]")
-    omega = spec.omega if spec.omega is not None else linalg.projector_from_vector(np.eye(d)[:, 0])
-    omega = np.asarray(omega, dtype=complex)
-    if linalg.herm_norm_inf(omega @ omega - omega) > 1e-10 or abs(np.trace(omega).real - 1) > 1e-10:
-        raise SpecInvalid("stretching omega must be a pure state")
-    kraus = [np.sqrt(lam) * A for A in _wh_kraus(d)]
-    w, V = np.linalg.eigh(omega)
-    comp = [V[:, k] for k in range(d) if w[k] < 0.5]
-    for v in comp:
-        for b in range(d):
-            A = np.sqrt((1 - lam) / (d - 1)) * np.outer(v, np.eye(d)[:, b])
-            kraus.append(A)
-    T = ch.QuantumChannel(d, d, tuple(kraus), name=f"stretch:d={d},lambda={lam}")
-    M = ch.LinearMap.from_apply(lambda X: lam * X.T + (1 - lam) * omega * np.trace(X), d, m=1)
-    rho0 = ch.DensityMatrix(d, omega.T.copy())
-    form = ch.ProjectiveForm(m=1, d=d, M=M, rho0=rho0, projector=M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_weyl(spec: WeylShift):
-    d = spec.d
-    W = weyl_unitaries(d)
-    kraus = [Wi @ A / np.sqrt(d) for Wi in W for A in _wh_kraus(d)]
-    T = ch.QuantumChannel(d, d, tuple(kraus), name=f"weyl:d={d}")
-    rho0 = _flat_state(d)
-    M = weyl_m_map(d)
-    form = ch.ProjectiveForm(m=1, d=d, M=M, rho0=rho0, projector=M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_pinching(spec: Pinching):
-    d = spec.d
-    projs = [np.asarray(P, dtype=complex) for P in spec.projections]
-    if not projs:
-        raise SpecInvalid("pinching needs at least one projection")
-    acc = sum(projs)
-    if linalg.herm_norm_inf(acc - np.eye(d)) > 1e-10:
-        raise SpecInvalid("projections do not resolve the identity")
-    for i, P in enumerate(projs):
-        for j, Q in enumerate(projs):
-            want = P if i == j else np.zeros_like(P)
-            if linalg.herm_norm_inf(P @ Q - want) > 1e-10:
-                raise SpecInvalid(f"projections {i},{j} are not orthogonal idempotents")
-    kraus = [P @ A for P in projs for A in _wh_kraus(d)]
-    kraus = [A for A in kraus if np.linalg.norm(A) > 1e-14]
-    T = ch.QuantumChannel(d, d, tuple(kraus), name=f"pinch:d={d}")
-    # witness: a vector inside the support of the first projection
-    j_star = int(np.argmax(np.diag(projs[0]).real))
-    v = projs[0] @ np.eye(d)[:, j_star]
-    v = v / np.linalg.norm(v)
-    rho0 = ch.DensityMatrix(d, linalg.projector_from_vector(v).T.copy())
-    M = pinching_m_map(projs)
-    form = ch.ProjectiveForm(m=1, d=d, M=M, rho0=rho0, projector=M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_casimir(spec: CasimirIrreducible):
-    d = spec.d
-    Js = su2_generators(d)
-    lam_pi = (d - 1) * (d + 1) / 4
-    kraus = tuple(J / np.sqrt(lam_pi) for J in Js)
-    T = ch.QuantumChannel(d, d, kraus, name=f"casimir:d={d}")
-    return _finish(T, None)
-
-
-def _build_casred():
-    Js = casimir_reducible_generators()
-    kraus = tuple(Js) + (np.eye(4, dtype=complex) / 2,)
-    T = ch.QuantumChannel(4, 4, kraus, name="casimir-reducible")
-    rho0 = casimir_reducible_rho0()
-    M = ch.LinearMap.from_apply(lambda X: np.trace(X) * np.eye(4) / 2 - T.apply_raw(X), 4, m=2)
-    form = ch.ProjectiveForm(m=2, d=4, M=M, rho0=rho0, projector=2 * M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_shiftpinch(spec: ShiftsPinching):
-    d = spec.d
-    K = tuple(sorted(set(int(k) for k in spec.K)))
-    if not K or any(k < 1 or k > d for k in K):
-        raise SpecInvalid(f"K={K} must be a nonempty subset of 1..{d}")
-    if len(K) >= d:
-        raise SpecInvalid("K must be a proper subset (d - |K| >= 1)")
-    rest = [k for k in range(1, d + 1) if k not in K]
-    kraus = []
-    for i in range(d):
-        for k in rest:
-            A = np.zeros((d, d), dtype=complex)
-            A[(i - k) % d, i] = 1.0 / np.sqrt(d - len(K))
-            kraus.append(A)
-    T = ch.QuantumChannel(d, d, tuple(kraus), name=f"shiftpinch:d={d},K={','.join(map(str, K))}")
-    W = weyl_unitaries(d)
-
-    def M_fn(X):
-        out = np.zeros((d, d), dtype=complex)
-        for k in K:
-            Y = dag(W[k - 1]) @ X @ W[k - 1]
-            out += np.diag(np.diag(Y))
-        return out / len(K)
-
-    M = ch.LinearMap.from_apply(M_fn, d, m=len(K))
-    rho0 = ch.DensityMatrix.from_vector(np.eye(d)[:, 0])
-    form = ch.ProjectiveForm(m=len(K), d=d, M=M, rho0=rho0, projector=len(K) * M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_coarse(spec: CoarseGraining):
-    n, D = spec.n, spec.D
-    if n < 2 or D < 1:
-        raise SpecInvalid("coarse graining needs n >= 2 and D >= 1")
-    d = n * D
-    kraus = []
-    for A in _wh_kraus(n):
-        for e in range(D):
-            for f in range(D):
-                Kf = np.zeros((D, D), dtype=complex)
-                Kf[f, e] = 1.0 / np.sqrt(D)
-                kraus.append(np.kron(A, Kf))
-    T = ch.QuantumChannel(d, d, tuple(kraus), name=f"coarse:n={n},D={D}")
-    M = coarse_m_map(n, D)
-    rho0 = _flat_state(d)
-    form = ch.ProjectiveForm(m=D, d=d, M=M, rho0=rho0, projector=D * M.apply(rho0.mat))
-    return _finish(T, form)
-
-
-def _build_diagonal(spec: Diagonal):
-    d = spec.d
-    diags = [np.asarray(a, dtype=complex).reshape(-1) for a in spec.diagonals]
-    if not diags or any(len(a) != d for a in diags):
-        raise SpecInvalid("diagonal channel needs length-d diagonals")
-    col = np.stack(diags)
-    if np.abs((np.abs(col) ** 2).sum(axis=0) - 1.0).max() > 1e-10:
-        raise SpecInvalid("diagonal amplitudes do not preserve trace (sum_k |a_k(i)|^2 != 1)")
-    kraus = tuple(np.diag(a) for a in diags)
-    T = ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}")
-    return _finish(T, None)
+def auto_group(spec, form: ch.ProjectiveForm | None):
+    """(rho0, pi, Pi) for a built zoo spec: the witness input, form.rho0 or
+    |0><0| for a family without a form, and the twirl pair under which the
+    family is weakly covariant."""
+    group = getattr(spec, "_group", None)
+    if group is None:
+        raise SpecInvalid(f"no automatic group for {spec!r}")
+    rho0 = form.rho0 if form is not None else _zero_state(spec.d)
+    return (rho0, *group())
 
 
 def dephasing(d: int) -> Diagonal:

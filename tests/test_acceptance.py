@@ -14,7 +14,7 @@ from projchan import additivity as add
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import cli, entropy, eof, linalg, zoo
-from projchan.sampling import haar_state_vector, split_seed
+from projchan.sampling import haar_state_vector, random_density, split_seed
 
 LOG2_3 = math.log2(3)
 CFG64 = entropy.OptConfig(starts=64)
@@ -167,10 +167,7 @@ def test_criterion_07_expansion_oracle():
         n = int(np.prod([T.dim_in for T, _ in combo]))
         rng = split_seed(CFG64.seed, 707, n)
         for _ in range(100):
-            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            R = G @ G.conj().T
-            rho = R / np.trace(R).real
-            e, d = add.purity_expansion(combo, rho)
+            e, d = add.purity_expansion(combo, random_density(rng, n))
             worst = max(worst, abs(e - d))
     _report(7, worst <= 1e-10, f"|expansion - direct| <= {worst:.3e} over 100 states x 3 combos")
 
@@ -192,7 +189,7 @@ def test_criterion_08_capacities():
     details = []
     for spec, want, tol in cases:
         T, form = zoo.build(spec)
-        rho0, pi, Pi = cap.auto_group(spec, form)
+        rho0, pi, Pi = zoo.auto_group(spec, form)
         rep = cap.capacity_weakcov(T, rho0, pi, Pi, CFG64)
         err = abs(rep.capacity - want)
         ok = ok and err <= tol

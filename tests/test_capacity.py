@@ -72,7 +72,7 @@ def test_finite_group_requires_closure():
 def test_orbit_average_weyl_phases_exact():
     spec = zoo.WeylShift(3)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     avg, resid = cap.orbit_average(T, rho0, Pi)
     assert resid <= 1e-12
 
@@ -90,7 +90,7 @@ def test_orbit_average_identity_group(wh3):
 def test_orbit_average_su2_euler_casimir_reducible(casred):
     T, form = casred
     spec = zoo.CasimirReducibleExample()
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     avg, resid = cap.orbit_average(T, rho0, Pi)
     assert resid <= 1e-6
 
@@ -98,7 +98,7 @@ def test_orbit_average_su2_euler_casimir_reducible(casred):
 def test_orbit_average_idempotent_finite_group():
     spec = zoo.WeylShift(3)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     once = Pi.average(T.apply_raw(rho0.mat))
     twice = Pi.average(once)
     assert linalg.herm_norm_inf(once - twice) <= 1e-12
@@ -107,7 +107,7 @@ def test_orbit_average_idempotent_finite_group():
 def test_weak_covariance_weyl():
     spec = zoo.WeylShift(3)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     cov, avg = cap.verify_weak_covariance(T, rho0, pi, Pi)
     assert cov <= 1e-12 and avg <= 1e-12
 
@@ -116,7 +116,7 @@ def test_weak_covariance_needs_conjugate_for_weyl():
     # with Pi = pi (no conjugation) the defect is macroscopic
     spec = zoo.WeylShift(3)
     T, form = zoo.build(spec)
-    rho0, pi, _ = cap.auto_group(spec, form)
+    rho0, pi, _ = zoo.auto_group(spec, form)
     cov, _ = cap.verify_weak_covariance(T, rho0, pi, pi)
     assert cov > 0.1
 
@@ -124,7 +124,7 @@ def test_weak_covariance_needs_conjugate_for_weyl():
 def test_weak_covariance_pinching():
     spec = zoo.Pinching(3, zoo.block_projectors(3, [2, 1]))
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     cov, avg = cap.verify_weak_covariance(T, rho0, pi, Pi)
     assert cov <= 1e-12 and avg <= 1e-12
 
@@ -132,7 +132,7 @@ def test_weak_covariance_pinching():
 def test_weak_covariance_stretching_fails():
     spec = zoo.Stretching(3, 0.5)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     cov, avg = cap.verify_weak_covariance(T, rho0, pi, Pi)
     assert cov > 0.1  # reported, not an error
 
@@ -140,9 +140,20 @@ def test_weak_covariance_stretching_fails():
 def test_weak_covariance_spec_mismatch():
     spec = zoo.WeylShift(3)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     with pytest.raises(SpecMismatch):
         cap.verify_weak_covariance(T, rho0, pi, cap.SU2Euler(tuple(zoo.su2_generators(3))))
+
+
+def test_su2_euler_reuses_eigendecompositions(monkeypatch):
+    tw = cap.SU2Euler(tuple(zoo.su2_generators(3)))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
+    U = tw.element(0.3, 1.1, 2.0)
+    tw.average(np.eye(3, dtype=complex) / 3)
+    assert calls == []
+    assert linalg.herm_norm_inf(dag(U) @ U - np.eye(3)) < 1e-12
 
 
 CLOSED_FORMS = [
@@ -160,7 +171,7 @@ CLOSED_FORMS = [
 @pytest.mark.parametrize("spec,want,tol", CLOSED_FORMS, ids=lambda x: str(x)[:24])
 def test_capacity_closed_forms(spec, want, tol):
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     rep = cap.capacity_weakcov(T, rho0, pi, Pi, CFG)
     assert abs(rep.capacity - want) <= tol
     assert abs(rep.capacity - (rep.max_term - rep.min_term)) < 1e-15
@@ -170,7 +181,7 @@ def test_capacity_closed_forms(spec, want, tol):
 def test_capacity_consistency_min_term(wh3):
     spec = zoo.WernerHolevo(3)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     rep = cap.capacity_weakcov(T, rho0, pi, Pi, CFG)
     s0 = entropy.renyi_entropy(ch.apply(T, rho0), 1.0)
     assert abs(rep.min_term - s0) <= 1e-6
@@ -179,7 +190,7 @@ def test_capacity_consistency_min_term(wh3):
 def test_capacity_refuses_stretching():
     spec = zoo.Stretching(3, 0.5)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = cap.auto_group(spec, form)
+    rho0, pi, Pi = zoo.auto_group(spec, form)
     with pytest.raises(NotWeaklyCovariant):
         cap.capacity_weakcov(T, rho0, pi, Pi, CFG)
 
@@ -188,7 +199,7 @@ def test_capacity_refuses_suboptimal_rho0(wh3):
     # a mixed rho0 cannot achieve nu_1
     spec = zoo.WernerHolevo(3)
     T, form = zoo.build(spec)
-    _, pi, Pi = cap.auto_group(spec, form)
+    _, pi, Pi = zoo.auto_group(spec, form)
     bad = ch.DensityMatrix(3, np.eye(3) / 3)
     with pytest.raises(OptimalStateMismatch):
         cap.capacity_weakcov(T, bad, pi, Pi, CFG)

@@ -226,6 +226,13 @@ _MALFORMED = {
                                  ["validate", "--spec", "diag:file={path}"]),
     "state_dim_not_a_number": (json.dumps({"dimA": "two", "dimB": 1, "mat": _KRAUS_ID2[0]}),
                                ["eof", "--state", "{path}", "--starts", "1"]),
+    "spec_weyl_d0": (None, ["validate", "--spec", "weyl:d=0"]),
+    "spec_weyl_d1": (None, ["validate", "--spec", "weyl:d=1"]),
+    "spec_stretch_d1": (None, ["validate", "--spec", "stretch:d=1,lambda=0.5"]),
+    "spec_pinch_d1": (None, ["validate", "--spec", "pinch:d=1,blocks=1"]),
+    "minent_no_starts": (None, ["minent", "--spec", "wh:d=3", "--starts", "0"]),
+    "eof_k_negative": (None, ["eof", "--state", "example9", "--k", "-1", "--starts", "1"]),
+    "eof_k_below_rank": (None, ["eof", "--state", "example9", "--k", "2", "--starts", "1"]),
 }
 
 

@@ -38,6 +38,24 @@ def test_every_variant_validates(spec):
         assert ch.reconstruction_residual(T, form) <= 1e-9
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__ + str(getattr(s, "d", "")))
+def test_auto_group_witness(spec):
+    T, form = zoo.build(spec)
+    if isinstance(spec, zoo.ShiftsPinching):
+        with pytest.raises(SpecInvalid):
+            zoo.auto_group(spec, form)
+        return
+    rho0, pi, Pi = zoo.auto_group(spec, form)
+    want = form.rho0.mat if form is not None else np.diag(np.eye(T.dim_in)[0]).astype(complex)
+    assert np.array_equal(rho0.mat, want)
+    assert type(pi) is type(Pi)
+
+
+def test_build_rejects_unknown_spec():
+    with pytest.raises(SpecInvalid):
+        zoo.build(object())
+
+
 def test_wh3_choi_spectrum(wh3):
     T, form = wh3
     w = np.sort(np.linalg.eigvalsh(T.choi))
