@@ -129,7 +129,7 @@ class SU2Euler:
         e2, e3 = self._e2, self._e3
 
         def pass_axis(Y, efac, angles, wts):
-            acc = np.zeros_like(Y)
+            acc = np.zeros_like(Y, dtype=complex)
             for t, w in zip(angles, wts):
                 U = efac(t)
                 acc += w * (U @ Y @ dag(U))

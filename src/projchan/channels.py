@@ -10,6 +10,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,6 +83,10 @@ class QuantumChannel:
             if A.shape != (self.dim_out, self.dim_in):
                 raise BadDims(f"Kraus shape {A.shape} != ({self.dim_out}, {self.dim_in})")
         self._kstack = np.stack(self.kraus)
+        k = len(self.kraus)
+        # [A_1; ...; A_k] and [A_1+; ...; A_k+], the operands of _kraus_sum
+        self._kcol = self._kstack.reshape(k * self.dim_out, self.dim_in)
+        self._kcol_dag = self._kstack.conj().transpose(0, 2, 1).reshape(k * self.dim_in, self.dim_out)
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -91,13 +96,22 @@ class QuantumChannel:
         return (K.T @ K.conj()) / self.dim_in
 
     def apply_raw(self, rho: np.ndarray) -> np.ndarray:
-        K = self._kstack
-        return np.einsum("kij,jl,kml->im", K, rho, K.conj(), optimize=True)
+        """Schroedinger-picture action, sum_k A_k rho A_k+."""
+        return _kraus_sum(self._kcol, rho, self._kcol_dag)
 
     def apply_adjoint_raw(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
-        K = self._kstack
-        return np.einsum("kji,jl,klm->im", K.conj(), X, K, optimize=True)
+        return _kraus_sum(self._kcol_dag, X, self._kcol)
+
+
+def _kraus_sum(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_k L_k X R_k for stacks left = [L_1; ...; L_k] of shape (k*p, q) and
+    right = [R_1; ...; R_k] of shape (k*q, r): the blocks L_k X, laid side by
+    side as a (p, k*q) matrix, times the stacked R_k."""
+    q = left.shape[1]
+    k = right.shape[0] // q
+    LX = (left @ X).reshape(k, -1, q)
+    return LX.transpose(1, 0, 2).reshape(-1, k * q) @ right
 
 
 @dataclass
@@ -207,6 +221,15 @@ def apply(T: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(T.dim_out, T.apply_raw(rho.mat))
 
 
+def require_stack_fits(count: int, d_out: int, d_in: int) -> None:
+    """Refuse, before any operator is built, a Kraus stack of more than
+    DIM_CAP**2 entries; a channel keeps the stack and its adjoint copy."""
+    if count * d_out * d_in > linalg.DIM_CAP ** 2:
+        raise DimensionOverflow(
+            f"{count} Kraus operators of shape {d_out}x{d_in} exceed the cap of {linalg.DIM_CAP ** 2} entries"
+        )
+
+
 def tensor_channels(channels, cap: int = linalg.DIM_CAP) -> QuantumChannel:
     """Tensor product channel; Kraus set is all products of constituents."""
     channels = list(channels)
@@ -216,6 +239,7 @@ def tensor_channels(channels, cap: int = linalg.DIM_CAP) -> QuantumChannel:
     dout = int(np.prod([T.dim_out for T in channels]))
     if max(din, dout) > cap:
         raise DimensionOverflow(f"product dimension {max(din, dout)} exceeds cap {cap}")
+    require_stack_fits(math.prod(len(T.kraus) for T in channels), dout, din)
     kraus = [np.array([[1.0 + 0j]])]
     for T in channels:
         kraus = [np.kron(A, B) for A in kraus for B in T.kraus]
@@ -258,17 +282,23 @@ def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm
         return (m0 / (d - m0)) * ((np.trace(X) / m0) * np.eye(d) - T.apply_raw(X))
 
     form = ProjectiveForm(LinearMap.from_apply(M_fn, d, m=m), argmax_state)
-    projector = form.projector
-    idem = linalg.herm_norm_inf(projector @ projector - projector)
-    tr_err = abs(np.trace(projector).real - m)
+    idem, tr_err, resid = witness_defects(T, form)
     if idem > RECON_TOL or tr_err > RECON_TOL:
         raise NotProjectiveClass(
             f"m*M(rho0) is not a rank-{m} projection (idempotency {idem:.2e}, trace error {tr_err:.2e})"
         )
-    resid = reconstruction_residual(T, form)
     if resid > RECON_TOL:
         raise NotProjectiveClass(f"reconstruction residual {resid:.2e} > {RECON_TOL:.0e}")
     return form
+
+
+def witness_defects(T: QuantumChannel, form: ProjectiveForm) -> tuple[float, float, float]:
+    """How far the form is from a valid witness of T, with P = m M(rho0):
+    (||P^2 - P||_inf, |tr P - m|, reconstruction_residual(T, form)).
+    Callers hold each defect to their own tolerances."""
+    P = form.projector
+    idem = linalg.herm_norm_inf(P @ P - P)
+    return idem, abs(np.trace(P).real - form.m), reconstruction_residual(T, form)
 
 
 def reconstruction_residual(T: QuantumChannel, form: ProjectiveForm) -> float:

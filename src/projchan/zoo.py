@@ -209,6 +209,7 @@ class WernerHolevo:
     def _build(self):
         d = self.d
         _require_d2(d, "Werner-Holevo")
+        ch.require_stack_fits(d * (d - 1) // 2, d, d)
         T = ch.QuantumChannel(d, d, tuple(_wh_kraus(d)), name=f"wh:d={d}")
         return T, ch.ProjectiveForm(transpose_map(d), _zero_state(d))
 
@@ -227,6 +228,7 @@ class Stretching:
         _require_d2(d, "stretching")
         if not 0.0 <= lam <= 1.0:
             raise SpecInvalid(f"lambda {lam} outside [0, 1]")
+        ch.require_stack_fits(d * (d - 1) // 2 + (d - 1) * d, d, d)
         omega = self.omega if self.omega is not None else linalg.projector_from_vector(np.eye(d)[:, 0])
         omega = np.asarray(omega, dtype=complex)
         if linalg.herm_norm_inf(omega @ omega - omega) > 1e-10 or abs(np.trace(omega).real - 1) > 1e-10:
@@ -254,6 +256,7 @@ class WeylShift:
     def _build(self):
         d = self.d
         _require_d2(d, "Weyl shift")
+        ch.require_stack_fits(d * d * (d - 1) // 2, d, d)
         W = weyl_unitaries(d)
         kraus = [Wi @ A / np.sqrt(d) for Wi in W for A in _wh_kraus(d)]
         T = ch.QuantumChannel(d, d, tuple(kraus), name=f"weyl:d={d}")
@@ -274,6 +277,7 @@ class Pinching:
         projs = [np.asarray(P, dtype=complex) for P in self.projections]
         if not projs:
             raise SpecInvalid("pinching needs at least one projection")
+        ch.require_stack_fits(len(projs) * d * (d - 1) // 2, d, d)
         acc = sum(projs)
         if linalg.herm_norm_inf(acc - np.eye(d)) > 1e-10:
             raise SpecInvalid("projections do not resolve the identity")
@@ -302,6 +306,7 @@ class CasimirIrreducible:
 
     def _build(self):
         d = self.d
+        ch.require_stack_fits(3, d, d)
         Js = su2_generators(d)
         lam_pi = (d - 1) * (d + 1) / 4
         kraus = tuple(J / np.sqrt(lam_pi) for J in Js)
@@ -315,6 +320,7 @@ class CasimirIrreducible:
 @dataclass(frozen=True)
 class CasimirReducibleExample:
     def _build(self):
+        ch.require_stack_fits(4, 4, 4)
         Js = casimir_reducible_generators()
         kraus = tuple(Js) + (np.eye(4, dtype=complex) / 2,)
         T = ch.QuantumChannel(4, 4, kraus, name="casimir-reducible")
@@ -338,6 +344,7 @@ class ShiftsPinching:
             raise SpecInvalid(f"K={K} must be a nonempty subset of 1..{d}")
         if len(K) >= d:
             raise SpecInvalid("K must be a proper subset (d - |K| >= 1)")
+        ch.require_stack_fits(d * (d - len(K)), d, d)
         rest = [k for k in range(1, d + 1) if k not in K]
         kraus = []
         for i in range(d):
@@ -368,6 +375,7 @@ class CoarseGraining:
         if n < 2 or D < 1:
             raise SpecInvalid("coarse graining needs n >= 2 and D >= 1")
         d = n * D
+        ch.require_stack_fits(n * (n - 1) // 2 * D * D, d, d)
         kraus = []
         for A in _wh_kraus(n):
             for e in range(D):
@@ -395,6 +403,7 @@ class Diagonal:
         col = np.stack(diags)
         if np.abs((np.abs(col) ** 2).sum(axis=0) - 1.0).max() > 1e-10:
             raise SpecInvalid("diagonal amplitudes do not preserve trace (sum_k |a_k(i)|^2 != 1)")
+        ch.require_stack_fits(len(diags), d, d)
         kraus = tuple(np.diag(a) for a in diags)
         return ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}"), None
 
@@ -418,11 +427,10 @@ def _finish(T: ch.QuantumChannel, form: ch.ProjectiveForm | None):
             f"min choi eig {report.min_choi_eigenvalue:.3e}"
         )
     if form is not None:
-        resid = ch.reconstruction_residual(T, form)
+        idem, tr_err, resid = ch.witness_defects(T, form)
         if resid > 1e-9:
             raise SpecInvalid(f"projective form reconstruction residual {resid:.3e}")
-        P = form.projector
-        if linalg.herm_norm_inf(P @ P - P) > 1e-8 or abs(np.trace(P).real - form.m) > 1e-8:
+        if idem > 1e-8 or tr_err > 1e-8:
             raise SpecInvalid("witness m*M(rho0) is not a rank-m projection")
     return T, form
 

@@ -156,6 +156,15 @@ def test_su2_euler_reuses_eigendecompositions(monkeypatch):
     assert linalg.herm_norm_inf(dag(U) @ U - np.eye(3)) < 1e-12
 
 
+def test_su2_euler_average_accepts_real_input(casred):
+    _, form = casred
+    _, _, Pi = zoo.auto_group(zoo.CasimirReducibleExample(), form)
+    real = np.eye(4) / 4
+    avg = Pi.average(real)
+    assert np.array_equal(avg, Pi.average(real.astype(complex)))
+    assert linalg.herm_norm_inf(avg - real) <= 1e-12
+
+
 CLOSED_FORMS = [
     (zoo.WernerHolevo(3), LOG2_3 - 1.0, 1e-6),
     (zoo.WeylShift(3), LOG2_3 - 1.0, 1e-6),

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import identity_channel
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
+    DimensionOverflow,
     DimMismatch,
     NonPureEnsemble,
     NotProjectiveClass,
     ParseError,
+    SpecInvalid,
     ValidationError,
 )
+from projchan.linalg import dag
 from projchan.sampling import haar_state_vector, random_density, split_seed
 
 
@@ -67,6 +71,56 @@ def test_apply_preserves_trace_random(wh3):
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
 
+def _random_channel(d_in, d_out, k, seed):
+    """k random d_out x d_in Kraus operators rescaled so that sum_k A_k+ A_k = I
+    (k is raised to ceil(d_in / d_out) so that the sum is invertible), the
+    channel they define, and a generator for test inputs."""
+    rng = split_seed(seed, d_in, d_out, k)
+    k = max(k, -(-d_in // d_out))
+    K = rng.normal(size=(k, d_out, d_in)) + 1j * rng.normal(size=(k, d_out, d_in))
+    w, V = np.linalg.eigh(sum(dag(A) @ A for A in K))
+    K = K @ ((V / np.sqrt(w)) @ dag(V))
+    return K, ch.QuantumChannel(d_in, d_out, tuple(K)), rng
+
+
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+KRAUS_SHAPES = (st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(*KRAUS_SHAPES)
+@example(2, 3, 5, 0)
+def test_kernel_matches_einsum_reference(d_in, d_out, k, seed):
+    K, T, rng = _random_channel(d_in, d_out, k, seed)
+    X, Y = _random_matrix(rng, d_in), _random_matrix(rng, d_out)
+    assert linalg.herm_norm_inf(T.apply_raw(X) - np.einsum("kij,jl,kml->im", K, X, K.conj())) <= 1e-12
+    assert linalg.herm_norm_inf(T.apply_adjoint_raw(Y) - np.einsum("kji,jl,klm->im", K.conj(), Y, K)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(*KRAUS_SHAPES)
+@example(2, 3, 5, 0)
+def test_kernel_adjoint_duality(d_in, d_out, k, seed):
+    _, T, rng = _random_channel(d_in, d_out, k, seed)
+    X, Y = _random_matrix(rng, d_in), _random_matrix(rng, d_out)
+    assert T.apply_raw(X).shape == (d_out, d_out)
+    assert T.apply_adjoint_raw(Y).shape == (d_in, d_in)
+    assert abs(np.vdot(T.apply_raw(X), Y) - np.vdot(X, T.apply_adjoint_raw(Y))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(*KRAUS_SHAPES)
+@example(2, 3, 5, 0)
+def test_kernel_preserves_trace(d_in, d_out, k, seed):
+    _, T, rng = _random_channel(d_in, d_out, k, seed)
+    X = _random_matrix(rng, d_in)
+    assert abs(np.trace(T.apply_raw(X)) - np.trace(X)) <= 1e-12
+    assert linalg.herm_norm_inf(T.apply_adjoint_raw(np.eye(d_out)) - np.eye(d_in)) <= 1e-12
+
+
 def test_kraus_choi_roundtrip(wh3):
     T, _ = wh3
     back = ch.channel_from_choi(T.choi, 3)
@@ -74,6 +128,12 @@ def test_kraus_choi_roundtrip(wh3):
         for j in range(3):
             E = linalg.basis_matrix_unit(3, i, j)
             assert linalg.herm_norm_inf(back.apply_raw(E) - T.apply_raw(E)) < 1e-9
+
+
+def test_tensor_channels_refuses_oversize_kraus_stack():
+    T, _ = zoo.build(zoo.WeylShift(8))  # 224 operators; the product would hold 50176 of 64 x 64
+    with pytest.raises(DimensionOverflow, match="50176 Kraus operators of shape 64x64"):
+        ch.tensor_channels([T, T])
 
 
 def test_tensor_channels_identity():
@@ -161,6 +221,17 @@ def test_extract_rejects_depolarizing_limit():
     rho0 = ch.DensityMatrix.from_vector(np.eye(d)[:, 0])
     with pytest.raises(NotProjectiveClass):
         ch.extract_projective_form(T, rho0, 1.0 / d)
+
+
+def test_witness_defects_are_separate(wh3):
+    T, form = wh3
+    assert max(ch.witness_defects(T, form)) <= 1e-12
+    # the mixed input keeps M and the trace of m M(rho0) but not its idempotency
+    mixed = ch.ProjectiveForm(form.M, ch.DensityMatrix(3, np.eye(3) / 3))
+    idem, tr_err, resid = ch.witness_defects(T, mixed)
+    assert abs(idem - 2 / 9) <= 1e-12 and tr_err <= 1e-12 and resid <= 1e-12
+    with pytest.raises(SpecInvalid, match="witness m\\*M\\(rho0\\) is not a rank-m projection"):
+        zoo._finish(T, mixed)
 
 
 def test_stinespring_identity():

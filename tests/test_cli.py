@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,6 +236,9 @@ _MALFORMED = {
     "minent_no_starts": (None, ["minent", "--spec", "wh:d=3", "--starts", "0"]),
     "eof_k_negative": (None, ["eof", "--state", "example9", "--k", "-1", "--starts", "1"]),
     "eof_k_below_rank": (None, ["eof", "--state", "example9", "--k", "2", "--starts", "1"]),
+    "spec_wh_oversize": (None, ["validate", "--spec", "wh:d=100000"]),
+    "spec_weyl_oversize": (None, ["validate", "--spec", "weyl:d=100"]),
+    "product_oversize": (None, ["additivity", "--spec", "weyl:d=8", "--spec", "weyl:d=8", "--starts", "1"]),
 }
 
 
@@ -243,6 +249,14 @@ def test_malformed_input_exit2(case, tmp_path):
     if content is not None:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert cli.main([a.replace("{path}", str(path)) for a in argv]) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "projchan", "validate", "--spec", "wh:d=3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["flags"] == {"completely_positive": True, "trace_preserving": True}
 
 
 def test_usage_errors_exit64():

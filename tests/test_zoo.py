@@ -51,6 +51,16 @@ def test_auto_group_witness(spec):
     assert type(pi) is type(Pi)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__ + str(getattr(s, "d", "")))
+def test_builder_sizes_its_kraus_stack_first(spec, monkeypatch):
+    seen = []
+    monkeypatch.setattr(ch, "require_stack_fits", lambda *size: seen.append(size))
+    T, _ = zoo.build(spec)
+    [(count, d_out, d_in)] = seen
+    # pinching counts its products before it drops the zero ones
+    assert count >= len(T.kraus) and (d_out, d_in) == (T.dim_out, T.dim_in)
+
+
 def test_build_rejects_unknown_spec():
     with pytest.raises(SpecInvalid):
         zoo.build(object())
