@@ -15,8 +15,8 @@ import numpy as np
 from . import channels as ch
 from . import linalg
 from .entropy import OptConfig, OptReport, min_output_entropy
-from .errors import DimMismatch, NotProjectiveClass
-from .sampling import random_density, split_seed
+from .errors import DimMismatch, NotProjectiveClass, SpecInvalid
+from .sampling import random_densities, split_seed
 
 
 @dataclass
@@ -90,20 +90,22 @@ def additivity_gap(channel_list, alpha: float, cfg: OptConfig | None = None) -> 
 
 
 def apply_product_map(maps, rho: np.ndarray) -> np.ndarray:
-    """(M1 x ... x MN)(rho) for LinearMaps acting on consecutive tensor factors."""
+    """(M1 x ... x MN)(rho) for LinearMaps acting on consecutive tensor
+    factors; rho is an (n, n) matrix or a (c, n, n) stack of them."""
     dims = [M.dim for M in maps]
     n = int(np.prod(dims))
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise DimMismatch(f"state shape {rho.shape} != ({n}, {n}) for dims {dims}")
-    N = len(dims)
-    t = rho.reshape(dims + dims)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (n, n):
+        raise DimMismatch(f"state shape {rho.shape} != ([c,] {n}, {n}) for dims {dims}")
+    batch = rho.shape[:-2]
+    b, N = len(batch), len(dims)
+    t = rho.reshape(batch + tuple(dims + dims))
     for k, M in enumerate(maps):
         d = dims[k]
         Sk = M.superop.reshape(d, d, d, d)  # [a, b, i, j] = M(E_ij)[a, b]
-        t = np.tensordot(Sk, t, axes=([2, 3], [k, N + k]))
-        t = np.moveaxis(t, [0, 1], [k, N + k])
-    return t.reshape(n, n)
+        t = np.tensordot(Sk, t, axes=([2, 3], [b + k, b + N + k]))
+        t = np.moveaxis(t, [0, 1], [b + k, b + N + k])
+    return t.reshape(batch + (n, n))
 
 
 def trace_square_bound(maps, rho: np.ndarray):
@@ -118,14 +120,17 @@ def trace_square_bound(maps, rho: np.ndarray):
 
 
 def trace_square_suite(maps, count: int, seed: int = 12648430):
-    """Max excess of the trace-square bound over `count` seeded random states."""
+    """Max excess of the trace-square bound over `count` seeded random
+    states, drawn and mapped linalg.BATCH_BLOCK at a time."""
+    if count < 1:
+        raise SpecInvalid(f"trace_square_suite needs count >= 1, got {count}")
     n = int(np.prod([M.dim for M in maps]))
     rng = split_seed(seed, 3, n)
     worst = -np.inf
     bound = float(np.prod([1.0 / M.m for M in maps]))
-    for _ in range(count):
-        omega = apply_product_map(maps, random_density(rng, n))
-        worst = max(worst, float(np.trace(omega @ omega).real) - bound)
+    for start in range(0, count, linalg.BATCH_BLOCK):
+        omega = apply_product_map(maps, random_densities(rng, n, min(linalg.BATCH_BLOCK, count - start)))
+        worst = max(worst, float(np.trace(omega @ omega, axis1=1, axis2=2).real.max()) - bound)
     return worst
 
 

@@ -32,6 +32,7 @@ TP_TOL = 1e-9
 CHOI_KRAUS_CUTOFF = 1e-12
 INTEGER_M_TOL = 1e-6
 RECON_TOL = 1e-8
+STATE_TOL = 1e-10
 
 
 @dataclass
@@ -45,12 +46,7 @@ class DensityMatrix:
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.shape != (self.dim, self.dim):
             raise BadDims(f"state shape {self.mat.shape} != ({self.dim}, {self.dim})")
-        if linalg.herm_norm_inf(self.mat - dag(self.mat)) > 1e-10:
-            raise ValidationError("state is not Hermitian within 1e-10")
-        w = np.linalg.eigvalsh((self.mat + dag(self.mat)) / 2)
-        linalg.clamp_state_eigenvalues(w)
-        if abs(np.trace(self.mat).real - 1.0) > 1e-10:
-            raise ValidationError(f"trace {np.trace(self.mat).real!r} != 1 within 1e-10")
+        check_states(self.mat[None])
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DensityMatrix":
@@ -66,6 +62,22 @@ class DensityMatrix:
 
     def is_pure(self, tol: float = 1e-10) -> bool:
         return abs(self.purity() - 1.0) <= tol
+
+
+def check_states(stack: np.ndarray) -> np.ndarray:
+    """The DensityMatrix checks on every member of a (c, d, d) stack: Hermitian
+    within STATE_TOL, PSD up to clamp_state_eigenvalues, trace 1 within
+    STATE_TOL. Returns the clamped eigenvalues, shape (c, d), ascending."""
+    stack = np.asarray(stack, dtype=complex)
+    adj = stack.conj().swapaxes(-1, -2)
+    if linalg.herm_norm_inf(stack - adj) > STATE_TOL:
+        raise ValidationError(f"state is not Hermitian within {STATE_TOL:.0e}")
+    w = linalg.clamp_state_eigenvalues(np.linalg.eigvalsh((stack + adj) / 2))
+    tr = np.trace(stack, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > STATE_TOL
+    if bad.any():
+        raise ValidationError(f"trace {tr[bad][0]!r} != 1 within {STATE_TOL:.0e}")
+    return w
 
 
 @dataclass
@@ -102,6 +114,18 @@ class QuantumChannel:
     def apply_adjoint_raw(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
         return _kraus_sum(self._kcol_dag, X, self._kcol)
+
+    def apply_pure(self, Psi: np.ndarray) -> np.ndarray:
+        """T(psi_i psi_i+) for the rows psi_i of Psi, as a (c, d_out, d_out)
+        stack: with Z_i = [A_1 psi_i, ..., A_k psi_i] as a (k, d_out) matrix,
+        the output is Z_i^T conj(Z_i)."""
+        Psi = np.asarray(Psi, dtype=complex).reshape(-1, self.dim_in)
+        k = len(self.kraus)
+        out = np.empty((len(Psi), self.dim_out, self.dim_out), dtype=complex)
+        for i in range(0, len(Psi), linalg.BATCH_BLOCK):
+            Z = (Psi[i:i + linalg.BATCH_BLOCK] @ self._kcol.T).reshape(-1, k, self.dim_out)
+            out[i:i + linalg.BATCH_BLOCK] = Z.transpose(0, 2, 1) @ Z.conj()
+        return out
 
 
 def _kraus_sum(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -23,6 +23,11 @@ NEG_EIG_TOL = 1e-10
 
 _HERM_TOL = 1e-8
 
+# Members per call of a kernel batched over a stack of samples
+# (QuantumChannel.apply_pure, additivity.trace_square_suite): larger blocks
+# raised peak memory without running faster.
+BATCH_BLOCK = 16
+
 
 def dag(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""

@@ -33,9 +33,16 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     """Full-rank Wishart state G G+ / tr."""
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    R = G @ G.conj().T
-    return R / np.trace(R).real
+    return random_densities(rng, d, 1)[0]
+
+
+def random_densities(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
+    """`count` Wishart states as a (count, d, d) stack, drawn from rng exactly
+    as `count` calls of random_density would draw them."""
+    G = rng.standard_normal((count, 2, d, d))
+    G = G[:, 0] + 1j * G[:, 1]
+    R = G @ G.conj().transpose(0, 2, 1)
+    return R / np.trace(R, axis1=1, axis2=2).real[:, None, None]
 
 
 def flat_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -123,6 +123,7 @@ def block_projectors(d: int, sizes) -> tuple:
     """Diagonal projectors of the given block sizes (must sum to d)."""
     if sum(sizes) != d:
         raise SpecInvalid(f"block sizes {sizes} do not sum to d={d}")
+    ch.require_stack_fits(len(sizes), d, d)
     out = []
     at = 0
     for s in sizes:
@@ -448,6 +449,7 @@ def auto_group(spec, form: ch.ProjectiveForm | None):
 
 def dephasing(d: int) -> Diagonal:
     """Complete dephasing in the computational basis."""
+    ch.require_stack_fits(d, d, d)
     return Diagonal(d, tuple(tuple(row) for row in np.eye(d)))
 
 

@@ -6,7 +6,7 @@ import pytest
 from projchan import additivity as add
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
-from projchan.errors import NotProjectiveClass
+from projchan.errors import NotProjectiveClass, SpecInvalid
 from projchan.sampling import haar_state_vector, random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
@@ -103,6 +103,39 @@ def test_trace_square_randomized_pairs():
         for b in names[i:]:
             excess = add.trace_square_suite([maps[a], maps[b]], 300)
             assert excess <= 1e-9, f"{a}|{b} violated: {excess}"
+
+
+def _trace_square_suite_reference(maps, count, seed=12648430):
+    """One random_density and one apply_product_map per state."""
+    n = int(np.prod([M.dim for M in maps]))
+    rng = split_seed(seed, 3, n)
+    bound = float(np.prod([1.0 / M.m for M in maps]))
+    worst = -np.inf
+    for _ in range(count):
+        omega = add.apply_product_map(maps, random_density(rng, n))
+        worst = max(worst, float(np.trace(omega @ omega).real) - bound)
+    return worst
+
+
+@pytest.mark.parametrize("count", [1, linalg.BATCH_BLOCK + 1, 300])
+def test_trace_square_suite_matches_per_state_reference(count):
+    for maps in ([zoo.weyl_m_map(3), zoo.coarse_m_map(2, 2)],
+                 [zoo.transpose_map(3), zoo.pinching_m_map(zoo.block_projectors(3, [2, 1]))]):
+        assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_trace_square_suite_refuses_empty_run(count):
+    with pytest.raises(SpecInvalid):
+        add.trace_square_suite([zoo.transpose_map(3)], count)
+
+
+def test_apply_product_map_over_a_stack():
+    maps = [zoo.weyl_m_map(3), zoo.coarse_m_map(2, 2)]
+    rhos = np.stack([random_density(split_seed(9, i), 12) for i in range(5)])
+    out = add.apply_product_map(maps, rhos)
+    for rho, omega in zip(rhos, out):
+        assert linalg.herm_norm_inf(omega - add.apply_product_map(maps, rho)) <= 1e-14
 
 
 def test_purity_expansion_n1(wh3):

@@ -14,7 +14,7 @@ from projchan.errors import (
     SpecMismatch,
 )
 from projchan.linalg import dag
-from projchan.sampling import split_seed
+from projchan.sampling import flat_simplex, haar_state_vector, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 LOG2_3 = math.log2(3)
@@ -224,3 +224,42 @@ def test_chi_product_bound_wh3(wh3):
     T, _ = wh3
     excess = cap.chi_product_bound_check(T, LOG2_3 - 1.0, 50, CFG)
     assert excess <= 1e-6
+
+
+def _chi_product_bound_reference(T, capacity, trials, cfg):
+    """One DensityMatrix, apply_raw and renyi_entropy per ensemble member."""
+    T2 = ch.tensor_channels([T, T])
+    d2 = T.dim_in ** 2
+    max_chi = -np.inf
+    for trial in range(trials):
+        rng = split_seed(cfg.seed, 17, trial)
+        size = int(rng.integers(2, T.dim_in ** 4 + 1))
+        probs = flat_simplex(rng, size)
+        outputs = [T2.apply_raw(ch.DensityMatrix.from_vector(haar_state_vector(rng, d2)).mat)
+                   for _ in range(size)]
+        avg = sum(p * out for p, out in zip(probs, outputs))
+        chi = entropy.renyi_entropy(ch.DensityMatrix(T2.dim_out, avg), 1.0) - sum(
+            p * entropy.renyi_entropy(ch.DensityMatrix(T2.dim_out, out), 1.0) for p, out in zip(probs, outputs))
+        max_chi = max(max_chi, chi)
+    return float(max_chi - 2.0 * capacity)
+
+
+@pytest.mark.parametrize("trials", [1, 17, 300])
+@pytest.mark.parametrize("spec", [zoo.WernerHolevo(3), zoo.WeylShift(3)], ids=["wh3", "weyl3"])
+def test_chi_product_bound_matches_per_state_reference(spec, trials):
+    T, _ = zoo.build(spec)
+    batched = cap.chi_product_bound_check(T, LOG2_3 - 1.0, trials, CFG)
+    assert abs(batched - _chi_product_bound_reference(T, LOG2_3 - 1.0, trials, CFG)) <= 1e-12
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_chi_product_bound_refuses_empty_run(wh3, trials):
+    with pytest.raises(SpecInvalid):
+        cap.chi_product_bound_check(wh3[0], LOG2_3 - 1.0, trials, CFG)
+
+
+def test_chi_product_bound_can_fail(wh3):
+    # the best random chi sits 0.47 bits under 2C for wh:d=3; a capacity
+    # lowered by 0.3 bits puts 2C 0.6 bits lower, so the check must report it
+    T, _ = wh3
+    assert cap.chi_product_bound_check(T, LOG2_3 - 1.0 - 0.3, 200, CFG) > 0.1

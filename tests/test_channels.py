@@ -9,6 +9,7 @@ from projchan.errors import (
     DimensionOverflow,
     DimMismatch,
     NonPureEnsemble,
+    NotPositiveSemidefinite,
     NotProjectiveClass,
     ParseError,
     SpecInvalid,
@@ -119,6 +120,43 @@ def test_kernel_preserves_trace(d_in, d_out, k, seed):
     X = _random_matrix(rng, d_in)
     assert abs(np.trace(T.apply_raw(X)) - np.trace(X)) <= 1e-12
     assert linalg.herm_norm_inf(T.apply_adjoint_raw(np.eye(d_out)) - np.eye(d_in)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(*KRAUS_SHAPES, st.sampled_from([1, linalg.BATCH_BLOCK, linalg.BATCH_BLOCK + 1, 40]))
+@example(2, 3, 5, 0, 17)
+def test_apply_pure_matches_apply_raw(d_in, d_out, k, seed, rows):
+    _, T, rng = _random_channel(d_in, d_out, k, seed)
+    Psi = rng.normal(size=(rows, d_in)) + 1j * rng.normal(size=(rows, d_in))
+    out = T.apply_pure(Psi)
+    assert out.shape == (rows, d_out, d_out)
+    for psi, sigma in zip(Psi, out):
+        assert linalg.herm_norm_inf(sigma - T.apply_raw(np.outer(psi, psi.conj()))) <= 1e-12
+
+
+_BAD_MEMBERS = {
+    "not_hermitian": (np.array([[0.5, 0.1], [0.0, 0.5]]), ValidationError),
+    "negative_eigenvalue": (np.diag([1.5, -0.5]), NotPositiveSemidefinite),
+    "wrong_trace": (np.eye(2) / 4, ValidationError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_MEMBERS))
+def test_check_states_raises_as_density_matrix(kind):
+    bad, error = _BAD_MEMBERS[kind]
+    with pytest.raises(error):
+        ch.DensityMatrix(2, bad)
+    stack = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0]), bad, np.eye(2) / 2])
+    with pytest.raises(error):
+        ch.check_states(stack)
+
+
+def test_check_states_returns_clamped_eigenvalues():
+    stack = np.stack([np.diag([0.25, 0.75]), np.diag([1.0 + 1e-12, -1e-12])]).astype(complex)
+    w = ch.check_states(stack)
+    assert w.shape == (2, 2)
+    assert np.allclose(w, [[0.25, 0.75], [0.0, 1.0]], atol=1e-11)
+    assert w.min() >= 0.0
 
 
 def test_kraus_choi_roundtrip(wh3):

@@ -239,6 +239,9 @@ _MALFORMED = {
     "spec_wh_oversize": (None, ["validate", "--spec", "wh:d=100000"]),
     "spec_weyl_oversize": (None, ["validate", "--spec", "weyl:d=100"]),
     "product_oversize": (None, ["additivity", "--spec", "weyl:d=8", "--spec", "weyl:d=8", "--starts", "1"]),
+    "spec_pinch_oversize": (None, ["validate", "--spec", "pinch:d=100000,blocks=50000+50000"]),
+    "spec_diag_oversize": (None, ["validate", "--spec", "diag:d=100000"]),
+    "lemma3_negative_count": (None, ["additivity", "--check-lemma3", "-5"]),
 }
 
 
