@@ -29,7 +29,6 @@ from .errors import (
 from .linalg import dag
 
 TP_TOL = 1e-9
-CHOI_KRAUS_CUTOFF = 1e-12
 INTEGER_M_TOL = 1e-6
 RECON_TOL = 1e-8
 STATE_TOL = 1e-10
@@ -271,21 +270,6 @@ def tensor_channels(channels, cap: int = linalg.DIM_CAP) -> QuantumChannel:
     return QuantumChannel(din, dout, tuple(kraus), name=name)
 
 
-def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int, cutoff: float = CHOI_KRAUS_CUTOFF):
-    """Minimal Kraus set from the trace-1 Choi via eigendecomposition."""
-    w, V = linalg.eig_hermitian(choi)
-    ops = []
-    for k in range(len(w)):
-        lam = w[k] * dim_in
-        if lam > cutoff:
-            ops.append(np.sqrt(lam) * V[:, k].reshape(dim_out, dim_in))
-    return ops
-
-
-def channel_from_choi(choi: np.ndarray, dim: int, name: str = "") -> QuantumChannel:
-    return QuantumChannel(dim, dim, tuple(kraus_from_choi(choi, dim, dim)), name=name)
-
-
 def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm_value: float) -> ProjectiveForm:
     """Recover (M, m, rho0) from a norm-achieving input with projection output.
 
@@ -344,15 +328,6 @@ def stinespring(T: QuantumChannel) -> Isometry:
     for k, A in enumerate(kraus):
         U[k :: K, :] = A  # row (a*K + k) <- A[a, :]
     return Isometry(T.dim_in, T.dim_out, K, U)
-
-
-def is_ppt_choi(T: QuantumChannel):
-    """Partial transpose test on the Choi matrix; PPT is necessary for
-    entanglement breaking."""
-    d_in, d_out = T.dim_in, T.dim_out
-    pt = linalg.partial_transpose(T.choi, [d_out, d_in], 1)
-    w = np.linalg.eigvalsh((pt + dag(pt)) / 2)
-    return bool(w.min() >= -linalg.NEG_EIG_TOL), float(w.min())
 
 
 def is_normalized_projection(rho: DensityMatrix, tol: float = 1e-8):

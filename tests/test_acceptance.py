@@ -180,8 +180,8 @@ def test_criterion_08_capacities():
         (zoo.WeylShift(3), LOG2_3 - 1.0, 1e-6),
         (zoo.WeylShift(4), 2.0 - LOG2_3, 1e-6),
         (zoo.Pinching(3, zoo.block_projectors(3, [2, 1])), LOG2_3 - 1.0, 1e-6),
-        (zoo.CasimirReducibleExample(), 1.0, 1e-4),
-        (zoo.CoarseGraining(2, 2), 1.0, 1e-3),
+        (zoo.CasimirReducibleExample(), 1.0, 1e-6),
+        (zoo.CoarseGraining(2, 2), 1.0, 1e-6),
         (zoo.dephasing(2), 1.0, 1e-6),
         (zoo.dephasing(3), LOG2_3, 1e-6),
     ]

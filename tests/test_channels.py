@@ -159,15 +159,6 @@ def test_check_states_returns_clamped_eigenvalues():
     assert w.min() >= 0.0
 
 
-def test_kraus_choi_roundtrip(wh3):
-    T, _ = wh3
-    back = ch.channel_from_choi(T.choi, 3)
-    for i in range(3):
-        for j in range(3):
-            E = linalg.basis_matrix_unit(3, i, j)
-            assert linalg.herm_norm_inf(back.apply_raw(E) - T.apply_raw(E)) < 1e-9
-
-
 def test_tensor_channels_refuses_oversize_kraus_stack():
     T, _ = zoo.build(zoo.WeylShift(8))  # 224 operators; the product would hold 50176 of 64 x 64
     with pytest.raises(DimensionOverflow, match="50176 Kraus operators of shape 64x64"):
@@ -293,25 +284,6 @@ def test_stinespring_casimir_reducible(casred):
     T, _ = casred
     iso = ch.stinespring(T)
     assert iso.env_dim == 4  # three generators plus the scaled identity
-
-
-def test_ppt_identity_channel():
-    ppt, mineig = ch.is_ppt_choi(identity_channel(2))
-    assert not ppt and mineig < -0.4
-
-
-def test_ppt_shifts_pinching():
-    T, _ = zoo.build(zoo.ShiftsPinching(3, (1,)))
-    ppt, mineig = ch.is_ppt_choi(T)
-    assert ppt
-    assert mineig >= -1e-10
-
-
-def test_ppt_coarse_graining(coarse22):
-    T, _ = coarse22
-    ppt, mineig = ch.is_ppt_choi(T)
-    assert not ppt
-    assert mineig < -0.1
 
 
 def test_is_normalized_projection():
