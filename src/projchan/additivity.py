@@ -145,7 +145,7 @@ def purity_expansion(channel_forms, rho: np.ndarray):
                                   * prod_{j not in G} (d_j - 2 m_j),
 
     with tr[omega_{}^2] = 1 for the empty subset. Returns (expansion, direct)
-    where `direct` applies the tensor channel and squares.
+    where `direct` applies each channel to its tensor leg and squares.
     """
     channel_forms = list(channel_forms)
     for T, form in channel_forms:
@@ -172,7 +172,13 @@ def purity_expansion(channel_forms, rho: np.ndarray):
         total += term
     expansion = prefactor * total
 
-    joint = ch.tensor_channels([T for T, _ in channel_forms])
-    out = joint.apply_raw(rho)
+    out = apply_product_map([_kraus_superop(T) for T, _ in channel_forms], rho)
     direct = float(np.trace(out @ out).real)
     return expansion, direct
+
+
+def _kraus_superop(T: ch.QuantumChannel) -> ch.LinearMap:
+    """T as a LinearMap on square matrices: sum_k A_k x conj(A_k), read off
+    the Choi matrix, whose entry [(a, i), (b, j)] is sum_k A_k[a, i] conj(A_k[b, j]) / d."""
+    d = T.dim_in
+    return ch.LinearMap(d, (T.choi * d).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))

@@ -36,6 +36,7 @@ from .sampling import flat_simplex, haar_unitary, split_seed
 
 COVARIANCE_GATE = 1e-6
 COVARIANCE_SAMPLES = 64
+SU2_TOL = 1e-10  # Hermiticity and commutation-relation residual of SU2Euler generators
 
 
 @dataclass
@@ -119,6 +120,13 @@ class SU2Euler:
         gs = tuple(np.asarray(J, dtype=complex) for J in self.generators)
         if len(gs) != 3:
             raise SpecInvalid("SU2Euler needs three generators")
+        # a representation of su(2): Hermitian, [J1, J2] = i J3 and cyclic
+        J1, J2, J3 = gs
+        defect = max([linalg.herm_norm_inf(J - dag(J)) for J in gs]
+                     + [linalg.herm_norm_inf(A @ B - B @ A - 1j * C)
+                        for A, B, C in ((J1, J2, J3), (J2, J3, J1), (J3, J1, J2))])
+        if defect > SU2_TOL:
+            raise SpecInvalid(f"SU2Euler generators are no su(2) representation: defect {defect:.3e} > {SU2_TOL:.0e}")
         object.__setattr__(self, "generators", gs)
         # (eigenvalues, eigenvectors) of J2 and J3, each from one eigendecomposition
         object.__setattr__(self, "_eig2", np.linalg.eigh(gs[1]))

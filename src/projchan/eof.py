@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from . import linalg
 from .capacity import Ensemble
 from .entropy import _armijo_descent, _best_start
-from .errors import BadDims, DimMismatch, SpecInvalid
-from .linalg import dag
+from .errors import BadDims, DimensionOverflow, DimMismatch, SpecInvalid
+from .linalg import DIM_CAP, dag
 from .sampling import split_seed
 
 EOF_STEP_CAP = 1e2  # largest Armijo trial step on the Stiefel manifold
@@ -125,28 +124,25 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     if cfg.starts < 1 or k < r:
         raise SpecInvalid(f"EoF search needs starts >= 1 and ensemble size k >= rank {r} "
                           f"(starts = {cfg.starts}, k = {k})")
+    if k * dA * dB > DIM_CAP ** 2:
+        raise DimensionOverflow(f"{k} ensemble members of {dA}x{dB} exceed the cap of {DIM_CAP ** 2} entries")
 
     def value(W):
+        # every member at once: tau_j = C_j C_j+, one eigh over the live stack
         C = (W @ E).reshape(k, dA, dB)
-        tau = np.einsum("jab,jcb->jac", C, C.conj())
-        p = np.real(np.einsum("jaa->j", tau))
-        val = 0.0
-        eigs = []
-        for j in range(k):
-            if p[j] < 1e-14:
-                continue
-            lj, Vj = np.linalg.eigh(tau[j] / p[j])
-            lj = np.clip(lj, 1e-18, None)
-            val += p[j] * float(-np.sum(np.where(lj > 1e-17, lj * np.log2(lj), 0.0)))
-            eigs.append((j, lj, Vj))
-        return float(val), (C, eigs)
+        tau = C @ C.conj().transpose(0, 2, 1)
+        p = np.real(np.trace(tau, axis1=1, axis2=2))
+        live = p >= 1e-14
+        mu, V = np.linalg.eigh(tau[live] / p[live, None, None])
+        mu = np.clip(mu, 1e-18, None)
+        ent = -np.sum(np.where(mu > 1e-17, mu * np.log2(mu), 0.0), axis=1)
+        return float(p[live] @ ent), (C, live, mu, V)
 
     def grad(W, aux):
-        C, eigs = aux
+        C, live, mu, V = aux
         G = np.zeros((k, r), dtype=complex)
-        for j, lj, Vj in eigs:
-            logs = (Vj * np.log2(lj)) @ dag(Vj)
-            G[j] = E.conj() @ (-(logs @ C[j])).reshape(-1)
+        logs = (V * np.log2(mu)[:, None, :]) @ V.conj().transpose(0, 2, 1)
+        G[live] = -(logs @ C[live]).reshape(-1, dA * dB) @ dag(E)
         return G
 
     values, args, convs = [], [], []

@@ -5,14 +5,6 @@ class ProjchanError(Exception):
     """Base class for all package errors."""
 
 
-class NotHermitian(ProjchanError):
-    pass
-
-
-class NoConvergence(ProjchanError):
-    pass
-
-
 class DimensionOverflow(ProjchanError):
     pass
 

@@ -1,6 +1,6 @@
-"""Dense complex matrix kernel: Hermitian eigendecomposition, tensor products,
-partial trace/transpose, and the special operators (flip, maximally entangled
-state) used throughout.
+"""Dense complex matrix kernel: the eigenvalue clamp for states, tensor
+products, partial trace, subsystem permutation, and the special operators
+(flip, maximally entangled state) used throughout.
 
 Storage is row-major; composite systems are ordered left to right, so the
 matrix index of a basis vector |i1,...,iN> is i1*prod(d2..dN) + ... + iN.
@@ -12,7 +12,7 @@ import string
 
 import numpy as np
 
-from .errors import BadDims, DimensionOverflow, NoConvergence, NotHermitian, NotPositiveSemidefinite
+from .errors import BadDims, DimensionOverflow, NotPositiveSemidefinite
 
 # Largest matrix dimension tensor() and tensor_channels() will produce.
 DIM_CAP = 4096
@@ -20,8 +20,6 @@ DIM_CAP = 4096
 # Eigenvalues of states in [-NEG_EIG_TOL, 0) are treated as roundoff and
 # clamped to zero; anything below is a genuine positivity failure.
 NEG_EIG_TOL = 1e-10
-
-_HERM_TOL = 1e-8
 
 # Members per call of a kernel batched over a stack of samples
 # (QuantumChannel.apply_pure, additivity.trace_square_suite): larger blocks
@@ -37,25 +35,6 @@ def dag(A: np.ndarray) -> np.ndarray:
 def herm_norm_inf(A: np.ndarray) -> float:
     """Entrywise max-modulus norm."""
     return float(np.abs(A).max()) if A.size else 0.0
-
-
-def eig_hermitian(H: np.ndarray, tol: float = _HERM_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of column eigenvectors).
-    Raises NotHermitian if ||H - H+||_inf exceeds `tol`, NoConvergence if the
-    iteration fails.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise BadDims(f"expected a square matrix, got shape {H.shape}")
-    if herm_norm_inf(H - dag(H)) > tol:
-        raise NotHermitian(f"symmetry residual {herm_norm_inf(H - dag(H)):.3e} > {tol:.0e}")
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return w, V
 
 
 def clamp_state_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -98,19 +77,6 @@ def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
     spec = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     return np.einsum(spec, t).reshape(dk, dk)
-
-
-def partial_transpose(X: np.ndarray, dims, sys: int) -> np.ndarray:
-    """Transpose one subsystem in place."""
-    dims = list(dims)
-    _check_dims(X, dims)
-    N = len(dims)
-    if not 0 <= sys < N:
-        raise BadDims(f"subsystem {sys} out of range for {N} factors")
-    t = np.asarray(X, dtype=complex).reshape(dims + dims)
-    t = np.swapaxes(t, sys, N + sys)
-    n = int(np.prod(dims))
-    return t.reshape(n, n)
 
 
 def permute_systems(X: np.ndarray, dims, perm) -> np.ndarray:

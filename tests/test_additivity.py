@@ -163,6 +163,22 @@ def test_purity_expansion_mixed_pair(wh3, coarse22):
         assert abs(e - d) <= 1e-10
 
 
+@pytest.mark.parametrize("names", [("wh3",), ("coarse22", "wh3"), ("wh3", "coarse22", "wh3"), ("casred", "wh3")],
+                         ids=["wh3", "coarse_wh3", "wh3_coarse_wh3", "casred_wh3"])
+def test_purity_expansion_direct_matches_tensor_channel(names, request):
+    # the leg-wise direct purity against the materialized product channel;
+    # casimir-reducible has complex Kraus operators
+    combo = [request.getfixturevalue(n) for n in names]
+    n = math.prod(T.dim_in for T, _ in combo)
+    joint = ch.tensor_channels([T for T, _ in combo])
+    rng = split_seed(34, n)
+    for _ in range(5):
+        rho = random_density(rng, n)
+        out = joint.apply_raw(rho)
+        _, direct = add.purity_expansion(combo, rho)
+        assert abs(direct - np.trace(out @ out).real) <= 1e-12
+
+
 def test_purity_expansion_needs_form():
     T, _ = zoo.build(zoo.dephasing(2))
     with pytest.raises(NotProjectiveClass):

@@ -156,6 +156,26 @@ def test_su2_euler_reuses_eigendecompositions(monkeypatch):
     assert linalg.herm_norm_inf(dag(U) @ U - np.eye(3)) < 1e-12
 
 
+@pytest.mark.parametrize("gens", [zoo.su2_generators(3), zoo.su2_generators(5),
+                                  zoo.casimir_reducible_complementary_generators()],
+                         ids=["casimir3", "casimir5", "casred"])
+def test_su2_euler_accepts_su2_representations(gens):
+    cap.SU2Euler(tuple(gens))
+
+
+def test_su2_euler_rejects_scaled_generators():
+    # 0.7 J_k break [J1, J2] = i J3 (by 0.21); their closed-form "average"
+    # of diag(1, 0, 0) moves by 0.10 when applied again
+    with pytest.raises(SpecInvalid):
+        cap.SU2Euler(tuple(0.7 * J for J in zoo.su2_generators(3)))
+
+
+def test_su2_euler_rejects_non_hermitian_generators():
+    J1, J2, J3 = zoo.su2_generators(3)
+    with pytest.raises(SpecInvalid):
+        cap.SU2Euler((J1 + 1e-6j * np.eye(3), J2, J3))
+
+
 def test_su2_euler_average_accepts_real_input(casred):
     _, form = casred
     _, _, Pi = zoo.auto_group(zoo.CasimirReducibleExample(), form)

@@ -236,6 +236,7 @@ _MALFORMED = {
     "minent_no_starts": (None, ["minent", "--spec", "wh:d=3", "--starts", "0"]),
     "eof_k_negative": (None, ["eof", "--state", "example9", "--k", "-1", "--starts", "1"]),
     "eof_k_below_rank": (None, ["eof", "--state", "example9", "--k", "2", "--starts", "1"]),
+    "eof_k_oversize": (None, ["eof", "--state", "example9", "--k", "1048577", "--starts", "1"]),
     "spec_wh_oversize": (None, ["validate", "--spec", "wh:d=100000"]),
     "spec_weyl_oversize": (None, ["validate", "--spec", "weyl:d=100"]),
     "product_oversize": (None, ["additivity", "--spec", "weyl:d=8", "--spec", "weyl:d=8", "--starts", "1"]),

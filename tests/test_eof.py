@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -159,3 +161,89 @@ def test_converged_is_the_best_starts_flag():
     assert more.per_start_values[best] < rep.per_start_values[best]
     assert any(a == b for i, (a, b) in enumerate(zip(rep.per_start_values, more.per_start_values))
                if i != best)
+
+
+def _kernel(state):
+    """The (E, value, grad) that eof_upper hands to the descent driver."""
+    seen = {}
+
+    def capture(value, grad, retract, x0, *rest):
+        seen.update(value=value, grad=grad, k=x0.shape[0])
+        return 0.0, x0, None, "tol"
+
+    w, V = np.linalg.eigh(state.mat.mat)
+    E = (V[:, w > 1e-12] * np.sqrt(w[w > 1e-12])).T
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(eof, "_armijo_descent", capture)
+        eof.eof_upper(state, eof.EofConfig(starts=1))
+    return E, seen["value"], seen["grad"], seen["k"]
+
+
+def _per_member_value_grad(W, E, dA, dB):
+    """Reference: one eigh and one log matrix per ensemble member."""
+    k, r = W.shape
+    C = (W @ E).reshape(k, dA, dB)
+    val, G = 0.0, np.zeros((k, r), dtype=complex)
+    for j in range(k):
+        tau = C[j] @ C[j].conj().T
+        p = np.trace(tau).real
+        if p < 1e-14:
+            continue
+        lj, Vj = np.linalg.eigh(tau / p)
+        lj = np.clip(lj, 1e-18, None)
+        val += p * float(-np.sum(np.where(lj > 1e-17, lj * np.log2(lj), 0.0)))
+        G[j] = E.conj() @ (-((Vj * np.log2(lj)) @ Vj.conj().T @ C[j])).reshape(-1)
+    return val, G
+
+
+def _rank3_state():
+    rng = split_seed(60)
+    vecs = [haar_state_vector(rng, 6) for _ in range(3)]
+    rho = sum(q * np.outer(v, v.conj()) for q, v in zip((0.5, 0.3, 0.2), vecs))
+    return eof.BipartiteState(2, 3, ch.DensityMatrix(6, rho))
+
+
+def _isometry(rng, k, r, zero_row=None):
+    """A random k x r isometry; row `zero_row`, if given, is zero."""
+    rows = k if zero_row is None else k - 1
+    W = eof._qr_retract(rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r)))
+    return W if zero_row is None else np.insert(W, zero_row, 0.0, axis=0)
+
+
+@pytest.mark.parametrize("which", ["example9", "rank3_2x3"])
+def test_batched_kernel_matches_per_member_loop(which):
+    state = eof.example9_state() if which == "example9" else _rank3_state()
+    E, value, grad, k = _kernel(state)
+    r = E.shape[0]
+    rng = split_seed(61, k)
+    for zero_row in (None, None, 2):
+        W = _isometry(rng, k, r, zero_row)
+        f, aux = value(W)
+        G = grad(W, aux)
+        f_ref, G_ref = _per_member_value_grad(W, E, state.dimA, state.dimB)
+        assert abs(f - f_ref) <= 1e-12
+        assert np.abs(G - G_ref).max() <= 1e-12
+        if zero_row is not None:
+            assert np.all(G[zero_row] == 0)
+
+
+@pytest.mark.parametrize("which", ["example9", "rank3_2x3"])
+def test_batched_gradient_matches_finite_difference(which):
+    # df along D is 2 Re <D, G> in the ambient space of k x r matrices
+    state = eof.example9_state() if which == "example9" else _rank3_state()
+    E, value, grad, k = _kernel(state)
+    rng = split_seed(62, k)
+    W = _isometry(rng, k, E.shape[0])
+    D = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
+    D /= np.linalg.norm(D)
+    h = 1e-5
+    fd = (value(W + h * D)[0] - value(W - h * D)[0]) / (2 * h)
+    assert abs(fd - 2 * np.real(np.vdot(D, grad(W, value(W)[1])))) <= 1e-6
+
+
+def test_eof_example9_per_start_values_match_reference():
+    # per-start values of `projchan eof --state example9 --starts 64` as
+    # printed by the per-member implementation
+    want = json.loads((pathlib.Path(__file__).parent / "data" / "eof_example9_starts64.json").read_text())
+    rep = eof.eof_upper(eof.example9_state(), eof.EofConfig(starts=64))
+    assert np.abs(np.array(rep.per_start_values) - want["per_start_values"]).max() <= 1e-12
