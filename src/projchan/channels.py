@@ -114,16 +114,25 @@ class QuantumChannel:
         """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
         return _kraus_sum(self._kcol_dag, X, self._kcol)
 
+    def pure_outputs(self, Psi: np.ndarray):
+        """The one pure-input kernel. For the rows psi_i of a (c, d_in) Psi:
+        the Kraus images Z_i = [A_1 psi_i, ..., A_k psi_i] as a (c, k, d_out)
+        stack, and the outputs T(psi_i psi_i+) = Z_i^T conj(Z_i)."""
+        Z = (Psi @ self._kcol.T).reshape(len(Psi), len(self.kraus), self.dim_out)
+        return Z, Z.transpose(0, 2, 1) @ Z.conj()
+
+    def kraus_adjoint(self, Y: np.ndarray) -> np.ndarray:
+        """sum_k A_k+ y_ik for a (c, k, d_out) stack Y: the adjoint of the map
+        psi -> [A_1 psi, ..., A_k psi], one (c, d_in) row per stack member."""
+        return Y.reshape(len(Y), -1) @ self._kcol.conj()
+
     def apply_pure(self, Psi: np.ndarray) -> np.ndarray:
         """T(psi_i psi_i+) for the rows psi_i of Psi, as a (c, d_out, d_out)
-        stack: with Z_i = [A_1 psi_i, ..., A_k psi_i] as a (k, d_out) matrix,
-        the output is Z_i^T conj(Z_i)."""
+        stack, computed BATCH_BLOCK rows at a time."""
         Psi = np.asarray(Psi, dtype=complex).reshape(-1, self.dim_in)
-        k = len(self.kraus)
         out = np.empty((len(Psi), self.dim_out, self.dim_out), dtype=complex)
         for i in range(0, len(Psi), linalg.BATCH_BLOCK):
-            Z = (Psi[i:i + linalg.BATCH_BLOCK] @ self._kcol.T).reshape(-1, k, self.dim_out)
-            out[i:i + linalg.BATCH_BLOCK] = Z.transpose(0, 2, 1) @ Z.conj()
+            out[i:i + linalg.BATCH_BLOCK] = self.pure_outputs(Psi[i:i + linalg.BATCH_BLOCK])[1]
         return out
 
 

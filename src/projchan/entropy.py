@@ -9,6 +9,10 @@ pure input vectors on the unit sphere:
   * steps follow the Wirtinger gradient of S_alpha(T(psi psi+)) projected onto
     the sphere tangent, with Armijo backtracking, stopping once the
     improvement drops below `tol` or the iteration cap is hit;
+  * all starts advance in lockstep as one (starts, d) stack, each with its
+    own seed, step size and exit reason as if run alone; one batched output
+    evaluation serves every start still backtracking. Per-start values agree
+    across batch sizes to 1e-12, not bit for bit (GEMM row blocking);
   * the alpha = infinity case (and the maximal output norm) is handled by the
     same loop with the largest output eigenvalue as objective; when the top of
     the output spectrum is degenerate (gap < 1e-8) the gradient is replaced by
@@ -61,6 +65,8 @@ class OptReport:
     per_start_values: list
     converged: bool
     best_start: int
+    per_start_args: np.ndarray       # (starts, d_in): the point each start ended at
+    per_start_converged: np.ndarray  # (starts,): False where a start hit the iteration cap
 
     def to_dict(self) -> dict:
         return {
@@ -76,7 +82,7 @@ class OptReport:
 def renyi_entropy(rho: ch.DensityMatrix, alpha: float) -> float:
     """S_alpha(rho) in bits; alpha = 1 is von Neumann, alpha = inf min-entropy."""
     w = rho.eigenvalues()
-    return _entropy_from_eigs(w, _normalize_alpha(alpha))
+    return float(_entropy_from_eigs(w, _normalize_alpha(alpha)))
 
 
 def _normalize_alpha(alpha: float) -> float:
@@ -88,73 +94,95 @@ def _normalize_alpha(alpha: float) -> float:
     return alpha
 
 
-def _entropy_from_eigs(w: np.ndarray, alpha: float) -> float:
+def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
+    """S_alpha in bits of each spectrum along the last axis of w."""
     w = np.clip(w, 0.0, None)
     if alpha == 1.0:
-        nz = w[w > EIG_FLOOR]
-        return float(-np.sum(nz * np.log2(nz)))
+        return -np.sum(np.where(w > EIG_FLOOR, w * np.log2(np.maximum(w, EIG_FLOOR)), 0.0), axis=-1)
     if math.isinf(alpha):
-        return float(-np.log2(max(w.max(), EIG_FLOOR)))
+        return -np.log2(np.maximum(w.max(axis=-1), EIG_FLOOR))
     if alpha == 0.0:
-        return float(np.log2(max(int(np.sum(w > RANK_CUTOFF)), 1)))
-    return float(np.log2(np.sum(w ** alpha)) / (1.0 - alpha))
+        return np.log2(np.maximum(np.sum(w > RANK_CUTOFF, axis=-1), 1))
+    return np.log2(np.sum(w ** alpha, axis=-1)) / (1.0 - alpha)
 
 
-def _entropy_gradient_matrix(w: np.ndarray, V: np.ndarray, alpha: float):
-    """dS_alpha/dsigma evaluated on the output eigendecomposition, or None when
-    the objective is locally flat/nondifferentiable (alpha = 0, degenerate top
-    for alpha = inf)."""
+def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
+    """dS_alpha/dsigma on each output eigendecomposition of a (c, d) / (c, d, d)
+    stack, and a (c,) mask of the outputs where the objective is locally flat
+    and nondifferentiable (degenerate top for alpha = inf). alpha > 0."""
     w = np.clip(w, 0.0, None)
-    if alpha == 0.0:
-        return None
+    flat = np.zeros(len(w), dtype=bool)
     if math.isinf(alpha):
-        if len(w) > 1 and w[-1] - w[-2] < DEGENERATE_GAP:
-            return None
-        v = V[:, -1:]
-        return -(v @ v.conj().T) / (max(w[-1], EIG_FLOOR) * LN2)
+        if w.shape[1] > 1:
+            flat = w[:, -1] - w[:, -2] < DEGENERATE_GAP
+        v = V[:, :, -1:]
+        scale = -1.0 / (np.maximum(w[:, -1], EIG_FLOOR) * LN2)
+        return scale[:, None, None] * (v @ v.conj().transpose(0, 2, 1)), flat
     if alpha == 1.0:
-        wf = np.clip(w, EIG_FLOOR, None)
-        return (V * (-(np.log2(wf) + 1.0 / LN2))) @ V.conj().T
-    t = float(np.sum(w ** alpha))
-    if alpha < 1.0:
-        pw = np.clip(w, EIG_FLOOR, None) ** (alpha - 1.0)
+        dw = -(np.log2(np.clip(w, EIG_FLOOR, None)) + 1.0 / LN2)
     else:
-        pw = w ** (alpha - 1.0)
-    return (alpha / ((1.0 - alpha) * LN2 * t)) * (V * pw) @ V.conj().T
+        t = np.sum(w ** alpha, axis=1)
+        pw = np.clip(w, EIG_FLOOR, None) ** (alpha - 1.0) if alpha < 1.0 else w ** (alpha - 1.0)
+        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * pw
+    return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1), flat
 
 
 def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float):
     """Steepest descent on a manifold with Armijo backtracking from a doubled,
-    capped step. `value(x)` returns (f, aux); `grad(x, aux)` returns the
-    direction, or None where f is flat; `retract` maps x - t g back onto the
-    manifold. Returns (f, x, aux, reason), reason being "flat", "stationary",
-    "armijo" (no step down to 1e-18 decreases f enough), "tol" (the last step
-    improved f by less than `tol`) or "max_iters".
+    capped step, run in lockstep over an (s, ...) stack x0 of starts.
+
+    `value(X)` returns (f, aux) for a stack X: f of shape (len(X),), aux a
+    tuple of arrays whose first axis runs over X. `grad(X, aux)` returns the
+    stacked directions and a mask of the starts where f is flat. `retract`
+    maps a stack X - t G back onto the manifold. Each start keeps its own
+    step t and stops on its own reason: "flat", "stationary", "armijo" (no
+    step down to 1e-18 decreases f enough), "tol" (the last step improved f
+    by less than `tol`) or "max_iters". One `value` call evaluates the trial
+    points of every start still backtracking. Returns (f, x, reasons), each
+    per start.
     """
-    x = x0
+    x = np.array(x0)
     f, aux = value(x)
-    t = 1.0
+    f_end, x_end = f.copy(), x.copy()
+    reasons = np.full(len(x), "max_iters", dtype=object)
+    live = np.arange(len(x))  # start index of each row of the active stack
+    t = np.ones(len(x))
+    bcast = (-1,) + (1,) * (x.ndim - 1)
     for _ in range(max_iters):
-        g = grad(x, aux)
-        if g is None:
-            return f, x, aux, "flat"
-        gn2 = float(np.real(np.vdot(g, g)))
-        if gn2 < 1e-30:
-            return f, x, aux, "stationary"
-        t = min(t * 2.0, t_max)
-        while t > 1e-18:
-            cand = retract(x - t * g)
+        g, flat = grad(x, aux)
+        gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=tuple(range(1, g.ndim)))
+        done = flat | (gn2 < 1e-30)
+        reasons[live[done]] = np.where(flat[done], "flat", "stationary")
+        improvement = np.full(len(x), np.inf)  # stays inf where no step is taken
+        t = np.minimum(t * 2.0, t_max)
+        pending = np.flatnonzero(~done)
+        while len(pending):
+            tp = t[pending]
+            cand = retract(x[pending] - tp.reshape(bcast) * g[pending])
             fc, aux_c = value(cand)
-            if fc <= f - 1e-4 * t * gn2:
+            ok = fc <= f[pending] - 1e-4 * tp * gn2[pending]
+            acc = pending[ok]
+            improvement[acc] = f[acc] - fc[ok]
+            x[acc], f[acc] = cand[ok], fc[ok]
+            for a, a_c in zip(aux, aux_c):
+                a[acc] = a_c[ok]
+            pending = pending[~ok]
+            t[pending] *= 0.5
+            stalled = pending[t[pending] <= 1e-18]
+            reasons[live[stalled]] = "armijo"
+            done[stalled] = True
+            pending = pending[t[pending] > 1e-18]
+        reasons[live[improvement < tol]] = "tol"
+        done |= improvement < tol
+        if done.any():
+            f_end[live[done]], x_end[live[done]] = f[done], x[done]
+            keep = ~done
+            live, x, f, t = live[keep], x[keep], f[keep], t[keep]
+            aux = tuple(a[keep] for a in aux)
+            if not len(live):
                 break
-            t *= 0.5
-        else:
-            return f, x, aux, "armijo"
-        improvement = f - fc
-        x, f, aux = cand, fc, aux_c
-        if improvement < tol:
-            return f, x, aux, "tol"
-    return f, x, aux, "max_iters"
+    f_end[live], x_end[live] = f, x
+    return f_end, x_end, reasons
 
 
 def _best_start(values, pick_min: bool) -> int:
@@ -164,60 +192,55 @@ def _best_start(values, pick_min: bool) -> int:
     return int(np.argmax(near))
 
 
-def _sphere_retract(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _sphere_retract(X: np.ndarray) -> np.ndarray:
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
-def _descend(T: ch.QuantumChannel, alpha: float, psi0: np.ndarray, max_iters: int, tol: float):
-    """One start of entropy minimization. Returns (value, psi, converged)."""
-    psi = _sphere_retract(np.asarray(psi0, dtype=complex).reshape(-1))
-
-    def value(p):
-        sigma = T.apply_raw(np.outer(p, p.conj()))
-        w, V = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        return _entropy_from_eigs(w, alpha), (w, V)
-
-    if alpha == 0.0:
-        # S_0 is piecewise constant, so descend the smooth alpha = 1/2
-        # surrogate (same minimizer set when nu is alpha-independent) and
-        # evaluate the rank there; both evaluations are upper bounds.
-        f, _ = value(psi)
-        _, psi2, conv = _descend(T, 0.5, psi, max_iters, tol)
-        f2, _ = value(psi2)
-        if f2 < f:
-            return f2, psi2, conv
-        return f, psi, True
-
-    def grad(p, aux):
-        G = _entropy_gradient_matrix(*aux, alpha)
-        if G is None:
-            return None
-        g = 2.0 * (T.apply_adjoint_raw(G) @ p)
-        return g - np.real(np.vdot(p, g)) * p
-
-    f, psi, _, reason = _armijo_descent(value, grad, _sphere_retract, psi, max_iters, tol,
-                                        ENTROPY_STEP_CAP)
-    if reason == "flat" or (reason == "armijo" and math.isinf(alpha)):
-        # degenerate or stalled top eigenvalue: monotone polish on the norm objective
-        lam, psi2 = _norm_polish(T, psi, max_iters=max_iters, tol=tol)
-        f2 = float(-np.log2(max(lam, EIG_FLOOR)))
-        if f2 < f:
-            return f2, psi2, True
-    return f, psi, reason != "max_iters"
+def _output_spectra(T: ch.QuantumChannel, Psi: np.ndarray):
+    """(w, V, Z): the eigendecomposition of T(psi psi+) for each row psi of
+    Psi, with the Kraus images Z that the gradient reuses."""
+    Z, sigma = T.pure_outputs(Psi)
+    w, V = np.linalg.eigh((sigma + sigma.conj().transpose(0, 2, 1)) / 2)
+    return w, V, Z
 
 
-def _norm_polish(T: ch.QuantumChannel, psi0: np.ndarray, max_iters: int, tol: float):
-    """Monotone fixed-point ascent of lambda_max(T(psi psi+)).
+def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
+    """Entropy minimization (alpha > 0) from every row of Psi0 at once.
+    Returns per-start (values, end points, converged flags)."""
+
+    def value(Psi):
+        w, V, Z = _output_spectra(T, Psi)
+        return _entropy_from_eigs(w, alpha), (w, V, Z)
+
+    def grad(Psi, aux):
+        w, V, Z = aux
+        G, flat = _entropy_gradient_matrices(w, V, alpha)
+        # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
+        g = 2.0 * T.kraus_adjoint(Z @ G.conj())
+        return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
+
+    f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
+                                      ENTROPY_STEP_CAP)
+    converged = reasons != "max_iters"
+    if math.isinf(alpha):
+        # degenerate ("flat") or stalled top eigenvalue: monotone polish on the norm objective
+        for i in np.flatnonzero((reasons == "flat") | (reasons == "armijo")):
+            lam, psi = _norm_polish(T, Psi[i], max_iters=max_iters, tol=tol)
+            f2 = float(-np.log2(max(lam, EIG_FLOOR)))
+            if f2 < f[i]:
+                f[i], Psi[i], converged[i] = f2, psi, True
+    return f, Psi, converged
+
+
+def _norm_polish(T: ch.QuantumChannel, psi: np.ndarray, max_iters: int, tol: float):
+    """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from the unit vector psi.
 
     psi <- top eigenvector of T+(v v+) with v the top output eigenvector;
     each step satisfies lambda_max(new) >= lambda_max(old).
     """
-    psi = _sphere_retract(np.asarray(psi0, dtype=complex).reshape(-1))
-
     def top(p):
-        sigma = T.apply_raw(np.outer(p, p.conj()))
-        w, V = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        return float(w[-1]), V[:, -1]
+        w, V, _ = _output_spectra(T, p[None])
+        return float(w[0, -1]), V[0, :, -1]
 
     lam, v = top(psi)
     for _ in range(max_iters):
@@ -233,62 +256,72 @@ def _norm_polish(T: ch.QuantumChannel, psi0: np.ndarray, max_iters: int, tol: fl
     return lam, psi
 
 
-def _norm_ascend(T: ch.QuantumChannel, psi0: np.ndarray, max_iters: int, tol: float):
-    """One start of norm maximization: gradient ascent plus fixed-point polish."""
-    f, psi, _ = _descend(T, math.inf, psi0, max_iters, tol)
-    lam, psi = _norm_polish(T, psi, max_iters, tol)
-    return max(lam, float(2.0 ** (-f))), psi
-
-
-def _run_multistart(T: ch.QuantumChannel, cfg: OptConfig, single_start, pick_min: bool):
-    d = T.dim_in
-    starts = []
+def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
+    """The (starts, d) stack of unit start vectors: the warm starts, then the
+    seeded random starts."""
     for wv in cfg.warm_starts:
         if len(wv) != d:
             raise DimMismatch(f"warm start length {len(wv)} != channel input dim {d}")
-        starts.append(np.asarray(wv, dtype=complex) / np.linalg.norm(wv))
-    for i in range(len(starts), len(starts) + cfg.starts):
-        starts.append(haar_state_vector(split_seed(cfg.seed, i), d))
-    if not starts:
+    first = len(cfg.warm_starts)
+    rows = [np.asarray(wv, dtype=complex) / np.linalg.norm(wv) for wv in cfg.warm_starts]
+    rows += [haar_state_vector(split_seed(cfg.seed, i), d) for i in range(first, first + cfg.starts)]
+    if not rows:
         raise SpecInvalid(f"no optimizer start to run (starts = {cfg.starts}, no warm starts)")
-    values, args, convs = [], [], []
-    for psi0 in starts:
-        val, psi, conv = single_start(psi0)
-        values.append(float(val))
-        args.append(psi)
-        convs.append(conv)
+    return np.array(rows)
+
+
+def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, pick_min: bool) -> OptReport:
+    values = [float(v) for v in values]
     best = _best_start(values, pick_min)
     return OptReport(
-        value=float(np.min(values) if pick_min else np.max(values)),
+        value=float(min(values) if pick_min else max(values)),
         arg_state=ch.DensityMatrix.from_vector(args[best]),
-        starts=len(starts),
+        starts=len(values),
         seed=cfg.seed,
         per_start_values=values,
-        converged=convs[best],
+        converged=bool(converged[best]),
         best_start=best,
+        per_start_args=args,
+        per_start_converged=converged,
     )
+
+
+def _rank_report(T: ch.QuantumChannel, cfg: OptConfig, surrogate: OptReport) -> OptReport:
+    """alpha = 0 from the alpha = 1/2 run `surrogate` over the same starts.
+
+    S_0 is piecewise constant, so the smooth alpha = 1/2 surrogate is
+    descended instead (same minimizer set when nu is alpha-independent), and
+    each start takes the lower rank entropy of its start and end points; both
+    are upper bounds.
+    """
+    Psi0, ends = _stack_starts(T.dim_in, cfg), surrogate.per_start_args
+    f0 = _entropy_from_eigs(_output_spectra(T, Psi0)[0], 0.0)
+    f1 = _entropy_from_eigs(_output_spectra(T, ends)[0], 0.0)
+    moved = f1 < f0
+    return _report(cfg, np.where(moved, f1, f0), np.where(moved[:, None], ends, Psi0),
+                   np.where(moved, surrogate.per_start_converged, True), pick_min=True)
 
 
 def min_output_entropy(T: ch.QuantumChannel, alpha: float, cfg: OptConfig | None = None) -> OptReport:
     """Upper-bound estimate of the minimal output alpha-entropy over pure inputs."""
     cfg = cfg or OptConfig()
     alpha = _normalize_alpha(alpha)
-
-    def run(psi0):
-        return _descend(T, alpha, psi0, cfg.max_iters, cfg.tol)
-
-    return _run_multistart(T, cfg, run, pick_min=True)
+    Psi0 = _stack_starts(T.dim_in, cfg)
+    descended = 0.5 if alpha == 0.0 else alpha  # alpha = 0 reads the rank off the 1/2 run
+    report = _report(cfg, *_descend_starts(T, descended, Psi0, cfg.max_iters, cfg.tol), pick_min=True)
+    return _rank_report(T, cfg, report) if alpha == 0.0 else report
 
 
 def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None) -> OptReport:
-    """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs."""
+    """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs: the
+    alpha = inf descent, then the fixed-point polish, from every start."""
     cfg = cfg or OptConfig()
-
-    def run(psi0):
-        lam, psi = _norm_ascend(T, psi0, cfg.max_iters, cfg.tol)
-        return lam, psi, True
-
-    return _run_multistart(T, cfg, run, pick_min=False)
+    f, Psi, _ = _descend_starts(T, math.inf, _stack_starts(T.dim_in, cfg), cfg.max_iters, cfg.tol)
+    values = []
+    for i in range(len(Psi)):
+        lam, Psi[i] = _norm_polish(T, Psi[i], cfg.max_iters, cfg.tol)
+        values.append(max(lam, float(2.0 ** (-f[i]))))
+    return _report(cfg, values, Psi, np.ones(len(Psi), dtype=bool), pick_min=False)
 
 
 @dataclass
@@ -329,14 +362,19 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     inputs of a class channel, exactly those with projection outputs maximize
     output purity, so the purity-extremal argmax makes the projection predicate
     and the extraction numerically robust. Each distinct alpha of the grid runs
-    once, and the grid's alpha = 2 run doubles as that witness search.
+    once, and the grid's alpha = 2 run doubles as that witness search. When the
+    grid holds alpha = 1/2, alpha = 0 is read off that run instead of
+    descending the same surrogate from the same starts again.
     """
     cfg = cfg or OptConfig()
-    alpha_grid = [_normalize_alpha(a) for a in alpha_grid]
-    if not alpha_grid:
+    alphas = list(dict.fromkeys(_normalize_alpha(a) for a in alpha_grid))
+    if not alphas:
         raise BadAlpha("alpha grid must be nonempty")
-    reports = {a: min_output_entropy(T, a, cfg) for a in dict.fromkeys(alpha_grid)}
-    nu = {a: rep.value for a, rep in reports.items()}
+    reuse = 0.0 in alphas and 0.5 in alphas
+    reports = {a: min_output_entropy(T, a, cfg) for a in alphas if not (reuse and a == 0.0)}
+    if reuse:
+        reports[0.0] = _rank_report(T, cfg, reports[0.5])
+    nu = {a: reports[a].value for a in alphas}
     spread = max(nu.values()) - min(nu.values())
     constant_nu = bool(spread <= cfg.tol_equiv)
 

@@ -3,10 +3,11 @@ upper bounds.
 
 eof_upper optimizes over pure-state decompositions of a rank-r state: any
 size-k ensemble is W applied to the subnormalized eigenvectors for a k x r
-isometry W, so the search runs the entropy module's Armijo descent on the
-Stiefel manifold (QR retraction), with the same seeding and best-start
-contract. The average entanglement entropy of the induced ensemble is an upper
-bound on E_F for every W.
+isometry W, so the search runs the entropy module's lockstep Armijo descent
+on the Stiefel manifold (QR retraction), every start as one (starts, k, r)
+stack, with the same seeding and best-start contract. The average
+entanglement entropy of the induced ensemble is an upper bound on E_F for
+every W.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import channels as ch
 from .capacity import Ensemble
 from .entropy import _armijo_descent, _best_start
 from .errors import BadDims, DimensionOverflow, DimMismatch, SpecInvalid
-from .linalg import DIM_CAP, dag
+from .linalg import BATCH_BLOCK, DIM_CAP, dag
 from .sampling import split_seed
 
 EOF_STEP_CAP = 1e2  # largest Armijo trial step on the Stiefel manifold
@@ -105,10 +106,52 @@ def entanglement_entropy(psi: np.ndarray, dimA: int, dimB: int) -> float:
 
 
 def _qr_retract(W: np.ndarray) -> np.ndarray:
+    """The Q factor, with R's diagonal made nonnegative, of each matrix in a stack."""
     Q, R = np.linalg.qr(W)
-    s = np.sign(np.real(np.diag(R)))
+    s = np.sign(np.real(np.diagonal(R, axis1=-2, axis2=-1)))
     s[s == 0] = 1.0
-    return Q * s
+    return Q * s[..., None, :]
+
+
+def _ensemble_objective(E: np.ndarray, dA: int, dB: int):
+    """(value, grad) of the average entanglement entropy of the ensemble
+    W E, for an (s, k, r) stack W of isometries and the r x (dA dB)
+    subnormalized eigenvectors E, in the protocol of entropy._armijo_descent.
+    `value` takes eigenvalues only, since most trial points are rejected;
+    `grad`, called once per iteration, recomputes the members with their
+    eigenvectors. Both run BATCH_BLOCK starts at a time, which bounds their
+    temporaries."""
+
+    def members(W, eig):
+        # every member of every start in W at once: C_j, its weight p_j, and
+        # eig of tau_j = C_j C_j+ / p_j where p_j >= 1e-14 (a lighter member
+        # is skipped)
+        C = (W @ E).reshape(*W.shape[:2], dA, dB)
+        tau = C @ C.conj().swapaxes(-1, -2)
+        p = np.real(np.trace(tau, axis1=-2, axis2=-1))
+        live = p >= 1e-14
+        tau /= np.where(live, p, 1.0)[..., None, None]
+        return C, p, live, eig(tau)
+
+    def value(W):
+        f = np.empty(len(W))
+        for i in range(0, len(W), BATCH_BLOCK):
+            _, p, live, mu = members(W[i:i + BATCH_BLOCK], np.linalg.eigvalsh)
+            mu = np.clip(mu, 1e-18, None)
+            ent = -np.sum(np.where(mu > 1e-17, mu * np.log2(mu), 0.0), axis=-1)
+            f[i:i + BATCH_BLOCK] = np.sum(np.where(live, p * ent, 0.0), axis=1)
+        return f, ()
+
+    def grad(W, aux):
+        G = np.empty(W.shape, dtype=complex)
+        for i in range(0, len(W), BATCH_BLOCK):
+            C, _, live, (mu, V) = members(W[i:i + BATCH_BLOCK], np.linalg.eigh)
+            V[~live] = 0.0
+            logs = (V * np.log2(np.clip(mu, 1e-18, None))[..., None, :]) @ V.conj().swapaxes(-1, -2)
+            G[i:i + BATCH_BLOCK] = -(logs @ C).reshape(len(C), -1, dA * dB) @ dag(E)
+        return G, np.zeros(len(W), dtype=bool)
+
+    return value, grad
 
 
 def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
@@ -127,36 +170,13 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     if k * dA * dB > DIM_CAP ** 2:
         raise DimensionOverflow(f"{k} ensemble members of {dA}x{dB} exceed the cap of {DIM_CAP ** 2} entries")
 
-    def value(W):
-        # every member at once: tau_j = C_j C_j+, one eigh over the live stack
-        C = (W @ E).reshape(k, dA, dB)
-        tau = C @ C.conj().transpose(0, 2, 1)
-        p = np.real(np.trace(tau, axis1=1, axis2=2))
-        live = p >= 1e-14
-        mu, V = np.linalg.eigh(tau[live] / p[live, None, None])
-        mu = np.clip(mu, 1e-18, None)
-        ent = -np.sum(np.where(mu > 1e-17, mu * np.log2(mu), 0.0), axis=1)
-        return float(p[live] @ ent), (C, live, mu, V)
-
-    def grad(W, aux):
-        C, live, mu, V = aux
-        G = np.zeros((k, r), dtype=complex)
-        logs = (V * np.log2(mu)[:, None, :]) @ V.conj().transpose(0, 2, 1)
-        G[live] = -(logs @ C[live]).reshape(-1, dA * dB) @ dag(E)
-        return G
-
-    values, args, convs = [], [], []
-    for i in range(cfg.starts):
-        rng = split_seed(cfg.seed, i)
-        W0 = _qr_retract(rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r)))
-        f, W, _, reason = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol,
+    value, grad = _ensemble_objective(E, dA, dB)
+    rngs = [split_seed(cfg.seed, i) for i in range(cfg.starts)]
+    W0 = _qr_retract(np.array([g.standard_normal((k, r)) + 1j * g.standard_normal((k, r)) for g in rngs]))
+    values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol,
                                           EOF_STEP_CAP)
-        values.append(f)
-        args.append(W)
-        convs.append(reason != "max_iters")
     best = _best_start(values, pick_min=True)
-    W = args[best]
-    Phi = W @ E
+    Phi = Ws[best] @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))
     keep_members = probs > 1e-12
     members = tuple(
@@ -167,7 +187,7 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     return EofReport(
         value=float(values[best]),
         ensemble=ensemble,
-        converged=convs[best],
+        converged=bool(reasons[best] != "max_iters"),
         seed=cfg.seed,
         per_start_values=[float(v) for v in values],
     )

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import identity_channel
 from projchan import channels as ch
-from projchan import entropy, zoo
-from projchan.errors import BadAlpha
+from projchan import entropy, eof, zoo
+from projchan.errors import BadAlpha, DimMismatch, ProjchanError
 from projchan.sampling import random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
@@ -179,7 +181,7 @@ def test_converged_is_the_best_starts_flag():
     cfg = entropy.OptConfig(starts=2, max_iters=1).with_warm_starts([plus])
     rep = entropy.min_output_entropy(T, 1.0, cfg)
     assert abs(rep.per_start_values[0] - 1.0) < 1e-12
-    assert entropy._descend(T, 1.0, plus, cfg.max_iters, cfg.tol)[2]
+    assert entropy._descend_starts(T, 1.0, plus[None], cfg.max_iters, cfg.tol)[2][0]
     assert rep.best_start != 0
     assert not rep.converged
 
@@ -198,3 +200,80 @@ def test_characterize_runs_each_alpha_once(wh3, monkeypatch, grid):
     monkeypatch.setattr(entropy, "min_output_entropy", counting)
     entropy.characterize(T, grid, entropy.OptConfig(starts=2))
     assert sorted(calls) == sorted(set(grid) | {2.0})
+
+
+REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "multistart_seed7_starts16.json").read_text())
+# At alpha = 1/2 the value sums square roots of the output eigenvalues, and an
+# eigenvalue that is zero in exact arithmetic comes out of eigh as roundoff of
+# about 1e-16, whose square root is 1e-8: the per-start values then move with
+# the last bits of the output matrix, which the batch layout changes.
+REFERENCE_TOL = {"0": 1e-12, "0.5": 1e-7, "1": 1e-12, "2": 1e-12, "inf": 1e-12}
+
+
+@pytest.mark.parametrize("spec", sorted(REFERENCE["min_output_entropy"]))
+def test_per_start_values_match_single_start_reference(spec):
+    # per-start values of 16 starts at seed 7 as the one-start-at-a-time
+    # descent printed them
+    T, _ = zoo.build(zoo.parse_spec(spec))
+    cfg = entropy.OptConfig(starts=REFERENCE["starts"], seed=REFERENCE["seed"])
+    for alpha, want in REFERENCE["min_output_entropy"][spec].items():
+        got = entropy.min_output_entropy(T, float(alpha), cfg).per_start_values
+        assert np.abs(np.array(got) - want).max() <= REFERENCE_TOL[alpha], alpha
+    got = entropy.max_output_norm(T, cfg).per_start_values
+    assert np.abs(np.array(got) - REFERENCE["max_output_norm"][spec]).max() <= 1e-12
+
+
+def test_lockstep_starts_match_starts_run_alone():
+    # warm start |+> is stationary and stops at once; the random starts are
+    # still improving when they hit the cap. Each start of the batch gives
+    # what it gives alone.
+    T, _ = zoo.build(zoo.dephasing(2))
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    cfg = entropy.OptConfig(starts=3, max_iters=4).with_warm_starts([plus])
+    Psi0 = entropy._stack_starts(2, cfg)
+    f, _, conv = entropy._descend_starts(T, 1.0, Psi0, cfg.max_iters, cfg.tol)
+    assert list(conv) == [True, False, False, False]
+    for i in range(len(Psi0)):
+        f1, _, conv1 = entropy._descend_starts(T, 1.0, Psi0[i:i + 1], cfg.max_iters, cfg.tol)
+        assert abs(f1[0] - f[i]) <= 1e-12
+        assert conv1[0] == conv[i]
+
+
+def test_per_start_values_do_not_depend_on_batch_size():
+    # equal to 1e-12, not bit for bit: the GEMM blocks 4 rows and 16 rows
+    # differently
+    T, _ = zoo.build(zoo.WeylShift(3))
+    for alpha in (0.5, 1.0, math.inf):
+        few = entropy.min_output_entropy(T, alpha, entropy.OptConfig(starts=4, seed=7))
+        many = entropy.min_output_entropy(T, alpha, entropy.OptConfig(starts=16, seed=7))
+        assert np.abs(np.array(few.per_start_values) - many.per_start_values[:4]).max() <= 1e-12
+    st = eof.example9_state()
+    few = eof.eof_upper(st, eof.EofConfig(starts=2))
+    many = eof.eof_upper(st, eof.EofConfig(starts=4))
+    assert np.abs(np.array(few.per_start_values) - many.per_start_values[:2]).max() <= 1e-12
+
+
+def test_characterize_reads_alpha_zero_off_the_half_run(wh3, monkeypatch):
+    T, _ = wh3
+    cfg = entropy.OptConfig(starts=4)
+    descended = []
+    original = entropy._descend_starts
+
+    def counting(T, alpha, *rest):
+        descended.append(alpha)
+        return original(T, alpha, *rest)
+
+    monkeypatch.setattr(entropy, "_descend_starts", counting)
+    rep = entropy.characterize(T, [0.0, 0.5, 1.0, 2.0, math.inf], cfg)
+    assert descended.count(0.5) == 1
+    assert rep.nu_values[0.0] == entropy.min_output_entropy(T, 0.0, cfg).value
+
+
+@pytest.mark.parametrize("lengths", [(2,), (3, 2)])
+def test_wrong_length_warm_start_is_a_dim_mismatch(wh3, lengths):
+    # a ProjchanError, which the CLI reports with exit code 2
+    T, _ = wh3
+    cfg = entropy.OptConfig(starts=2).with_warm_starts([np.ones(n) for n in lengths])
+    with pytest.raises(DimMismatch):
+        entropy.min_output_entropy(T, 1.0, cfg)
+    assert issubclass(DimMismatch, ProjchanError)

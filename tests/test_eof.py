@@ -164,19 +164,19 @@ def test_converged_is_the_best_starts_flag():
 
 
 def _kernel(state):
-    """The (E, value, grad) that eof_upper hands to the descent driver."""
-    seen = {}
-
-    def capture(value, grad, retract, x0, *rest):
-        seen.update(value=value, grad=grad, k=x0.shape[0])
-        return 0.0, x0, None, "tol"
-
+    """eof_upper's (E, value, grad, k), value and grad taken on one isometry."""
     w, V = np.linalg.eigh(state.mat.mat)
     E = (V[:, w > 1e-12] * np.sqrt(w[w > 1e-12])).T
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(eof, "_armijo_descent", capture)
-        eof.eof_upper(state, eof.EofConfig(starts=1))
-    return E, seen["value"], seen["grad"], seen["k"]
+    value, grad = eof._ensemble_objective(E, state.dimA, state.dimB)
+
+    def value1(W):
+        f, aux = value(W[None])
+        return f[0], aux
+
+    def grad1(W, aux):
+        return grad(W[None], aux)[0][0]
+
+    return E, value1, grad1, E.shape[0] ** 2
 
 
 def _per_member_value_grad(W, E, dA, dB):
