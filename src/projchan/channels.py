@@ -64,10 +64,12 @@ class DensityMatrix:
 
 
 def check_states(stack: np.ndarray) -> np.ndarray:
-    """The DensityMatrix checks on every member of a (c, d, d) stack: Hermitian
-    within STATE_TOL, PSD up to clamp_state_eigenvalues, trace 1 within
-    STATE_TOL. Returns the clamped eigenvalues, shape (c, d), ascending."""
+    """The DensityMatrix checks on every member of a (c, d, d) stack: finite,
+    Hermitian within STATE_TOL, PSD up to clamp_state_eigenvalues, trace 1
+    within STATE_TOL. Returns the clamped eigenvalues, shape (c, d), ascending."""
     stack = np.asarray(stack, dtype=complex)
+    if not np.isfinite(stack).all():
+        raise ValidationError("state has a non-finite entry")
     adj = stack.conj().swapaxes(-1, -2)
     if linalg.herm_norm_inf(stack - adj) > STATE_TOL:
         raise ValidationError(f"state is not Hermitian within {STATE_TOL:.0e}")
@@ -114,11 +116,13 @@ class QuantumChannel:
         """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
         return _kraus_sum(self._kcol_dag, X, self._kcol)
 
-    def pure_outputs(self, Psi: np.ndarray):
+    def pure_outputs(self, Psi: np.ndarray, adjoint: bool = False):
         """The one pure-input kernel. For the rows psi_i of a (c, d_in) Psi:
         the Kraus images Z_i = [A_1 psi_i, ..., A_k psi_i] as a (c, k, d_out)
-        stack, and the outputs T(psi_i psi_i+) = Z_i^T conj(Z_i)."""
-        Z = (Psi @ self._kcol.T).reshape(len(Psi), len(self.kraus), self.dim_out)
+        stack, and the outputs T(psi_i psi_i+) = Z_i^T conj(Z_i). With
+        `adjoint`, the same for T+ (Kraus operators A_k+) on a (c, d_out) Psi."""
+        kcol, d = (self._kcol_dag, self.dim_in) if adjoint else (self._kcol, self.dim_out)
+        Z = (Psi @ kcol.T).reshape(len(Psi), len(self.kraus), d)
         return Z, Z.transpose(0, 2, 1) @ Z.conj()
 
     def kraus_adjoint(self, Y: np.ndarray) -> np.ndarray:

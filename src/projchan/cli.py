@@ -17,6 +17,7 @@ if _threads:
         os.environ.setdefault(var, _threads)
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -66,6 +67,7 @@ def _parse_alpha(text: str) -> float:
         raise UsageError(f"bad alpha {text!r}") from exc
 
 
+@functools.cache  # built on first use, once per process; parse_args keeps no state in it
 def build_parser() -> Parser:
     p = Parser(prog="projchan", add_help=True)
     sub = p.add_subparsers(dest="command")

@@ -11,13 +11,15 @@ pure input vectors on the unit sphere:
     improvement drops below `tol` or the iteration cap is hit;
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
-    evaluation serves every start still backtracking. Per-start values agree
+    evaluation serves every start still backtracking, by eigenvalues only;
+    eigenvectors are computed at the accepted points. Per-start values agree
     across batch sizes to 1e-12, not bit for bit (GEMM row blocking);
   * the alpha = infinity case (and the maximal output norm) is handled by the
     same loop with the largest output eigenvalue as objective; when the top of
     the output spectrum is degenerate (gap < 1e-8) the gradient is replaced by
     a monotone derivative-free polish, iterating psi <- top eigenvector of
-    T+(v v+) for v the top output eigenvector, which never decreases the norm.
+    T+(v v+) for v the top output eigenvector, which never decreases the norm
+    (also in lockstep); `characterize` reads nu_inf off its norm search.
 
 Estimates are one-sided: upper bounds for entropy minimization, lower bounds
 for norm maximization.
@@ -127,62 +129,61 @@ def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
     return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1), flat
 
 
+REASONS = np.array(["max_iters", "flat", "stationary", "armijo", "tol"], dtype=object)
+MAX_ITERS, FLAT, STATIONARY, ARMIJO, TOL = range(len(REASONS))  # their codes in the loop
+
+
 def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float):
     """Steepest descent on a manifold with Armijo backtracking from a doubled,
     capped step, run in lockstep over an (s, ...) stack x0 of starts.
 
-    `value(X)` returns (f, aux) for a stack X: f of shape (len(X),), aux a
-    tuple of arrays whose first axis runs over X. `grad(X, aux)` returns the
-    stacked directions and a mask of the starts where f is flat. `retract`
-    maps a stack X - t G back onto the manifold. Each start keeps its own
-    step t and stops on its own reason: "flat", "stationary", "armijo" (no
-    step down to 1e-18 decreases f enough), "tol" (the last step improved f
-    by less than `tol`) or "max_iters". One `value` call evaluates the trial
-    points of every start still backtracking. Returns (f, x, reasons), each
-    per start.
+    `value(X)` returns the objective of each member of a stack X; it is
+    called on every trial point. `grad(X)` returns the stacked directions and
+    a mask of the members where the objective is flat; it is called once per
+    iteration, on the accepted points. `retract` maps a stack X - t G back
+    onto the manifold. Each start keeps its own step t and stops on its own
+    reason: "flat", "stationary", "armijo" (no step down to 1e-18 decreases f
+    enough), "tol" (the last step improved f by less than `tol`) or
+    "max_iters". One `value` call evaluates the trial points of every start
+    still backtracking. Returns (f, x, reasons), each per start.
     """
     x = np.array(x0)
-    f, aux = value(x)
+    f = value(x)
     f_end, x_end = f.copy(), x.copy()
-    reasons = np.full(len(x), "max_iters", dtype=object)
+    reasons = np.full(len(x), MAX_ITERS, dtype=np.int8)
     live = np.arange(len(x))  # start index of each row of the active stack
     t = np.ones(len(x))
     bcast = (-1,) + (1,) * (x.ndim - 1)
     for _ in range(max_iters):
-        g, flat = grad(x, aux)
+        g, flat = grad(x)
         gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=tuple(range(1, g.ndim)))
-        done = flat | (gn2 < 1e-30)
-        reasons[live[done]] = np.where(flat[done], "flat", "stationary")
         improvement = np.full(len(x), np.inf)  # stays inf where no step is taken
         t = np.minimum(t * 2.0, t_max)
-        pending = np.flatnonzero(~done)
+        pending = np.flatnonzero(~flat & (gn2 >= 1e-30))
         while len(pending):
             tp = t[pending]
             cand = retract(x[pending] - tp.reshape(bcast) * g[pending])
-            fc, aux_c = value(cand)
+            fc = value(cand)
             ok = fc <= f[pending] - 1e-4 * tp * gn2[pending]
+            if ok.all():  # the common round: every pending start accepts
+                improvement[pending], x[pending], f[pending] = f[pending] - fc, cand, fc
+                break
             acc = pending[ok]
-            improvement[acc] = f[acc] - fc[ok]
-            x[acc], f[acc] = cand[ok], fc[ok]
-            for a, a_c in zip(aux, aux_c):
-                a[acc] = a_c[ok]
+            improvement[acc], x[acc], f[acc] = f[acc] - fc[ok], cand[ok], fc[ok]
             pending = pending[~ok]
             t[pending] *= 0.5
-            stalled = pending[t[pending] <= 1e-18]
-            reasons[live[stalled]] = "armijo"
-            done[stalled] = True
-            pending = pending[t[pending] > 1e-18]
-        reasons[live[improvement < tol]] = "tol"
-        done |= improvement < tol
+            pending = pending[t[pending] > 1e-18]  # the others stop on "armijo"
+        done = flat | (gn2 < 1e-30) | (t <= 1e-18) | (improvement < tol)
         if done.any():
+            code = np.select([flat, gn2 < 1e-30, t <= 1e-18], [FLAT, STATIONARY, ARMIJO], TOL)
+            reasons[live[done]] = code[done]
             f_end[live[done]], x_end[live[done]] = f[done], x[done]
             keep = ~done
             live, x, f, t = live[keep], x[keep], f[keep], t[keep]
-            aux = tuple(a[keep] for a in aux)
             if not len(live):
                 break
     f_end[live], x_end[live] = f, x
-    return f_end, x_end, reasons
+    return f_end, x_end, REASONS[reasons]
 
 
 def _best_start(values, pick_min: bool) -> int:
@@ -196,12 +197,11 @@ def _sphere_retract(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
-def _output_spectra(T: ch.QuantumChannel, Psi: np.ndarray):
-    """(w, V, Z): the eigendecomposition of T(psi psi+) for each row psi of
-    Psi, with the Kraus images Z that the gradient reuses."""
-    Z, sigma = T.pure_outputs(Psi)
-    w, V = np.linalg.eigh((sigma + sigma.conj().transpose(0, 2, 1)) / 2)
-    return w, V, Z
+def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
+    """The largest eigenvalue and its eigenvector of T(psi psi+) (of T+(psi psi+)
+    when `adjoint`) for each row psi of Psi."""
+    w, V = np.linalg.eigh(T.pure_outputs(Psi, adjoint)[1])
+    return w[:, -1], V[:, :, -1]
 
 
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
@@ -209,12 +209,11 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
     Returns per-start (values, end points, converged flags)."""
 
     def value(Psi):
-        w, V, Z = _output_spectra(T, Psi)
-        return _entropy_from_eigs(w, alpha), (w, V, Z)
+        return _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi)[1]), alpha)
 
-    def grad(Psi, aux):
-        w, V, Z = aux
-        G, flat = _entropy_gradient_matrices(w, V, alpha)
+    def grad(Psi):
+        Z, sigma = T.pure_outputs(Psi)
+        G, flat = _entropy_gradient_matrices(*np.linalg.eigh(sigma), alpha)
         # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
         g = 2.0 * T.kraus_adjoint(Z @ G.conj())
         return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
@@ -224,36 +223,37 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
     converged = reasons != "max_iters"
     if math.isinf(alpha):
         # degenerate ("flat") or stalled top eigenvalue: monotone polish on the norm objective
-        for i in np.flatnonzero((reasons == "flat") | (reasons == "armijo")):
-            lam, psi = _norm_polish(T, Psi[i], max_iters=max_iters, tol=tol)
-            f2 = float(-np.log2(max(lam, EIG_FLOOR)))
-            if f2 < f[i]:
-                f[i], Psi[i], converged[i] = f2, psi, True
+        redo = np.flatnonzero((reasons == "flat") | (reasons == "armijo"))
+        if len(redo):
+            lam, polished = _norm_polish(T, Psi[redo], max_iters, tol)
+            f2 = -np.log2(np.maximum(lam, EIG_FLOOR))
+            better = f2 < f[redo]
+            f[redo[better]], Psi[redo[better]], converged[redo[better]] = f2[better], polished[better], True
     return f, Psi, converged
 
 
-def _norm_polish(T: ch.QuantumChannel, psi: np.ndarray, max_iters: int, tol: float):
-    """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from the unit vector psi.
+def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: float):
+    """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from every unit
+    row psi of Psi, in lockstep.
 
-    psi <- top eigenvector of T+(v v+) with v the top output eigenvector;
-    each step satisfies lambda_max(new) >= lambda_max(old).
+    psi <- top eigenvector of T+(v v+) with v the top output eigenvector. A
+    row stops once a step gains at most `tol`, keeping the better of its last
+    two points, so lambda_max never decreases. Returns per-row (lambda_max,
+    end points).
     """
-    def top(p):
-        w, V, _ = _output_spectra(T, p[None])
-        return float(w[0, -1]), V[0, :, -1]
-
-    lam, v = top(psi)
+    Psi = np.array(Psi)
+    lam, v = _top_vectors(T, Psi)
+    live = np.arange(len(Psi))
     for _ in range(max_iters):
-        H = T.apply_adjoint_raw(np.outer(v, v.conj()))
-        wh, Vh = np.linalg.eigh((H + H.conj().T) / 2)
-        psi2 = Vh[:, -1]
-        lam2, v2 = top(psi2)
-        if lam2 <= lam + tol:
-            if lam2 > lam:
-                return lam2, psi2
-            return lam, psi
-        psi, lam, v = psi2, lam2, v2
-    return lam, psi
+        if not len(live):
+            break
+        Psi2 = _top_vectors(T, v, adjoint=True)[1]
+        lam2, v = _top_vectors(T, Psi2)
+        keep = lam2 > lam[live] + tol
+        gain = lam2 > lam[live]
+        lam[live[gain]], Psi[live[gain]] = lam2[gain], Psi2[gain]
+        live, v = live[keep], v[keep]
+    return lam, Psi
 
 
 def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
@@ -295,8 +295,8 @@ def _rank_report(T: ch.QuantumChannel, cfg: OptConfig, surrogate: OptReport) -> 
     are upper bounds.
     """
     Psi0, ends = _stack_starts(T.dim_in, cfg), surrogate.per_start_args
-    f0 = _entropy_from_eigs(_output_spectra(T, Psi0)[0], 0.0)
-    f1 = _entropy_from_eigs(_output_spectra(T, ends)[0], 0.0)
+    f0 = _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi0)[1]), 0.0)
+    f1 = _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(ends)[1]), 0.0)
     moved = f1 < f0
     return _report(cfg, np.where(moved, f1, f0), np.where(moved[:, None], ends, Psi0),
                    np.where(moved, surrogate.per_start_converged, True), pick_min=True)
@@ -317,11 +317,8 @@ def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None) -> OptRe
     alpha = inf descent, then the fixed-point polish, from every start."""
     cfg = cfg or OptConfig()
     f, Psi, _ = _descend_starts(T, math.inf, _stack_starts(T.dim_in, cfg), cfg.max_iters, cfg.tol)
-    values = []
-    for i in range(len(Psi)):
-        lam, Psi[i] = _norm_polish(T, Psi[i], cfg.max_iters, cfg.tol)
-        values.append(max(lam, float(2.0 ** (-f[i]))))
-    return _report(cfg, values, Psi, np.ones(len(Psi), dtype=bool), pick_min=False)
+    lam, Psi = _norm_polish(T, Psi, cfg.max_iters, cfg.tol)
+    return _report(cfg, np.maximum(lam, 2.0 ** (-f)), Psi, np.ones(len(Psi), dtype=bool), pick_min=False)
 
 
 @dataclass
@@ -364,25 +361,27 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     and the extraction numerically robust. Each distinct alpha of the grid runs
     once, and the grid's alpha = 2 run doubles as that witness search. When the
     grid holds alpha = 1/2, alpha = 0 is read off that run instead of
-    descending the same surrogate from the same starts again.
+    descending the same surrogate from the same starts again. nu_inf is
+    -log2 of the norm search's value, not a descent of its own.
     """
     cfg = cfg or OptConfig()
     alphas = list(dict.fromkeys(_normalize_alpha(a) for a in alpha_grid))
     if not alphas:
         raise BadAlpha("alpha grid must be nonempty")
     reuse = 0.0 in alphas and 0.5 in alphas
-    reports = {a: min_output_entropy(T, a, cfg) for a in alphas if not (reuse and a == 0.0)}
+    reports = {a: min_output_entropy(T, a, cfg) for a in alphas
+               if not (reuse and a == 0.0) and not math.isinf(a)}
     if reuse:
         reports[0.0] = _rank_report(T, cfg, reports[0.5])
-    nu = {a: reports[a].value for a in alphas}
-    spread = max(nu.values()) - min(nu.values())
-    constant_nu = bool(spread <= cfg.tol_equiv)
 
     two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg)
-    witness_vec = _principal_vector(two_report.arg_state)
+    witness_vec = two_report.per_start_args[two_report.best_start]
     norm_report = max_output_norm(T, cfg.with_warm_starts([witness_vec]))
     argmax_state = norm_report.arg_state
     norm_value = norm_report.value
+    nu = {a: reports[a].value if a in reports else -math.log2(max(norm_value, EIG_FLOOR)) for a in alphas}
+    spread = max(nu.values()) - min(nu.values())
+    constant_nu = bool(spread <= cfg.tol_equiv)
 
     out = ch.apply(T, argmax_state)
     norm_at_projection, rank = ch.is_normalized_projection(out)
@@ -408,8 +407,3 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
         extraction_error=err,
         boundary_case=bool(boundary),
     )
-
-
-def _principal_vector(state: ch.DensityMatrix) -> np.ndarray:
-    w, V = np.linalg.eigh(state.mat)
-    return V[:, -1]

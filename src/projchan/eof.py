@@ -140,9 +140,9 @@ def _ensemble_objective(E: np.ndarray, dA: int, dB: int):
             mu = np.clip(mu, 1e-18, None)
             ent = -np.sum(np.where(mu > 1e-17, mu * np.log2(mu), 0.0), axis=-1)
             f[i:i + BATCH_BLOCK] = np.sum(np.where(live, p * ent, 0.0), axis=1)
-        return f, ()
+        return f
 
-    def grad(W, aux):
+    def grad(W):
         G = np.empty(W.shape, dtype=complex)
         for i in range(0, len(W), BATCH_BLOCK):
             C, _, live, (mu, V) = members(W[i:i + BATCH_BLOCK], np.linalg.eigh)

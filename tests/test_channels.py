@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,14 +75,13 @@ def test_apply_preserves_trace_random(wh3):
 
 
 def _random_channel(d_in, d_out, k, seed):
-    """k random d_out x d_in Kraus operators rescaled so that sum_k A_k+ A_k = I
-    (k is raised to ceil(d_in / d_out) so that the sum is invertible), the
-    channel they define, and a generator for test inputs."""
+    """The k d_out x d_in blocks of a random (k d_out) x d_in isometry as Kraus
+    operators (k is raised to ceil(d_in / d_out) so that the isometry exists),
+    the channel they define, and a generator for test inputs."""
     rng = split_seed(seed, d_in, d_out, k)
     k = max(k, -(-d_in // d_out))
-    K = rng.normal(size=(k, d_out, d_in)) + 1j * rng.normal(size=(k, d_out, d_in))
-    w, V = np.linalg.eigh(sum(dag(A) @ A for A in K))
-    K = K @ ((V / np.sqrt(w)) @ dag(V))
+    G = rng.normal(size=(k * d_out, d_in)) + 1j * rng.normal(size=(k * d_out, d_in))
+    K = np.linalg.qr(G)[0].reshape(k, d_out, d_in)
     return K, ch.QuantumChannel(d_in, d_out, tuple(K)), rng
 
 
@@ -115,8 +116,11 @@ def test_kernel_adjoint_duality(d_in, d_out, k, seed):
 @settings(max_examples=40, deadline=None)
 @given(*KRAUS_SHAPES)
 @example(2, 3, 5, 0)
+@example(3, 1, 3, 976)
 def test_kernel_preserves_trace(d_in, d_out, k, seed):
-    _, T, rng = _random_channel(d_in, d_out, k, seed)
+    K, T, rng = _random_channel(d_in, d_out, k, seed)
+    # premise: the Kraus set itself is trace preserving to roundoff
+    assert linalg.herm_norm_inf(sum(dag(A) @ A for A in K) - np.eye(d_in)) <= 1e-14
     X = _random_matrix(rng, d_in)
     assert abs(np.trace(T.apply_raw(X)) - np.trace(X)) <= 1e-12
     assert linalg.herm_norm_inf(T.apply_adjoint_raw(np.eye(d_out)) - np.eye(d_in)) <= 1e-12
@@ -149,6 +153,19 @@ def test_check_states_raises_as_density_matrix(kind):
     stack = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0]), bad, np.eye(2) / 2])
     with pytest.raises(error):
         ch.check_states(stack)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_check_states_rejects_non_finite_entries(bad, entry):
+    # a NaN trace passes |tr - 1| > tol, and eigvalsh may return finite
+    # eigenvalues for a NaN matrix, so finiteness is checked on its own
+    mat = np.diag([1.0, 1.0, 1.0]).astype(complex) / 3
+    mat[entry] = mat[entry[::-1]] = bad
+    with pytest.raises(ValidationError):
+        ch.DensityMatrix(3, mat)
+    with pytest.raises(ValidationError):
+        ch.check_states(np.stack([np.eye(3) / 3, mat]))
 
 
 def test_check_states_returns_clamped_eigenvalues():

@@ -243,6 +243,9 @@ _MALFORMED = {
     "spec_pinch_oversize": (None, ["validate", "--spec", "pinch:d=100000,blocks=50000+50000"]),
     "spec_diag_oversize": (None, ["validate", "--spec", "diag:d=100000"]),
     "lemma3_negative_count": (None, ["additivity", "--check-lemma3", "-5"]),
+    "state_nan_entry": (json.dumps({"dimA": 1, "dimB": 2, "mat": {"re": [[math.nan, 0], [0, 0.5]],
+                                                                  "im": [[0, 0], [0, 0]]}}),
+                        ["eof", "--state", "{path}", "--starts", "1"]),
 }
 
 
@@ -261,6 +264,20 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["flags"] == {"completely_positive": True, "trace_preserving": True}
+
+
+def test_consecutive_calls_share_no_parsed_state(tmp_path):
+    # the parser is built once per process; each call still starts from the
+    # defaults, and an appended --spec list does not carry over
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli.main(["additivity", "--spec", "wh:d=3", "--spec", "wh:d=3", "--alpha", "1",
+                     "--starts", "1", "--seed", "5", "--out", str(first)]) == 0
+    assert cli.main(["additivity", "--check-lemma3", "5", "--out", str(second)]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    one, two = (json.loads(p.read_text())["manifest"] for p in (first, second))
+    assert one["specs"] == ["wh:d=3", "wh:d=3"] and one["config"]["seed"] == 5
+    assert two["specs"] == []
+    assert two["config"] == {"alpha": 2.0, "seed": 12648430, "starts": 64, "tol": 1e-9}
 
 
 def test_usage_errors_exit64():

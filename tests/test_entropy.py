@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import identity_channel
+from test_channels import _random_channel
 from projchan import channels as ch
 from projchan import entropy, eof, zoo
 from projchan.errors import BadAlpha, DimMismatch, ProjchanError
@@ -188,7 +189,8 @@ def test_converged_is_the_best_starts_flag():
 
 @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 1.0, math.inf]])
 def test_characterize_runs_each_alpha_once(wh3, monkeypatch, grid):
-    # the grid's distinct alphas plus alpha = 2 for the norm witness, each once
+    # the grid's distinct finite alphas plus alpha = 2 for the norm witness,
+    # each once; alpha = inf is read off the norm search
     T, _ = wh3
     calls = []
     original = entropy.min_output_entropy
@@ -199,7 +201,85 @@ def test_characterize_runs_each_alpha_once(wh3, monkeypatch, grid):
 
     monkeypatch.setattr(entropy, "min_output_entropy", counting)
     entropy.characterize(T, grid, entropy.OptConfig(starts=2))
-    assert sorted(calls) == sorted(set(grid) | {2.0})
+    assert sorted(calls) == sorted(set(grid) - {math.inf} | {2.0})
+
+
+@pytest.mark.parametrize("spec", ["wh:d=3", "coarse:n=2,D=2"])
+def test_characterize_reads_nu_inf_off_the_norm_search(spec):
+    T, _ = zoo.build(zoo.parse_spec(spec))
+    rep = entropy.characterize(T, [1.0, 2.0, math.inf], entropy.OptConfig(starts=4))
+    assert rep.nu_values[math.inf] == -math.log2(rep.norm_value)
+    assert abs(rep.nu_values[math.inf] - rep.nu_values[2.0]) <= 1e-9
+
+
+def test_entropy_search_takes_eigenvectors_at_accepted_points_only(monkeypatch):
+    # trial points are judged by eigvalsh; eigh sees exactly the outputs at
+    # the points the gradient is taken at, once each
+    T, _ = zoo.build(zoo.WeylShift(3))
+    grad_rows, eigh_inputs, trial_rows = [], [], []
+    descent, eigh, eigvalsh = entropy._armijo_descent, np.linalg.eigh, np.linalg.eigvalsh
+
+    def recording_descent(value, grad, *rest):
+        def recording_grad(X):
+            grad_rows.append(X.copy())
+            return grad(X)
+        return descent(value, recording_grad, *rest)
+
+    def recording(calls, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(entropy, "_armijo_descent", recording_descent)
+    monkeypatch.setattr(np.linalg, "eigh", recording(eigh_inputs, eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(trial_rows, eigvalsh))
+    entropy.min_output_entropy(T, 1.0, entropy.OptConfig(starts=8, seed=7))
+    rows, seen = np.concatenate(grad_rows), np.concatenate(eigh_inputs)
+    assert len(seen) == len(rows)
+    assert np.abs(seen - T.apply_pure(rows)).max() <= 1e-14
+    assert sum(map(len, trial_rows)) > len(rows)
+
+
+def _polish_one_start(T, psi, max_iters, tol):
+    """The one-start-at-a-time polish that the lockstep one replaced."""
+    def top(p):
+        sigma = T.apply_raw(np.outer(p, p.conj()))
+        w, V = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+        return w[-1], V[:, -1]
+
+    lam, v = top(psi)
+    for _ in range(max_iters):
+        H = T.apply_adjoint_raw(np.outer(v, v.conj()))
+        psi2 = np.linalg.eigh((H + H.conj().T) / 2)[1][:, -1]
+        lam2, v2 = top(psi2)
+        if lam2 <= lam + tol:
+            return (lam2, psi2) if lam2 > lam else (lam, psi)
+        psi, lam, v = psi2, lam2, v2
+    return lam, psi
+
+
+@pytest.mark.parametrize("which", ["coarse:n=2,D=2", "random"])
+def test_lockstep_polish_matches_one_start_polish(which):
+    # coarse:n=2,D=2 has a degenerate top output eigenvalue; its warm start is
+    # a norm maximizer and stops at once, the random starts after one step.
+    # On the random channel the rows stop after 14 to 73 steps. Where the top
+    # of T+(v v+) is degenerate (coarse) the end point is any vector of that
+    # eigenspace, so only the values are compared there.
+    if which == "random":
+        T, warm = _random_channel(3, 3, 2, 1)[1], []
+    else:
+        T, form = zoo.build(zoo.parse_spec(which))
+        warm = [np.linalg.eigh(form.rho0.mat)[1][:, -1]]
+    Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3).with_warm_starts(warm))
+    lam, Psi = entropy._norm_polish(T, Psi0, 2000, 1e-12)
+    for i, psi0 in enumerate(Psi0):
+        lam1, psi1 = _polish_one_start(T, psi0, 2000, 1e-12)
+        assert abs(lam[i] - lam1) <= 1e-12
+        if which == "random":
+            assert np.abs(np.outer(Psi[i], Psi[i].conj()) - np.outer(psi1, psi1.conj())).max() <= 1e-12
+    if warm:
+        assert np.array_equal(Psi[0], Psi0[0])
 
 
 REFERENCE = json.loads((pathlib.Path(__file__).parent / "data" / "multistart_seed7_starts16.json").read_text())

@@ -170,11 +170,10 @@ def _kernel(state):
     value, grad = eof._ensemble_objective(E, state.dimA, state.dimB)
 
     def value1(W):
-        f, aux = value(W[None])
-        return f[0], aux
+        return value(W[None])[0]
 
-    def grad1(W, aux):
-        return grad(W[None], aux)[0][0]
+    def grad1(W):
+        return grad(W[None])[0][0]
 
     return E, value1, grad1, E.shape[0] ** 2
 
@@ -218,8 +217,8 @@ def test_batched_kernel_matches_per_member_loop(which):
     rng = split_seed(61, k)
     for zero_row in (None, None, 2):
         W = _isometry(rng, k, r, zero_row)
-        f, aux = value(W)
-        G = grad(W, aux)
+        f = value(W)
+        G = grad(W)
         f_ref, G_ref = _per_member_value_grad(W, E, state.dimA, state.dimB)
         assert abs(f - f_ref) <= 1e-12
         assert np.abs(G - G_ref).max() <= 1e-12
@@ -237,8 +236,8 @@ def test_batched_gradient_matches_finite_difference(which):
     D = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
     D /= np.linalg.norm(D)
     h = 1e-5
-    fd = (value(W + h * D)[0] - value(W - h * D)[0]) / (2 * h)
-    assert abs(fd - 2 * np.real(np.vdot(D, grad(W, value(W)[1])))) <= 1e-6
+    fd = (value(W + h * D) - value(W - h * D)) / (2 * h)
+    assert abs(fd - 2 * np.real(np.vdot(D, grad(W)))) <= 1e-6
 
 
 def test_eof_example9_per_start_values_match_reference():
