@@ -9,6 +9,8 @@ pure input vectors on the unit sphere:
   * steps follow the Wirtinger gradient of S_alpha(T(psi psi+)) projected onto
     the sphere tangent, with Armijo backtracking, stopping once the
     improvement drops below `tol` or the iteration cap is hit;
+  * the first trial step is the start's Barzilai-Borwein step for alpha >= 1,
+    its last accepted step doubled for alpha < 1 (see README);
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
     evaluation serves every start still backtracking, by eigenvalues only;
@@ -133,9 +135,16 @@ REASONS = np.array(["max_iters", "flat", "stationary", "armijo", "tol"], dtype=o
 MAX_ITERS, FLAT, STATIONARY, ARMIJO, TOL = range(len(REASONS))  # their codes in the loop
 
 
-def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float):
-    """Steepest descent on a manifold with Armijo backtracking from a doubled,
-    capped step, run in lockstep over an (s, ...) stack x0 of starts.
+def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float, *,
+                    bb: bool):
+    """Steepest descent on a manifold with Armijo backtracking (halving, from
+    a first trial step capped at `t_max`), run in lockstep over an (s, ...)
+    stack x0 of starts.
+
+    With `bb` the first trial step is each start's Barzilai-Borwein step
+    <s,s> / |Re<s,y>|, for s its last move and y the change in its gradient,
+    clipped below at 1e-12. On the first iteration, where |Re<s,y>| <= 1e-30
+    and without `bb`, it is the start's last accepted step doubled.
 
     `value(X)` returns the objective of each member of a stack X; it is
     called on every trial point. `grad(X)` returns the stacked directions and
@@ -154,11 +163,22 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
     live = np.arange(len(x))  # start index of each row of the active stack
     t = np.ones(len(x))
     bcast = (-1,) + (1,) * (x.ndim - 1)
+    axes = tuple(range(1, x.ndim))
+    x_prev = g_prev = None  # each start's last point and gradient
+
+    def dot(a, b):  # Re<a, b> of each member
+        return np.sum(a.real * b.real + a.imag * b.imag, axis=axes)
+
     for _ in range(max_iters):
         g, flat = grad(x)
-        gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=tuple(range(1, g.ndim)))
+        gn2 = dot(g, g)
         improvement = np.full(len(x), np.inf)  # stays inf where no step is taken
         t = np.minimum(t * 2.0, t_max)
+        if bb and g_prev is not None:
+            s, y = x - x_prev, g - g_prev
+            sy = np.abs(dot(s, y))
+            t = np.where(sy > 1e-30, np.clip(dot(s, s) / np.maximum(sy, 1e-30), 1e-12, t_max), t)
+        x_prev, g_prev = x.copy(), g
         pending = np.flatnonzero(~flat & (gn2 >= 1e-30))
         while len(pending):
             tp = t[pending]
@@ -179,7 +199,7 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
             reasons[live[done]] = code[done]
             f_end[live[done]], x_end[live[done]] = f[done], x[done]
             keep = ~done
-            live, x, f, t = live[keep], x[keep], f[keep], t[keep]
+            live, x, f, t, x_prev, g_prev = (a[keep] for a in (live, x, f, t, x_prev, g_prev))
             if not len(live):
                 break
     f_end[live], x_end[live] = f, x
@@ -219,16 +239,17 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
         return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
 
     f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
-                                      ENTROPY_STEP_CAP)
+                                      ENTROPY_STEP_CAP, bb=alpha >= 1.0)
     converged = reasons != "max_iters"
     if math.isinf(alpha):
         # degenerate ("flat") or stalled top eigenvalue: monotone polish on the norm objective
         redo = np.flatnonzero((reasons == "flat") | (reasons == "armijo"))
         if len(redo):
-            lam, polished = _norm_polish(T, Psi[redo], max_iters, tol)
+            lam, polished, settled = _norm_polish(T, Psi[redo], max_iters, tol)
             f2 = -np.log2(np.maximum(lam, EIG_FLOOR))
             better = f2 < f[redo]
-            f[redo[better]], Psi[redo[better]], converged[redo[better]] = f2[better], polished[better], True
+            redo = redo[better]
+            f[redo], Psi[redo], converged[redo] = f2[better], polished[better], settled[better]
     return f, Psi, converged
 
 
@@ -239,7 +260,8 @@ def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: flo
     psi <- top eigenvector of T+(v v+) with v the top output eigenvector. A
     row stops once a step gains at most `tol`, keeping the better of its last
     two points, so lambda_max never decreases. Returns per-row (lambda_max,
-    end points).
+    end points, converged flags), a flag False where the row was still
+    gaining at the iteration cap.
     """
     Psi = np.array(Psi)
     lam, v = _top_vectors(T, Psi)
@@ -253,7 +275,7 @@ def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: flo
         gain = lam2 > lam[live]
         lam[live[gain]], Psi[live[gain]] = lam2[gain], Psi2[gain]
         live, v = live[keep], v[keep]
-    return lam, Psi
+    return lam, Psi, ~np.isin(np.arange(len(Psi)), live)
 
 
 def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
@@ -314,11 +336,12 @@ def min_output_entropy(T: ch.QuantumChannel, alpha: float, cfg: OptConfig | None
 
 def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None) -> OptReport:
     """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs: the
-    alpha = inf descent, then the fixed-point polish, from every start."""
+    alpha = inf descent, then the fixed-point polish, from every start. A start
+    is converged when neither stopped at the iteration cap."""
     cfg = cfg or OptConfig()
-    f, Psi, _ = _descend_starts(T, math.inf, _stack_starts(T.dim_in, cfg), cfg.max_iters, cfg.tol)
-    lam, Psi = _norm_polish(T, Psi, cfg.max_iters, cfg.tol)
-    return _report(cfg, np.maximum(lam, 2.0 ** (-f)), Psi, np.ones(len(Psi), dtype=bool), pick_min=False)
+    f, Psi, descended = _descend_starts(T, math.inf, _stack_starts(T.dim_in, cfg), cfg.max_iters, cfg.tol)
+    lam, Psi, polished = _norm_polish(T, Psi, cfg.max_iters, cfg.tol)
+    return _report(cfg, np.maximum(lam, 2.0 ** (-f)), Psi, descended & polished, pick_min=False)
 
 
 @dataclass

@@ -174,7 +174,7 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     rngs = [split_seed(cfg.seed, i) for i in range(cfg.starts)]
     W0 = _qr_retract(np.array([g.standard_normal((k, r)) + 1j * g.standard_normal((k, r)) for g in rngs]))
     values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol,
-                                          EOF_STEP_CAP)
+                                          EOF_STEP_CAP, bb=False)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))

@@ -54,15 +54,11 @@ def tensor(A: np.ndarray, B: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
     return np.kron(A, B)
 
 
-def _check_dims(X: np.ndarray, dims) -> None:
-    if int(np.prod(dims)) != X.shape[0] or X.shape[0] != X.shape[1]:
-        raise BadDims(f"dims {tuple(dims)} incompatible with matrix shape {X.shape}")
-
-
 def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in `keep` (order preserved)."""
     dims = list(dims)
-    _check_dims(X, dims)
+    if int(np.prod(dims)) != X.shape[0] or X.shape[0] != X.shape[1]:
+        raise BadDims(f"dims {tuple(dims)} incompatible with matrix shape {X.shape}")
     keep = sorted(set(keep))
     N = len(dims)
     if keep == list(range(N)):
@@ -77,20 +73,6 @@ def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
     spec = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     return np.einsum(spec, t).reshape(dk, dk)
-
-
-def permute_systems(X: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder tensor factors of a square matrix: new factor k is old factor perm[k]."""
-    dims = list(dims)
-    _check_dims(X, dims)
-    N = len(dims)
-    perm = list(perm)
-    if sorted(perm) != list(range(N)):
-        raise BadDims(f"{perm} is not a permutation of {N} systems")
-    t = np.asarray(X, dtype=complex).reshape(dims + dims)
-    t = t.transpose(perm + [N + p for p in perm])
-    n = int(np.prod(dims))
-    return t.reshape(n, n)
 
 
 def flip(d: int) -> np.ndarray:

@@ -26,11 +26,6 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return Q * (ph / np.abs(ph))
 
 
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (G + G.conj().T) / 2
-
-
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     """Full-rank Wishart state G G+ / tr."""
     return random_densities(rng, d, 1)[0]

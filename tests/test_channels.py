@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import identity_channel
+from conftest import identity_channel, permute_systems
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
@@ -204,7 +204,7 @@ def test_tensor_channels_choi_permuted(wh3):
     # Choi of the pair equals the system-permuted tensor of the Chois:
     # (out1 in1 out2 in2) -> (out1 out2 in1 in2)
     pair = np.kron(T.choi, T.choi)
-    permuted = linalg.permute_systems(pair, [3, 3, 3, 3], [0, 2, 1, 3])
+    permuted = permute_systems(pair, [3, 3, 3, 3], [0, 2, 1, 3])
     assert linalg.herm_norm_inf(TT.choi - permuted) < 1e-12
 
 

@@ -11,7 +11,7 @@ from test_channels import _random_channel
 from projchan import channels as ch
 from projchan import entropy, eof, zoo
 from projchan.errors import BadAlpha, DimMismatch, ProjchanError
-from projchan.sampling import random_density, split_seed
+from projchan.sampling import haar_state_vector, random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 GRID = [0.0, 0.5, 1.0, 2.0, 5.0, math.inf]
@@ -187,6 +187,26 @@ def test_converged_is_the_best_starts_flag():
     assert not rep.converged
 
 
+def test_norm_search_converged_flag_is_truthful():
+    # one iteration leaves every start short of both the descent's and the
+    # polish's stopping tests; at the default cap every start settles
+    T, _ = zoo.build(zoo.WeylShift(3))
+    capped = entropy.OptConfig(starts=8, max_iters=1)
+    assert not entropy.min_output_entropy(T, 1.0, capped).per_start_converged.any()
+    rep = entropy.max_output_norm(T, capped)
+    assert not rep.per_start_converged.any() and not rep.converged
+    rep = entropy.max_output_norm(T, entropy.OptConfig(starts=8))
+    assert rep.per_start_converged.all() and rep.converged
+
+
+def test_norm_polish_flags_rows_stopped_at_the_cap():
+    # on this channel the rows need 14 to 73 steps
+    T = _random_channel(3, 3, 2, 1)[1]
+    Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3))
+    assert not entropy._norm_polish(T, Psi0, 1, 1e-12)[2].any()
+    assert entropy._norm_polish(T, Psi0, 2000, 1e-12)[2].all()
+
+
 @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 1.0, math.inf]])
 def test_characterize_runs_each_alpha_once(wh3, monkeypatch, grid):
     # the grid's distinct finite alphas plus alpha = 2 for the norm witness,
@@ -219,11 +239,11 @@ def test_entropy_search_takes_eigenvectors_at_accepted_points_only(monkeypatch):
     grad_rows, eigh_inputs, trial_rows = [], [], []
     descent, eigh, eigvalsh = entropy._armijo_descent, np.linalg.eigh, np.linalg.eigvalsh
 
-    def recording_descent(value, grad, *rest):
+    def recording_descent(value, grad, *rest, **kwargs):
         def recording_grad(X):
             grad_rows.append(X.copy())
             return grad(X)
-        return descent(value, recording_grad, *rest)
+        return descent(value, recording_grad, *rest, **kwargs)
 
     def recording(calls, fn):
         def wrapped(a, *args, **kwargs):
@@ -272,7 +292,8 @@ def test_lockstep_polish_matches_one_start_polish(which):
         T, form = zoo.build(zoo.parse_spec(which))
         warm = [np.linalg.eigh(form.rho0.mat)[1][:, -1]]
     Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3).with_warm_starts(warm))
-    lam, Psi = entropy._norm_polish(T, Psi0, 2000, 1e-12)
+    lam, Psi, converged = entropy._norm_polish(T, Psi0, 2000, 1e-12)
+    assert converged.all()
     for i, psi0 in enumerate(Psi0):
         lam1, psi1 = _polish_one_start(T, psi0, 2000, 1e-12)
         assert abs(lam[i] - lam1) <= 1e-12
@@ -357,3 +378,94 @@ def test_wrong_length_warm_start_is_a_dim_mismatch(wh3, lengths):
     with pytest.raises(DimMismatch):
         entropy.min_output_entropy(T, 1.0, cfg)
     assert issubclass(DimMismatch, ProjchanError)
+
+
+@pytest.mark.parametrize("spec", ["weyl:d=3", "pinch:d=3,blocks=2+1", "casimir-reducible", "coarse:n=2,D=2"])
+def test_barzilai_borwein_steps_cut_the_iterations(spec, monkeypatch):
+    # the doubled step took 48-50 lockstep iterations (grad calls) at
+    # alpha = 1 and 20-21 at alpha = 2 here; Barzilai-Borwein steps take
+    # 13-14 and 6-9, and the minima stay at nu = 1
+    T, _ = zoo.build(zoo.parse_spec(spec))
+    counts, descent = [], entropy._armijo_descent
+
+    def counting_descent(value, grad, *rest, **kwargs):
+        counts.append(0)
+
+        def counted_grad(X):
+            counts[-1] += 1
+            return grad(X)
+        return descent(value, counted_grad, *rest, **kwargs)
+
+    monkeypatch.setattr(entropy, "_armijo_descent", counting_descent)
+    cfg = entropy.OptConfig(starts=64, seed=4242)
+    for alpha, most in ((1.0, 25), (2.0, 12)):
+        rep = entropy.min_output_entropy(T, alpha, cfg)
+        assert counts[-1] <= most
+        assert abs(rep.value - 1.0) <= 1e-12 and rep.per_start_converged.all()
+
+
+def test_alpha_half_on_the_product_keeps_the_doubled_step():
+    # At alpha = 1/2 the minimizers of wh:d=3 x wh:d=3 have rank-deficient
+    # outputs, where S_1/2 has a kink. Barzilai-Borwein steps there end 55 of
+    # these 64 starts by "tol" or "armijo" more than 1e-6 above nu = 2, the
+    # best 2.1e-9 above; the doubled step brings 60 within 1e-6.
+    T, _ = zoo.build(zoo.parse_spec("wh:d=3"))
+    TT = ch.tensor_channels([T, T])
+    values = np.array(entropy.min_output_entropy(TT, 0.5, entropy.OptConfig(starts=64, seed=4242))
+                      .per_start_values)
+    assert abs(values.min() - 2.0) <= 1e-12
+    assert np.sum(values <= 2.0 + 1e-6) >= 48
+
+
+def _sphere_rayleigh(A):
+    """(value, grad) of psi+ A psi on the unit sphere, in the protocol of entropy._armijo_descent."""
+    def value(X):
+        return np.real(np.sum(X.conj() * (X @ A.T), axis=1))
+
+    def grad(X):
+        g = 2.0 * X @ A.T
+        return g - np.real(np.sum(X.conj() * g, axis=1))[:, None] * X, np.zeros(len(X), dtype=bool)
+    return value, grad
+
+
+def test_barzilai_borwein_descent_reaches_the_smallest_eigenvalue():
+    rng = split_seed(11)
+    G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    A = (G + G.conj().T) / 2
+    value, grad = _sphere_rayleigh(A)
+    X0 = np.array([haar_state_vector(split_seed(11, i), 6) for i in range(8)])
+    gradients = {}  # gradient evaluations summed over the starts
+    for bb in (False, True):
+        rows = []
+
+        def counted_grad(X):
+            rows.append(len(X))
+            return grad(X)
+        f, _, reasons = entropy._armijo_descent(value, counted_grad, entropy._sphere_retract, X0,
+                                                2000, 1e-12, entropy.ENTROPY_STEP_CAP, bb=bb)
+        gradients[bb] = sum(rows)
+    assert np.abs(f - np.linalg.eigvalsh(A)[0]).max() <= 1e-12
+    assert "max_iters" not in reasons
+    assert gradients[True] < gradients[False]
+
+
+def test_vanishing_curvature_takes_the_doubled_step():
+    # a linear objective: the gradient never changes, so Re<s, y> = 0 and
+    # every first trial step is the last accepted one doubled, up to the cap
+    c = np.array([1.0, -2.0, 0.5])
+    x = np.zeros((1, 3))  # the last trial point; every trial is accepted
+    trial_steps = []
+
+    def value(X):
+        return X @ c
+
+    def grad(X):
+        return np.tile(c, (len(X), 1)), np.zeros(len(X), dtype=bool)
+
+    def retract(X):
+        trial_steps.append(float((x[0] - X[0]) @ c / (c @ c)))
+        x[0] = X[0]
+        return X
+
+    entropy._armijo_descent(value, grad, retract, x.copy(), 8, 1e-12, 100.0, bb=True)
+    assert np.allclose(trial_steps, [2, 4, 8, 16, 32, 64, 100, 100], rtol=1e-12)

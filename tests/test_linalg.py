@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import permute_systems, random_hermitian
 from projchan import linalg
 from projchan.errors import BadDims, DimensionOverflow, NotPositiveSemidefinite
-from projchan.sampling import random_hermitian, split_seed
+from projchan.sampling import split_seed
 
 
 def test_clamp_policy():
@@ -134,5 +135,5 @@ def test_max_entangled_small():
 def test_permute_systems_roundtrip():
     rng = split_seed(4000)
     X = random_hermitian(rng, 12)
-    Y = linalg.permute_systems(X, [3, 4], [1, 0])
-    assert np.allclose(linalg.permute_systems(Y, [4, 3], [1, 0]), X)
+    Y = permute_systems(X, [3, 4], [1, 0])
+    assert np.allclose(permute_systems(Y, [4, 3], [1, 0]), X)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import permute_systems
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import ParseError, SpecInvalid
@@ -209,7 +210,7 @@ def test_coarse_graining_choi(coarse22):
     # (I/d - F_n (x) I_{D^2} / d)/(d - D) with the flip on (n1, n2)
     F2 = linalg.flip(2)
     formula = (np.eye(16) / 4 - np.kron(F2, np.eye(4)) / 4) / 2
-    formula = linalg.permute_systems(formula, [2, 2, 2, 2], [0, 2, 1, 3])
+    formula = permute_systems(formula, [2, 2, 2, 2], [0, 2, 1, 3])
     assert linalg.herm_norm_inf(T.choi - formula) < 1e-12
     assert form.m == 2
 
