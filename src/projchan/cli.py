@@ -135,7 +135,8 @@ def load_channel(path: str):
 
 def _opt_config(args, entropy):
     # --tol bounds the optimizer's improvement threshold from above; the
-    # module default 1e-12 applies unless a tighter value is requested.
+    # module default 1e-12 applies unless a tighter value is requested. The
+    # eof search reads --tol the same way.
     return entropy.OptConfig(starts=args.starts, seed=args.seed,
                              tol=min(args.tol, 1e-12))
 
@@ -258,7 +259,8 @@ def run(argv) -> int:
             state = eofmod.example9_state()
         else:
             state = _load_state(args.state, ch, eofmod)
-        cfg = eofmod.EofConfig(starts=args.starts, seed=args.seed, k=args.k or None)
+        cfg = eofmod.EofConfig(starts=args.starts, seed=args.seed, tol=min(args.tol, 1e-12),
+                                k=args.k or None)
         rep = eofmod.eof_upper(state, cfg)
         report = rep.to_dict()
 

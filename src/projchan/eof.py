@@ -5,9 +5,11 @@ eof_upper optimizes over pure-state decompositions of a rank-r state: any
 size-k ensemble is W applied to the subnormalized eigenvectors for a k x r
 isometry W, so the search runs the entropy module's lockstep Armijo descent
 on the Stiefel manifold (QR retraction), every start as one (starts, k, r)
-stack, with the same seeding and best-start contract. The average
-entanglement entropy of the induced ensemble is an upper bound on E_F for
-every W.
+stack, with the same seeding and best-start contract. It descends the
+Riemannian gradient G - W herm(W+ G) of the embedded metric Re tr(A+ B),
+with Barzilai-Borwein trial steps, as the sphere searches do at alpha >= 1.
+The average entanglement entropy of the induced ensemble is an upper bound
+on E_F for every W.
 """
 
 from __future__ import annotations
@@ -170,11 +172,17 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     if k * dA * dB > DIM_CAP ** 2:
         raise DimensionOverflow(f"{k} ensemble members of {dA}x{dB} exceed the cap of {DIM_CAP ** 2} entries")
 
-    value, grad = _ensemble_objective(E, dA, dB)
+    value, euclidean_grad = _ensemble_objective(E, dA, dB)
+
+    def grad(W):  # the Riemannian gradient: G - W herm(W+ G), tangent at W
+        G, flat = euclidean_grad(W)
+        WG = W.conj().swapaxes(-1, -2) @ G
+        return G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2), flat
+
     rngs = [split_seed(cfg.seed, i) for i in range(cfg.starts)]
     W0 = _qr_retract(np.array([g.standard_normal((k, r)) + 1j * g.standard_normal((k, r)) for g in rngs]))
     values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol,
-                                          EOF_STEP_CAP, bb=False)
+                                          EOF_STEP_CAP, bb=True)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))

@@ -226,7 +226,7 @@ def test_criterion_10_eof():
         eof.BipartiteState(2, 2, ch.DensityMatrix(4, linalg.max_entangled(2))),
         eof.EofConfig(starts=8),
     )
-    ok = (abs(rep.value - 1.0) <= 1e-3 and dt <= 600.0
+    ok = (abs(rep.value - 1.0) <= 1e-9 and dt <= 600.0
           and abs(prod.value) <= 1e-9 and abs(bell.value - 1.0) <= 1e-9)
     _report(10, ok,
             f"example9 E_F upper = {rep.value:.6f} ({dt:.1f}s); product={prod.value:.2e}, bell={bell.value:.10f}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from projchan import channels as ch
-from projchan import cli, zoo
+from projchan import cli, eof, zoo
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -298,6 +298,21 @@ def test_eof_state_file(tmp_path):
     assert cli.main(["eof", "--state", str(path), "--starts", "4", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert abs(rep["value"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("tol, want", [(None, 1e-12), (1e-14, 1e-14), (1e-6, 1e-12)])
+def test_eof_tol_reaches_the_search(tmp_path, monkeypatch, tol, want):
+    seen = []
+    original = eof.eof_upper
+
+    def recording(state, cfg):
+        seen.append(cfg.tol)
+        return original(state, cfg)
+
+    monkeypatch.setattr(eof, "eof_upper", recording)
+    argv = ["eof", "--state", "example9", "--starts", "1", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv + ([] if tol is None else ["--tol", str(tol)])) == 0
+    assert seen == [want]
 
 
 def test_dilate_isometry(tmp_path):
