@@ -18,6 +18,11 @@ from .entropy import OptConfig, OptReport, min_output_entropy
 from .errors import DimMismatch, NotProjectiveClass, SpecInvalid
 from .sampling import random_densities, split_seed
 
+# Wishart states per apply_product_map call in trace_square_suite. On the
+# ten map pairs of `additivity --check-lemma3` 32 ran about 20% faster than
+# 16 at the same peak RSS; 64 was another 10% faster but added 0.5 MiB (1.2%).
+TRACE_SQUARE_BLOCK = 32
+
 
 @dataclass
 class AdditivityReport:
@@ -108,29 +113,38 @@ def apply_product_map(maps, rho: np.ndarray) -> np.ndarray:
     return t.reshape(batch + (n, n))
 
 
+def _trace_square_limit(maps) -> float:
+    """prod_i 1/m_i; NotProjectiveClass if a map carries no m."""
+    if any(M.m is None for M in maps):
+        raise NotProjectiveClass("every map needs its integer m")
+    return float(np.prod([1.0 / M.m for M in maps]))
+
+
+def _trace_squares(omega: np.ndarray) -> np.ndarray:
+    """tr[omega^2] = sum_ij omega_ij omega_ji for each member of a (c, n, n) stack."""
+    return (omega * omega.swapaxes(-1, -2)).real.sum(axis=(-2, -1))
+
+
 def trace_square_bound(maps, rho: np.ndarray):
     """Evaluate tr[(x_i M_i)(rho)^2] against prod_i 1/m_i."""
-    for M in maps:
-        if M.m is None:
-            raise NotProjectiveClass("every map needs its integer m")
-    omega = apply_product_map(maps, rho)
-    lhs = float(np.trace(omega @ omega).real)
-    bound = float(np.prod([1.0 / M.m for M in maps]))
+    bound = _trace_square_limit(maps)
+    lhs = float(_trace_squares(apply_product_map(maps, rho)))
     return lhs, bound, bool(lhs <= bound + 1e-9)
 
 
 def trace_square_suite(maps, count: int, seed: int = 12648430):
     """Max excess of the trace-square bound over `count` seeded random
-    states, drawn and mapped linalg.BATCH_BLOCK at a time."""
+    states, drawn and mapped TRACE_SQUARE_BLOCK at a time, with each
+    tr[omega^2] taken as a contraction of omega with its transpose."""
     if count < 1:
         raise SpecInvalid(f"trace_square_suite needs count >= 1, got {count}")
+    bound = _trace_square_limit(maps)
     n = int(np.prod([M.dim for M in maps]))
     rng = split_seed(seed, 3, n)
     worst = -np.inf
-    bound = float(np.prod([1.0 / M.m for M in maps]))
-    for start in range(0, count, linalg.BATCH_BLOCK):
-        omega = apply_product_map(maps, random_densities(rng, n, min(linalg.BATCH_BLOCK, count - start)))
-        worst = max(worst, float(np.trace(omega @ omega, axis1=1, axis2=2).real.max()) - bound)
+    for start in range(0, count, TRACE_SQUARE_BLOCK):
+        omega = apply_product_map(maps, random_densities(rng, n, min(TRACE_SQUARE_BLOCK, count - start)))
+        worst = max(worst, float(_trace_squares(omega).max()) - bound)
     return worst
 
 

@@ -81,6 +81,22 @@ def check_states(stack: np.ndarray) -> np.ndarray:
     return w
 
 
+def check_pure_states(Psi: np.ndarray) -> None:
+    """check_states' verdict on the projectors psi_i psi_i+ of the rows of a
+    (c, d) Psi, taken from the vectors: ValidationError for a non-finite entry
+    or for |<psi_i|psi_i> - 1| > STATE_TOL. The outer product of a row is
+    Hermitian up to rounding (an ulp of its entries) and its eigenvalues are
+    (<psi|psi>, 0, ..., 0), so where the trace check passes the Hermiticity
+    and PSD checks pass too, and no eigendecomposition is needed."""
+    Psi = np.asarray(Psi, dtype=complex)
+    if not np.isfinite(Psi).all():
+        raise ValidationError("state has a non-finite entry")
+    tr = np.sum(Psi.real ** 2 + Psi.imag ** 2, axis=-1)
+    bad = np.abs(tr - 1.0) > STATE_TOL
+    if bad.any():
+        raise ValidationError(f"trace {tr[bad][0]!r} != 1 within {STATE_TOL:.0e}")
+
+
 @dataclass
 class QuantumChannel:
     """Kraus-operator channel with a cached trace-1 Choi matrix."""

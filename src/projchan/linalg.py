@@ -22,8 +22,8 @@ DIM_CAP = 4096
 NEG_EIG_TOL = 1e-10
 
 # Members per call of a kernel batched over a stack of samples
-# (QuantumChannel.apply_pure, additivity.trace_square_suite, the EoF
-# objective): larger blocks raised peak memory without running faster.
+# (QuantumChannel.apply_pure, the EoF objective): larger blocks raised peak
+# memory without running faster.
 BATCH_BLOCK = 16
 
 

@@ -124,6 +124,20 @@ def test_trace_square_suite_matches_per_state_reference(count):
         assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
 
 
+@pytest.mark.parametrize("count", [add.TRACE_SQUARE_BLOCK, add.TRACE_SQUARE_BLOCK + 1])
+def test_trace_square_suite_block_boundaries_match_reference(count):
+    maps = [zoo.weyl_m_map(3), zoo.coarse_m_map(2, 2)]
+    assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
+
+
+def test_trace_square_suite_needs_m():
+    M = ch.LinearMap(3, zoo.transpose_map(3).superop, None)
+    with pytest.raises(NotProjectiveClass):
+        add.trace_square_suite([M], 5)
+    with pytest.raises(NotProjectiveClass):
+        add.trace_square_suite([zoo.transpose_map(3), M], 5)
+
+
 @pytest.mark.parametrize("count", [0, -5])
 def test_trace_square_suite_refuses_empty_run(count):
     with pytest.raises(SpecInvalid):

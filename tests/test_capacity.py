@@ -317,7 +317,7 @@ def _chi_product_bound_reference(T, capacity, trials, cfg):
     return float(max_chi - 2.0 * capacity)
 
 
-@pytest.mark.parametrize("trials", [1, 17, 300])
+@pytest.mark.parametrize("trials", [1, cap.CHI_GROUP, cap.CHI_GROUP + 1, 17, 300])
 @pytest.mark.parametrize("spec", [zoo.WernerHolevo(3), zoo.WeylShift(3)], ids=["wh3", "weyl3"])
 def test_chi_product_bound_matches_per_state_reference(spec, trials):
     T, _ = zoo.build(spec)

@@ -176,6 +176,53 @@ def test_check_states_returns_clamped_eigenvalues():
     assert w.min() >= 0.0
 
 
+def _unit_rows(seed, rows=4, d=9):
+    rng = split_seed(seed)
+    Psi = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    return Psi / np.linalg.norm(Psi, axis=1, keepdims=True)
+
+
+def _projectors(Psi):
+    with np.errstate(invalid="ignore"):  # inf * 0 in a row with an infinite entry
+        return Psi[:, :, None] * Psi[:, None, :].conj()
+
+
+def _verdict(check, arg):
+    """None if `check(arg)` accepts, else the type of the error it raises."""
+    try:
+        check(arg)
+    except Exception as exc:  # noqa: BLE001 - the type is the verdict
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 0.0)])
+def test_check_pure_states_rejects_non_finite_entries(bad):
+    Psi = _unit_rows(40)
+    Psi[2, 5] = bad
+    assert _verdict(ch.check_pure_states, Psi) is ValidationError
+    assert _verdict(ch.check_states, _projectors(Psi)) is ValidationError
+
+
+@pytest.mark.parametrize("offset, verdict", [(2e-10, ValidationError), (-2e-10, ValidationError),
+                                             (5e-11, None), (-5e-11, None)])
+def test_check_pure_states_norm_tolerance(offset, verdict):
+    Psi = _unit_rows(41)
+    Psi[1] *= math.sqrt(1.0 + offset)
+    assert _verdict(ch.check_pure_states, Psi) is verdict
+    assert _verdict(ch.check_states, _projectors(Psi)) is verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.integers(1, 5),
+       st.sampled_from([0.0, 3e-11, -8e-11, 1.2e-10, -3e-10, 1e-6, -0.5, 3.0]))
+def test_check_pure_states_agrees_with_check_states(d, seed, rows, offset):
+    # unit rows, then one row moved off the unit sphere by `offset` in its squared norm
+    Psi = _unit_rows(seed, rows, d)
+    Psi[-1] *= math.sqrt(1.0 + offset)
+    assert _verdict(ch.check_pure_states, Psi) == _verdict(ch.check_states, _projectors(Psi))
+
+
 def test_tensor_channels_refuses_oversize_kraus_stack():
     T, _ = zoo.build(zoo.WeylShift(8))  # 224 operators; the product would hold 50176 of 64 x 64
     with pytest.raises(DimensionOverflow, match="50176 Kraus operators of shape 64x64"):

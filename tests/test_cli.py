@@ -330,3 +330,35 @@ def test_additivity_check_lemma3(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["trace_square_violations"] == 0
     assert len(rep["trace_square_max_excess"]) == 10  # all pairs from the four maps
+
+
+def _golden_snapshot() -> dict:
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in GOLDEN.iterdir()}
+
+
+def _load_generate_goldens():
+    import importlib.util
+
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "generate_goldens.py"
+    spec = importlib.util.spec_from_file_location("generate_goldens", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("names", [["no_such_golden.json"], ["validate_wh3.json", "validate_wh3"]])
+def test_generate_goldens_refuses_unknown_name(names, capsys):
+    script = _load_generate_goldens()
+    before = _golden_snapshot()
+    assert script.main(names) == 1
+    assert _golden_snapshot() == before
+    assert f"unknown golden {names[-1]}" in capsys.readouterr().err
+
+
+def test_generate_goldens_writes_only_the_named_golden(tmp_path, monkeypatch):
+    script = _load_generate_goldens()
+    monkeypatch.setattr(script, "GOLDEN", tmp_path)
+    assert script.main(["validate_wh3.json"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["validate_wh3.json"]
+    assert golden_mismatches((tmp_path / "validate_wh3.json").read_text(),
+                             (GOLDEN / "validate_wh3.json").read_text()) == []
