@@ -1,27 +1,32 @@
 """Renyi entropies and seeded multistart optimization of channel outputs.
 
-The minimal output entropy is estimated by projected gradient descent over
-pure input vectors on the unit sphere:
+The minimal output entropy is estimated over pure input vectors on the unit
+sphere:
 
   * each start draws a complex-Gaussian unit vector from a per-start generator
     split off the master seed, so the reduction over starts is order
     independent (min value, ties to the lowest start index);
-  * steps follow the Wirtinger gradient of S_alpha(T(psi psi+)) projected onto
-    the sphere tangent, with Armijo backtracking, stopping once the
-    improvement drops below `tol` or the iteration cap is hit;
-  * the first trial step is the start's Barzilai-Borwein step for alpha >= 1,
-    its last accepted step doubled for alpha < 1 (see README);
+  * for alpha >= 1, steps follow the Wirtinger gradient of S_alpha(T(psi psi+))
+    projected onto the sphere tangent, with Armijo backtracking from each
+    start's Barzilai-Borwein step, stopping once the improvement drops below
+    `tol` or the iteration cap is hit;
+  * for 0 < alpha < 1, tr sigma^alpha is concave, so each start instead takes
+    the majorize-minimize step psi <- bottom eigenvector of T+(W) with
+    W = V diag((w + eps)^(alpha - 1)) V+ from its output sigma = V diag(w) V+;
+    the smoothing eps starts at 0.1 and shrinks 4-fold per iteration to 1e-30,
+    and each start keeps its best point (see README);
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
     evaluation serves every start still backtracking, by eigenvalues only;
     eigenvectors are computed at the accepted points. Per-start values agree
     across batch sizes to 1e-12, not bit for bit (GEMM row blocking);
   * the alpha = infinity case (and the maximal output norm) is handled by the
-    same loop with the largest output eigenvalue as objective; when the top of
+    descent with the largest output eigenvalue as objective; when the top of
     the output spectrum is degenerate (gap < 1e-8) the gradient is replaced by
-    a monotone derivative-free polish, iterating psi <- top eigenvector of
-    T+(v v+) for v the top output eigenvector, which never decreases the norm
-    (also in lockstep); `characterize` reads nu_inf off its norm search.
+    a monotone derivative-free polish, the same fixed point with the top
+    output eigenprojector as weight: psi <- top eigenvector of T+(v v+) for v
+    the top output eigenvector, which never decreases the norm;
+    `characterize` reads nu_inf off its norm search.
 
 Estimates are one-sided: upper bounds for entropy minimization, lower bounds
 for norm maximization.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +50,8 @@ RANK_CUTOFF = 1e-10         # alpha = 0 eigenvalue cutoff
 EIG_FLOOR = 1e-18           # floor inside logs / negative powers
 DEGENERATE_GAP = 1e-8
 ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
+SMOOTHING_START = 0.1      # first eps of the alpha < 1 fixed point's weight (w + eps)^(alpha - 1)
+SMOOTHING_FLOOR = 1e-30    # eps shrinks 4-fold per iteration down to this
 
 
 @dataclass
@@ -113,7 +121,7 @@ def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
 def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
     """dS_alpha/dsigma on each output eigendecomposition of a (c, d) / (c, d, d)
     stack, and a (c,) mask of the outputs where the objective is locally flat
-    and nondifferentiable (degenerate top for alpha = inf). alpha > 0."""
+    and nondifferentiable (degenerate top for alpha = inf). alpha >= 1."""
     w = np.clip(w, 0.0, None)
     flat = np.zeros(len(w), dtype=bool)
     if math.isinf(alpha):
@@ -126,8 +134,7 @@ def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
         dw = -(np.log2(np.clip(w, EIG_FLOOR, None)) + 1.0 / LN2)
     else:
         t = np.sum(w ** alpha, axis=1)
-        pw = np.clip(w, EIG_FLOOR, None) ** (alpha - 1.0) if alpha < 1.0 else w ** (alpha - 1.0)
-        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * pw
+        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * w ** (alpha - 1.0)
     return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1), flat
 
 
@@ -217,16 +224,12 @@ def _sphere_retract(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
-def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
-    """The largest eigenvalue and its eigenvector of T(psi psi+) (of T+(psi psi+)
-    when `adjoint`) for each row psi of Psi."""
-    w, V = np.linalg.eigh(T.pure_outputs(Psi, adjoint)[1])
-    return w[:, -1], V[:, :, -1]
-
-
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
-    """Entropy minimization (alpha > 0) from every row of Psi0 at once.
+    """Entropy minimization (alpha > 0) from every row of Psi0 at once: the
+    fixed point below alpha = 1, Armijo descent from alpha = 1 on.
     Returns per-start (values, end points, converged flags)."""
+    if alpha < 1.0:
+        return _fixed_point(T, alpha, Psi0, max_iters, tol)
 
     def value(Psi):
         return _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi)[1]), alpha)
@@ -239,7 +242,7 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
         return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
 
     f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
-                                      ENTROPY_STEP_CAP, bb=alpha >= 1.0)
+                                      ENTROPY_STEP_CAP, bb=True)
     converged = reasons != "max_iters"
     if math.isinf(alpha):
         # degenerate ("flat") or stalled top eigenvalue: monotone polish on the norm objective
@@ -253,29 +256,70 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
     return f, Psi, converged
 
 
-def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: float):
-    """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from every unit
-    row psi of Psi, in lockstep.
+def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
+    """Majorize-minimize fixed point from every unit row of Psi0, in lockstep:
+    minimizes S_alpha(T(psi psi+)) for 0 < alpha < 1, maximizes
+    lambda_max(T(psi psi+)) at alpha = inf.
 
-    psi <- top eigenvector of T+(v v+) with v the top output eigenvector. A
-    row stops once a step gains at most `tol`, keeping the better of its last
-    two points, so lambda_max never decreases. Returns per-row (lambda_max,
-    end points, converged flags), a flag False where the row was still
-    gaining at the iteration cap.
+    Below alpha = 1, tr sigma^alpha is concave in sigma, so its tangent at the
+    current output sigma = V diag(w) V+ bounds it from above, and the bound's
+    minimizer over pure inputs is the bottom eigenvector of T+(W),
+    W = V diag((w + eps)^(alpha - 1)) V+. The smoothing eps starts at
+    SMOOTHING_START and shrinks 4-fold per iteration down to SMOOTHING_FLOOR.
+    At alpha = inf the weight is the top output eigenprojector v v+ and the
+    step takes the top eigenvector of T+(v v+) (no smoothing); this never
+    lowers lambda_max. T+(W) is the sum of T+(u u+) over the rows
+    u = sqrt(weight_j) v_j. A row stops once eps is at the floor and a step
+    gains at most `tol`, and keeps the best point it visited. Returns per-row
+    (S_alpha, or -lambda_max at alpha = inf; best points; converged flags),
+    a flag False where the row was still gaining at the iteration cap.
     """
-    Psi = np.array(Psi)
-    lam, v = _top_vectors(T, Psi)
-    live = np.arange(len(Psi))
+    top = math.isinf(alpha)
+
+    def outputs(Psi):
+        w, V = np.linalg.eigh(T.pure_outputs(Psi)[1])
+        return (-w[:, -1] if top else _entropy_from_eigs(w, alpha)), w, V
+
+    f, w, V = outputs(Psi0)
+    f_best, Psi_best = f.copy(), np.array(Psi0)
+    live = np.arange(len(f))
+    eps = SMOOTHING_FLOOR if top else SMOOTHING_START
     for _ in range(max_iters):
         if not len(live):
             break
-        Psi2 = _top_vectors(T, v, adjoint=True)[1]
-        lam2, v = _top_vectors(T, Psi2)
-        keep = lam2 > lam[live] + tol
-        gain = lam2 > lam[live]
-        lam[live[gain]], Psi[live[gain]] = lam2[gain], Psi2[gain]
-        live, v = live[keep], v[keep]
-    return lam, Psi, ~np.isin(np.arange(len(Psi)), live)
+        if top:
+            U = V[:, :, -1:]
+        else:
+            U = V * ((np.clip(w, 0.0, None) + eps) ** (0.5 * (alpha - 1.0)))[:, None, :]
+        rows = U.transpose(0, 2, 1).reshape(-1, T.dim_out)
+        H = T.pure_outputs(rows, adjoint=True)[1].reshape(len(live), -1, T.dim_in, T.dim_in).sum(axis=1)
+        Psi = np.linalg.eigh(H)[1][:, :, -1 if top else 0]
+        f2, w, V = outputs(Psi)
+        better = f2 < f_best[live]
+        f_best[live[better]], Psi_best[live[better]] = f2[better], Psi[better]
+        keep = (f2 < f - tol) | (eps > SMOOTHING_FLOOR)
+        eps = max(eps / 4.0, SMOOTHING_FLOOR)
+        live, f, w, V = live[keep], f2[keep], w[keep], V[keep]
+    return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
+
+
+def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: float):
+    """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from every unit
+    row psi of Psi, in lockstep: `_fixed_point` at alpha = inf. Returns
+    per-row (lambda_max, end points, converged flags)."""
+    f, Psi, converged = _fixed_point(T, math.inf, Psi, max_iters, tol)
+    return -f, Psi, converged
+
+
+@lru_cache(maxsize=256)
+def _random_start(seed: int, i: int, d: int) -> np.ndarray:
+    """Random start i of `seed` in dimension d, drawn once while among the 256
+    most recent: one `characterize` stacks the same starts for every alpha and
+    the norm search. Read-only, since the cached row is shared; the cache is
+    kept small because every row it holds adds to peak memory."""
+    row = haar_state_vector(split_seed(seed, i), d)
+    row.flags.writeable = False
+    return row
 
 
 def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
@@ -286,7 +330,7 @@ def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
             raise DimMismatch(f"warm start length {len(wv)} != channel input dim {d}")
     first = len(cfg.warm_starts)
     rows = [np.asarray(wv, dtype=complex) / np.linalg.norm(wv) for wv in cfg.warm_starts]
-    rows += [haar_state_vector(split_seed(cfg.seed, i), d) for i in range(first, first + cfg.starts)]
+    rows += [_random_start(cfg.seed, i, d) for i in range(first, first + cfg.starts)]
     if not rows:
         raise SpecInvalid(f"no optimizer start to run (starts = {cfg.starts}, no warm starts)")
     return np.array(rows)
