@@ -132,13 +132,15 @@ class QuantumChannel:
         """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
         return _kraus_sum(self._kcol_dag, X, self._kcol)
 
-    def pure_outputs(self, Psi: np.ndarray, adjoint: bool = False):
+    def pure_outputs(self, Psi: np.ndarray, adjoint: bool = False, rank: int = 1):
         """The one pure-input kernel. For the rows psi_i of a (c, d_in) Psi:
         the Kraus images Z_i = [A_1 psi_i, ..., A_k psi_i] as a (c, k, d_out)
         stack, and the outputs T(psi_i psi_i+) = Z_i^T conj(Z_i). With
-        `adjoint`, the same for T+ (Kraus operators A_k+) on a (c, d_out) Psi."""
+        `adjoint`, the same for T+ (Kraus operators A_k+) on a (c, d_out) Psi.
+        With `rank` r, each run of r rows is one input sum_i psi_i psi_i+, and
+        its images stack to one (r k, d) member."""
         kcol, d = (self._kcol_dag, self.dim_in) if adjoint else (self._kcol, self.dim_out)
-        Z = (Psi @ kcol.T).reshape(len(Psi), len(self.kraus), d)
+        Z = (Psi @ kcol.T).reshape(len(Psi) // rank, rank * len(self.kraus), d)
         return Z, Z.transpose(0, 2, 1) @ Z.conj()
 
     def kraus_adjoint(self, Y: np.ndarray) -> np.ndarray:

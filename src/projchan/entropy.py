@@ -13,8 +13,9 @@ sphere:
   * for 0 < alpha < 1, tr sigma^alpha is concave, so each start instead takes
     the majorize-minimize step psi <- bottom eigenvector of T+(W) with
     W = V diag((w + eps)^(alpha - 1)) V+ from its output sigma = V diag(w) V+;
-    the smoothing eps starts at 0.1 and shrinks 4-fold per iteration to 1e-30,
-    and each start keeps its best point (see README);
+    the smoothing eps starts at 0.1, shrinks 4-fold per iteration and drops
+    to 1e-30 once below 1e-14, and each start keeps its best point (see
+    README);
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
     evaluation serves every start still backtracking, by eigenvalues only;
@@ -23,10 +24,9 @@ sphere:
   * the alpha = infinity case (and the maximal output norm) is handled by the
     descent with the largest output eigenvalue as objective; when the top of
     the output spectrum is degenerate (gap < 1e-8) the gradient is replaced by
-    a monotone derivative-free polish, the same fixed point with the top
-    output eigenprojector as weight: psi <- top eigenvector of T+(v v+) for v
-    the top output eigenvector, which never decreases the norm;
-    `characterize` reads nu_inf off its norm search.
+    a monotone derivative-free polish, iterating psi <- top eigenvector of
+    T+(v v+) for v the top output eigenvector, which never decreases the norm
+    (also in lockstep); `characterize` reads nu_inf off its norm search.
 
 Estimates are one-sided: upper bounds for entropy minimization, lower bounds
 for norm maximization.
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +50,9 @@ EIG_FLOOR = 1e-18           # floor inside logs / negative powers
 DEGENERATE_GAP = 1e-8
 ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
 SMOOTHING_START = 0.1      # first eps of the alpha < 1 fixed point's weight (w + eps)^(alpha - 1)
-SMOOTHING_FLOOR = 1e-30    # eps shrinks 4-fold per iteration down to this
+SMOOTHING_JUMP = 1e-14     # eps shrinks 4-fold per iteration while above this,
+SMOOTHING_FLOOR = 1e-30    # then drops to this
+ADJOINT_BLOCK_ENTRIES = 1 << 20  # entries (16 MiB) of the largest T+ operand of the fixed point
 
 
 @dataclass
@@ -224,6 +225,13 @@ def _sphere_retract(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
+def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
+    """The largest eigenvalue and its eigenvector of T(psi psi+) (of T+(psi psi+)
+    when `adjoint`) for each row psi of Psi."""
+    w, V = np.linalg.eigh(T.pure_outputs(Psi, adjoint)[1])
+    return w[:, -1], V[:, :, -1]
+
+
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
     """Entropy minimization (alpha > 0) from every row of Psi0 at once: the
     fixed point below alpha = 1, Armijo descent from alpha = 1 on.
@@ -256,81 +264,109 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
     return f, Psi, converged
 
 
-def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
-    """Majorize-minimize fixed point from every unit row of Psi0, in lockstep:
-    minimizes S_alpha(T(psi psi+)) for 0 < alpha < 1, maximizes
-    lambda_max(T(psi psi+)) at alpha = inf.
+def _factored_adjoint(T: ch.QuantumChannel):
+    """The map U -> T+(U U+) on each member of a (c, d_out, r) stack U.
 
-    Below alpha = 1, tr sigma^alpha is concave in sigma, so its tangent at the
-    current output sigma = V diag(w) V+ bounds it from above, and the bound's
-    minimizer over pure inputs is the bottom eigenvector of T+(W),
-    W = V diag((w + eps)^(alpha - 1)) V+. The smoothing eps starts at
-    SMOOTHING_START and shrinks 4-fold per iteration down to SMOOTHING_FLOOR.
-    At alpha = inf the weight is the top output eigenprojector v v+ and the
-    step takes the top eigenvector of T+(v v+) (no smoothing); this never
-    lowers lambda_max. T+(W) is the sum of T+(u u+) over the rows
-    u = sqrt(weight_j) v_j. A row stops once eps is at the floor and a step
-    gains at most `tol`, and keeps the best point it visited. Returns per-row
-    (S_alpha, or -lambda_max at alpha = inf; best points; converged flags),
-    a flag False where the row was still gaining at the iteration cap.
+    It is one product with the reshuffled Choi matrix where that matrix has
+    no more entries than the Kraus stack or ADJOINT_BLOCK_ENTRIES. Otherwise
+    it is T+ on the columns of U as one input of rank r (`pure_outputs` with
+    `rank`), a block of members at a time, so that a call holds at most
+    ADJOINT_BLOCK_ENTRIES Kraus-image entries.
     """
-    top = math.isinf(alpha)
+    d_out, d_in, k = T.dim_out, T.dim_in, len(T.kraus)
+    if (d_out * d_in) ** 2 <= max(k * d_out * d_in, ADJOINT_BLOCK_ENTRIES):
+        # T+(W)[a, b] = d_in sum_ij W[i, j] conj(choi[(i, a), (j, b)])
+        M = (d_in * T.choi.conj()).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+        M = M.reshape(d_out * d_out, d_in * d_in)
+        return lambda U: ((U @ U.conj().transpose(0, 2, 1)).reshape(len(U), -1) @ M).reshape(-1, d_in, d_in)
+
+    def blocked(U):
+        c, _, r = U.shape
+        block = max(1, ADJOINT_BLOCK_ENTRIES // (r * k * d_in))
+        rows = U.transpose(0, 2, 1).reshape(c * r, d_out)
+        return np.concatenate([T.pure_outputs(rows[i:i + block * r], adjoint=True, rank=r)[1]
+                               for i in range(0, c * r, block * r)])
+    return blocked
+
+
+def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
+    """Majorize-minimize fixed point for S_alpha(T(psi psi+)), 0 < alpha < 1,
+    from every unit row of Psi0, in lockstep.
+
+    tr sigma^alpha is concave in sigma, so its tangent at the current output
+    sigma = V diag(w) V+ bounds it from above, and the bound's minimizer over
+    pure inputs is the bottom eigenvector of T+(W), W = V diag(p) V+ with
+    p = (w + eps)^(alpha - 1). The smoothing eps starts at SMOOTHING_START,
+    shrinks 4-fold per iteration and, once below SMOOTHING_JUMP, drops to
+    SMOOTHING_FLOOR. A row stops once eps is at the floor and a step gains at
+    most `tol`, and keeps the best point it visited. Returns per-row
+    (S_alpha, best points, converged flags), a flag False where the row was
+    still gaining at the iteration cap.
+    """
+    adjoint = _factored_adjoint(T)
 
     def outputs(Psi):
         w, V = np.linalg.eigh(T.pure_outputs(Psi)[1])
-        return (-w[:, -1] if top else _entropy_from_eigs(w, alpha)), w, V
+        return _entropy_from_eigs(w, alpha), w, V
 
     f, w, V = outputs(Psi0)
     f_best, Psi_best = f.copy(), np.array(Psi0)
     live = np.arange(len(f))
-    eps = SMOOTHING_FLOOR if top else SMOOTHING_START
+    eps = SMOOTHING_START
     for _ in range(max_iters):
         if not len(live):
             break
-        if top:
-            U = V[:, :, -1:]
-        else:
-            U = V * ((np.clip(w, 0.0, None) + eps) ** (0.5 * (alpha - 1.0)))[:, None, :]
-        rows = U.transpose(0, 2, 1).reshape(-1, T.dim_out)
-        H = T.pure_outputs(rows, adjoint=True)[1].reshape(len(live), -1, T.dim_in, T.dim_in).sum(axis=1)
-        Psi = np.linalg.eigh(H)[1][:, :, -1 if top else 0]
+        H = adjoint(V * ((np.clip(w, 0.0, None) + eps) ** (0.5 * (alpha - 1.0)))[:, None, :])
+        Psi = np.linalg.eigh(H)[1][:, :, 0]
         f2, w, V = outputs(Psi)
         better = f2 < f_best[live]
         f_best[live[better]], Psi_best[live[better]] = f2[better], Psi[better]
         keep = (f2 < f - tol) | (eps > SMOOTHING_FLOOR)
-        eps = max(eps / 4.0, SMOOTHING_FLOOR)
+        eps = eps / 4.0 if eps > SMOOTHING_JUMP else SMOOTHING_FLOOR
         live, f, w, V = live[keep], f2[keep], w[keep], V[keep]
     return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
 
 
 def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: float):
     """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from every unit
-    row psi of Psi, in lockstep: `_fixed_point` at alpha = inf. Returns
-    per-row (lambda_max, end points, converged flags)."""
-    f, Psi, converged = _fixed_point(T, math.inf, Psi, max_iters, tol)
-    return -f, Psi, converged
+    row psi of Psi, in lockstep.
+
+    psi <- top eigenvector of T+(v v+) with v the top output eigenvector. A
+    row stops once a step gains at most `tol`, keeping the better of its last
+    two points, so lambda_max never decreases. Returns per-row (lambda_max,
+    end points, converged flags), a flag False where the row was still
+    gaining at the iteration cap.
+    """
+    Psi = np.array(Psi)
+    lam, v = _top_vectors(T, Psi)
+    live = np.arange(len(Psi))
+    for _ in range(max_iters):
+        if not len(live):
+            break
+        Psi2 = _top_vectors(T, v, adjoint=True)[1]
+        lam2, v = _top_vectors(T, Psi2)
+        keep = lam2 > lam[live] + tol
+        gain = lam2 > lam[live]
+        lam[live[gain]], Psi[live[gain]] = lam2[gain], Psi2[gain]
+        live, v = live[keep], v[keep]
+    return lam, Psi, ~np.isin(np.arange(len(Psi)), live)
 
 
-@lru_cache(maxsize=256)
-def _random_start(seed: int, i: int, d: int) -> np.ndarray:
-    """Random start i of `seed` in dimension d, drawn once while among the 256
-    most recent: one `characterize` stacks the same starts for every alpha and
-    the norm search. Read-only, since the cached row is shared; the cache is
-    kept small because every row it holds adds to peak memory."""
-    row = haar_state_vector(split_seed(seed, i), d)
-    row.flags.writeable = False
-    return row
-
-
-def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
+def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarray:
     """The (starts, d) stack of unit start vectors: the warm starts, then the
-    seeded random starts."""
+    seeded random starts. `drawn` maps a start index to its random row, to
+    share rows between the stacks of one seed; rows missing from it are drawn
+    and added."""
     for wv in cfg.warm_starts:
         if len(wv) != d:
             raise DimMismatch(f"warm start length {len(wv)} != channel input dim {d}")
     first = len(cfg.warm_starts)
+    drawn = {} if drawn is None else drawn
+    for i in range(first, first + cfg.starts):
+        if i not in drawn:
+            drawn[i] = haar_state_vector(split_seed(cfg.seed, i), d)
     rows = [np.asarray(wv, dtype=complex) / np.linalg.norm(wv) for wv in cfg.warm_starts]
-    rows += [_random_start(cfg.seed, i, d) for i in range(first, first + cfg.starts)]
+    rows += [drawn[i] for i in range(first, first + cfg.starts)]
     if not rows:
         raise SpecInvalid(f"no optimizer start to run (starts = {cfg.starts}, no warm starts)")
     return np.array(rows)
@@ -352,15 +388,15 @@ def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, pic
     )
 
 
-def _rank_report(T: ch.QuantumChannel, cfg: OptConfig, surrogate: OptReport) -> OptReport:
-    """alpha = 0 from the alpha = 1/2 run `surrogate` over the same starts.
+def _rank_report(T: ch.QuantumChannel, Psi0: np.ndarray, cfg: OptConfig, surrogate: OptReport) -> OptReport:
+    """alpha = 0 from the alpha = 1/2 run `surrogate` from the starts Psi0.
 
     S_0 is piecewise constant, so the smooth alpha = 1/2 surrogate is
     descended instead (same minimizer set when nu is alpha-independent), and
     each start takes the lower rank entropy of its start and end points; both
     are upper bounds.
     """
-    Psi0, ends = _stack_starts(T.dim_in, cfg), surrogate.per_start_args
+    ends = surrogate.per_start_args
     f0 = _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi0)[1]), 0.0)
     f1 = _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(ends)[1]), 0.0)
     moved = f1 < f0
@@ -368,22 +404,27 @@ def _rank_report(T: ch.QuantumChannel, cfg: OptConfig, surrogate: OptReport) -> 
                    np.where(moved, surrogate.per_start_converged, True), pick_min=True)
 
 
-def min_output_entropy(T: ch.QuantumChannel, alpha: float, cfg: OptConfig | None = None) -> OptReport:
-    """Upper-bound estimate of the minimal output alpha-entropy over pure inputs."""
+def min_output_entropy(T: ch.QuantumChannel, alpha: float, cfg: OptConfig | None = None, *,
+                       Psi0: np.ndarray | None = None) -> OptReport:
+    """Upper-bound estimate of the minimal output alpha-entropy over pure
+    inputs. `Psi0`, when given, is the start stack of `cfg`, already drawn."""
     cfg = cfg or OptConfig()
     alpha = _normalize_alpha(alpha)
-    Psi0 = _stack_starts(T.dim_in, cfg)
+    Psi0 = _stack_starts(T.dim_in, cfg) if Psi0 is None else Psi0
     descended = 0.5 if alpha == 0.0 else alpha  # alpha = 0 reads the rank off the 1/2 run
     report = _report(cfg, *_descend_starts(T, descended, Psi0, cfg.max_iters, cfg.tol), pick_min=True)
-    return _rank_report(T, cfg, report) if alpha == 0.0 else report
+    return _rank_report(T, Psi0, cfg, report) if alpha == 0.0 else report
 
 
-def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None) -> OptReport:
+def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None, *,
+                    Psi0: np.ndarray | None = None) -> OptReport:
     """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs: the
     alpha = inf descent, then the fixed-point polish, from every start. A start
-    is converged when neither stopped at the iteration cap."""
+    is converged when neither stopped at the iteration cap. `Psi0`, when
+    given, is the start stack of `cfg`, already drawn."""
     cfg = cfg or OptConfig()
-    f, Psi, descended = _descend_starts(T, math.inf, _stack_starts(T.dim_in, cfg), cfg.max_iters, cfg.tol)
+    Psi0 = _stack_starts(T.dim_in, cfg) if Psi0 is None else Psi0
+    f, Psi, descended = _descend_starts(T, math.inf, Psi0, cfg.max_iters, cfg.tol)
     lam, Psi, polished = _norm_polish(T, Psi, cfg.max_iters, cfg.tol)
     return _report(cfg, np.maximum(lam, 2.0 ** (-f)), Psi, descended & polished, pick_min=False)
 
@@ -436,14 +477,17 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     if not alphas:
         raise BadAlpha("alpha grid must be nonempty")
     reuse = 0.0 in alphas and 0.5 in alphas
-    reports = {a: min_output_entropy(T, a, cfg) for a in alphas
+    drawn = {}  # random start rows by index, shared by every search below
+    Psi0 = _stack_starts(T.dim_in, cfg, drawn)
+    reports = {a: min_output_entropy(T, a, cfg, Psi0=Psi0) for a in alphas
                if not (reuse and a == 0.0) and not math.isinf(a)}
     if reuse:
-        reports[0.0] = _rank_report(T, cfg, reports[0.5])
+        reports[0.0] = _rank_report(T, Psi0, cfg, reports[0.5])
 
-    two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg)
+    two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg, Psi0=Psi0)
     witness_vec = two_report.per_start_args[two_report.best_start]
-    norm_report = max_output_norm(T, cfg.with_warm_starts([witness_vec]))
+    norm_cfg = cfg.with_warm_starts([witness_vec])
+    norm_report = max_output_norm(T, norm_cfg, Psi0=_stack_starts(T.dim_in, norm_cfg, drawn))
     argmax_state = norm_report.arg_state
     norm_value = norm_report.value
     nu = {a: reports[a].value if a in reports else -math.log2(max(norm_value, EIG_FLOOR)) for a in alphas}

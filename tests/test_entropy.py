@@ -215,9 +215,9 @@ def test_characterize_runs_each_alpha_once(wh3, monkeypatch, grid):
     calls = []
     original = entropy.min_output_entropy
 
-    def counting(T, alpha, cfg=None):
+    def counting(T, alpha, cfg=None, **kwargs):
         calls.append(alpha)
-        return original(T, alpha, cfg)
+        return original(T, alpha, cfg, **kwargs)
 
     monkeypatch.setattr(entropy, "min_output_entropy", counting)
     entropy.characterize(T, grid, entropy.OptConfig(starts=2))
@@ -455,16 +455,53 @@ def test_alpha_below_one_runs_no_armijo_descent(monkeypatch):
         assert abs(rep.value - 1.0) <= 1e-9, alpha
 
 
-def test_random_starts_are_drawn_once_and_not_shared(monkeypatch):
-    cfg = entropy.OptConfig(starts=6, seed=99)
-    fresh = np.array([haar_state_vector(split_seed(99, i), 5) for i in range(6)])
-    first = entropy._stack_starts(5, cfg)
-    assert np.array_equal(first, fresh)
-    first[:] = 0.0  # a caller's stack is its own to change
+def test_characterize_draws_each_random_start_once(wh3, monkeypatch):
+    # one stack serves every alpha and alpha = 0; the norm search's warm start
+    # shifts its random rows up by one index, so it draws only the last
+    T, _ = wh3
     draws = []
-    monkeypatch.setattr(entropy, "haar_state_vector", lambda *args: draws.append(args))
-    assert np.array_equal(entropy._stack_starts(5, cfg), fresh)
-    assert draws == []
+    draw = entropy.haar_state_vector
+    monkeypatch.setattr(entropy, "haar_state_vector", lambda rng, d: draws.append(d) or draw(rng, d))
+    entropy.characterize(T, [0.0, 0.5, 1.0, 2.0, math.inf], entropy.OptConfig(starts=6))
+    assert draws == [3] * 7
+
+
+def test_shared_start_rows_match_fresh_draws_and_are_not_shared():
+    cfg = entropy.OptConfig(starts=6, seed=99)
+    fresh = np.array([haar_state_vector(split_seed(99, i), 5) for i in range(7)])
+    drawn = {}
+    first = entropy._stack_starts(5, cfg, drawn)
+    assert np.array_equal(first, fresh[:6])
+    first[:] = 0.0  # a caller's stack is its own to change
+    warm = entropy._stack_starts(5, cfg.with_warm_starts([fresh[0]]), drawn)
+    assert np.array_equal(warm[1:], fresh[1:])
+    assert np.array_equal(entropy._stack_starts(5, cfg, drawn), fresh[:6])
+
+
+@pytest.mark.parametrize("budget, calls", [(entropy.ADJOINT_BLOCK_ENTRIES, 0), (24, 3), (1, 5)])
+def test_factored_adjoint_matches_the_kraus_sum(monkeypatch, budget, calls):
+    # T+(U U+) on 5 members for a complex 3 -> 2 channel with 2 Kraus
+    # operators: by its 36-entry Choi matrix (default budget), or by Kraus
+    # images, 12 entries per member: two members per call with a short last
+    # block (24 entries) or one member per call (1 entry)
+    _, T, rng = _random_channel(3, 2, 2, seed=5)
+    monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", budget)
+    seen = []
+    kernel = T.pure_outputs
+    monkeypatch.setattr(T, "pure_outputs", lambda *args, **kwargs: seen.append(1) or kernel(*args, **kwargs))
+    U = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    expected = np.array([T.apply_adjoint_raw(u @ u.conj().T) for u in U])
+    assert np.abs(entropy._factored_adjoint(T)(U) - expected).max() <= 1e-12
+    assert len(seen) == calls
+
+
+def test_fixed_point_values_do_not_depend_on_the_adjoint_path(monkeypatch):
+    T, _ = zoo.build(zoo.parse_spec("wh:d=3"))
+    cfg = entropy.OptConfig(starts=8, seed=4242)
+    by_choi = entropy.min_output_entropy(T, 0.5, cfg).per_start_values
+    monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", 80)
+    by_kraus = entropy.min_output_entropy(T, 0.5, cfg).per_start_values
+    assert np.abs(np.array(by_choi) - by_kraus).max() <= 1e-12
 
 
 def _depolarized(T, eps):
