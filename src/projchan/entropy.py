@@ -41,6 +41,7 @@ import numpy as np
 
 from . import channels as ch
 from .errors import BadAlpha, DimMismatch, NotProjectiveClass, SpecInvalid
+from .linalg import DIM_CAP
 from .sampling import haar_state_vector, split_seed
 
 LN2 = math.log(2.0)
@@ -52,7 +53,7 @@ ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
 SMOOTHING_START = 0.1      # first eps of the alpha < 1 fixed point's weight (w + eps)^(alpha - 1)
 SMOOTHING_JUMP = 1e-14     # eps shrinks 4-fold per iteration while above this,
 SMOOTHING_FLOOR = 1e-30    # then drops to this
-ADJOINT_BLOCK_ENTRIES = 1 << 20  # entries (16 MiB) of the largest T+ operand of the fixed point
+ADJOINT_BLOCK_ENTRIES = 1 << 20  # most Kraus-image entries (16 MiB) per T+ call of the fixed point
 
 
 @dataclass
@@ -267,16 +268,19 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
 def _factored_adjoint(T: ch.QuantumChannel):
     """The map U -> T+(U U+) on each member of a (c, d_out, r) stack U.
 
-    It is one product with the reshuffled Choi matrix where that matrix has
-    no more entries than the Kraus stack or ADJOINT_BLOCK_ENTRIES. Otherwise
-    it is T+ on the columns of U as one input of rank r (`pure_outputs` with
-    `rank`), a block of members at a time, so that a call holds at most
-    ADJOINT_BLOCK_ENTRIES Kraus-image entries.
+    It is one product with the reshuffled Choi matrix where that takes fewer
+    multiplications than the Kraus images (d_out d_in <= k (d_in + 1)) and
+    the matrix has at most DIM_CAP**2 entries, the cap on a Kraus stack.
+    Otherwise it is T+ on the columns of U as one input of rank r
+    (`pure_outputs` with `rank`), a block of members at a time, so that a
+    call holds at most ADJOINT_BLOCK_ENTRIES Kraus-image entries.
     """
     d_out, d_in, k = T.dim_out, T.dim_in, len(T.kraus)
-    if (d_out * d_in) ** 2 <= max(k * d_out * d_in, ADJOINT_BLOCK_ENTRIES):
+    if d_out * d_in <= min(k * (d_in + 1), DIM_CAP):
         # T+(W)[a, b] = d_in sum_ij W[i, j] conj(choi[(i, a), (j, b)])
-        M = (d_in * T.choi.conj()).reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+        M = np.empty((d_out, d_out, d_in, d_in), dtype=complex)
+        np.conjugate(T.choi.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3), out=M)
+        M *= d_in
         M = M.reshape(d_out * d_out, d_in * d_in)
         return lambda U: ((U @ U.conj().transpose(0, 2, 1)).reshape(len(U), -1) @ M).reshape(-1, d_in, d_in)
 

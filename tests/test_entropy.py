@@ -478,28 +478,31 @@ def test_shared_start_rows_match_fresh_draws_and_are_not_shared():
     assert np.array_equal(entropy._stack_starts(5, cfg, drawn), fresh[:6])
 
 
-@pytest.mark.parametrize("budget, calls", [(entropy.ADJOINT_BLOCK_ENTRIES, 0), (24, 3), (1, 5)])
-def test_factored_adjoint_matches_the_kraus_sum(monkeypatch, budget, calls):
-    # T+(U U+) on 5 members for a complex 3 -> 2 channel with 2 Kraus
-    # operators: by its 36-entry Choi matrix (default budget), or by Kraus
-    # images, 12 entries per member: two members per call with a short last
-    # block (24 entries) or one member per call (1 entry)
-    _, T, rng = _random_channel(3, 2, 2, seed=5)
+@pytest.mark.parametrize("k, budget, calls", [(2, entropy.ADJOINT_BLOCK_ENTRIES, 0),
+                                               (1, entropy.ADJOINT_BLOCK_ENTRIES, 1), (1, 12, 3), (1, 1, 5)])
+def test_factored_adjoint_matches_the_kraus_sum(monkeypatch, k, budget, calls):
+    # T+(U U+) on 5 members for a complex 2 -> 3 channel. With 2 Kraus
+    # operators the Choi product is the cheaper; with 1 the Kraus images, 6
+    # entries per member: all in one call, two members per call with a short
+    # last block (12 entries) or one member per call (1 entry).
+    _, T, rng = _random_channel(2, 3, k, seed=5)
     monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", budget)
     seen = []
     kernel = T.pure_outputs
     monkeypatch.setattr(T, "pure_outputs", lambda *args, **kwargs: seen.append(1) or kernel(*args, **kwargs))
-    U = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    U = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     expected = np.array([T.apply_adjoint_raw(u @ u.conj().T) for u in U])
     assert np.abs(entropy._factored_adjoint(T)(U) - expected).max() <= 1e-12
     assert len(seen) == calls
 
 
 def test_fixed_point_values_do_not_depend_on_the_adjoint_path(monkeypatch):
+    # a Choi-size cap of 1 sends T+(W) through the Kraus images
     T, _ = zoo.build(zoo.parse_spec("wh:d=3"))
     cfg = entropy.OptConfig(starts=8, seed=4242)
     by_choi = entropy.min_output_entropy(T, 0.5, cfg).per_start_values
-    monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", 80)
+    monkeypatch.setattr(entropy, "DIM_CAP", 1)
+    monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", 60)
     by_kraus = entropy.min_output_entropy(T, 0.5, cfg).per_start_values
     assert np.abs(np.array(by_choi) - by_kraus).max() <= 1e-12
 
