@@ -70,10 +70,23 @@ def check_states(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     if not np.isfinite(stack).all():
         raise ValidationError("state has a non-finite entry")
-    adj = stack.conj().swapaxes(-1, -2)
-    if linalg.herm_norm_inf(stack - adj) > STATE_TOL:
+    # One stack-sized buffer takes stack+ twice: first stack - stack+, whose
+    # squared moduli (squared real and imaginary parts, summed into the real
+    # slots) give the Hermiticity residual, then (stack + stack+) / 2.
+    buf = np.empty(stack.shape, dtype=complex)
+    flipped = buf.swapaxes(-1, -2)
+    flipped[...] = stack
+    np.subtract(stack, np.conjugate(buf, out=buf), out=buf)
+    parts = buf.view(float)
+    np.square(parts, out=parts)
+    sq = np.add(parts[..., ::2], parts[..., 1::2], out=parts[..., ::2])
+    if math.sqrt(sq.max(initial=0.0)) > STATE_TOL:
         raise ValidationError(f"state is not Hermitian within {STATE_TOL:.0e}")
-    w = linalg.clamp_state_eigenvalues(np.linalg.eigvalsh((stack + adj) / 2))
+    flipped[...] = stack
+    np.conjugate(buf, out=buf)
+    buf += stack
+    buf /= 2
+    w = linalg.clamp_state_eigenvalues(np.linalg.eigvalsh(buf))
     tr = np.trace(stack, axis1=-2, axis2=-1).real
     bad = np.abs(tr - 1.0) > STATE_TOL
     if bad.any():

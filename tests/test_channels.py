@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,38 @@ def test_check_states_rejects_non_finite_entries(bad, entry):
         ch.DensityMatrix(3, mat)
     with pytest.raises(ValidationError):
         ch.check_states(np.stack([np.eye(3) / 3, mat]))
+
+
+@pytest.mark.parametrize("part, hermitian", [(0.6e-10, True), (0.8e-10, False)])
+def test_check_states_judges_hermiticity_by_the_entry_modulus(part, hermitian):
+    # an off-diagonal defect of part (1 + i) has modulus 1.41 part, above the
+    # 1e-10 tolerance at 0.8e-10 though each of its parts is below it
+    mat = np.eye(3, dtype=complex) / 3
+    mat[0, 1] = part * (1 + 1j)
+    stack = np.stack([np.eye(3) / 3, mat])
+    if hermitian:
+        ch.check_states(stack)
+    else:
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            ch.check_states(stack)
+
+
+def test_check_states_holds_one_stack_sized_buffer():
+    # a two-trial chi group of 9 x 9 outputs; three stack-sized temporaries
+    # once took the peak to 3x the stack
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((163, 9, 9)) + 1j * rng.standard_normal((163, 9, 9))
+    stack = G @ G.conj().transpose(0, 2, 1)
+    stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    want = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+    tracemalloc.start()
+    try:
+        w = ch.check_states(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stack.nbytes
+    assert np.array_equal(w, np.where(want < 0.0, 0.0, want))
 
 
 def test_check_states_returns_clamped_eigenvalues():

@@ -176,13 +176,15 @@ def test_constant_family_estimate_consistency(wh3):
 
 def test_converged_is_the_best_starts_flag():
     # |+> maximizes the dephasing output entropy, so warm start 0 is stationary
-    # and stops at once; the random starts go lower but hit the iteration cap
+    # for the descent and stops at once; the random starts go lower but hit the
+    # iteration cap. At alpha = 1 the fixed point jumps from |+> to |0> in one
+    # step, so the descent is tested at alpha = 2.
     T, _ = zoo.build(zoo.dephasing(2))
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     cfg = entropy.OptConfig(starts=2, max_iters=1).with_warm_starts([plus])
-    rep = entropy.min_output_entropy(T, 1.0, cfg)
+    rep = entropy.min_output_entropy(T, 2.0, cfg)
     assert abs(rep.per_start_values[0] - 1.0) < 1e-12
-    assert entropy._descend_starts(T, 1.0, plus[None], cfg.max_iters, cfg.tol)[2][0]
+    assert entropy._descend_starts(T, 2.0, plus[None], cfg.max_iters, cfg.tol)[2][0]
     assert rep.best_start != 0
     assert not rep.converged
 
@@ -254,7 +256,7 @@ def test_entropy_search_takes_eigenvectors_at_accepted_points_only(monkeypatch):
     monkeypatch.setattr(entropy, "_armijo_descent", recording_descent)
     monkeypatch.setattr(np.linalg, "eigh", recording(eigh_inputs, eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(trial_rows, eigvalsh))
-    entropy.min_output_entropy(T, 1.0, entropy.OptConfig(starts=8, seed=7))
+    entropy.min_output_entropy(T, 2.0, entropy.OptConfig(starts=8, seed=7))
     rows, seen = np.concatenate(grad_rows), np.concatenate(eigh_inputs)
     assert len(seen) == len(rows)
     assert np.abs(seen - T.apply_pure(rows)).max() <= 1e-14
@@ -325,17 +327,18 @@ def test_per_start_values_match_single_start_reference(spec):
 
 
 def test_lockstep_starts_match_starts_run_alone():
-    # warm start |+> is stationary and stops at once; the random starts are
-    # still improving when they hit the cap. Each start of the batch gives
-    # what it gives alone.
+    # warm start |+> is stationary for the alpha = 2 descent and stops at
+    # once; the random starts are still improving when they hit the cap
+    # (one of them converges on its fourth iteration). Each start of the
+    # batch gives what it gives alone.
     T, _ = zoo.build(zoo.dephasing(2))
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    cfg = entropy.OptConfig(starts=3, max_iters=4).with_warm_starts([plus])
+    plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    cfg = entropy.OptConfig(starts=3, max_iters=3).with_warm_starts([plus])
     Psi0 = entropy._stack_starts(2, cfg)
-    f, _, conv = entropy._descend_starts(T, 1.0, Psi0, cfg.max_iters, cfg.tol)
+    f, _, conv = entropy._descend_starts(T, 2.0, Psi0, cfg.max_iters, cfg.tol)
     assert list(conv) == [True, False, False, False]
     for i in range(len(Psi0)):
-        f1, _, conv1 = entropy._descend_starts(T, 1.0, Psi0[i:i + 1], cfg.max_iters, cfg.tol)
+        f1, _, conv1 = entropy._descend_starts(T, 2.0, Psi0[i:i + 1], cfg.max_iters, cfg.tol)
         assert abs(f1[0] - f[i]) <= 1e-12
         assert conv1[0] == conv[i]
 
@@ -382,9 +385,10 @@ def test_wrong_length_warm_start_is_a_dim_mismatch(wh3, lengths):
 
 @pytest.mark.parametrize("spec", ["weyl:d=3", "pinch:d=3,blocks=2+1", "casimir-reducible", "coarse:n=2,D=2"])
 def test_barzilai_borwein_steps_cut_the_iterations(spec, monkeypatch):
-    # the doubled step took 48-50 lockstep iterations (grad calls) at
-    # alpha = 1 and 20-21 at alpha = 2 here; Barzilai-Borwein steps take
-    # 13-14 and 6-9, and the minima stay at nu = 1
+    # the doubled step took 20-21 lockstep iterations (grad calls) at
+    # alpha = 2 here; Barzilai-Borwein steps take 6-9, and the minima stay at
+    # nu = 1. alpha = 1 runs the fixed point, see
+    # test_von_neumann_fixed_point_stops_within_three_iterations
     T, _ = zoo.build(zoo.parse_spec(spec))
     counts, descent = [], entropy._armijo_descent
 
@@ -398,10 +402,9 @@ def test_barzilai_borwein_steps_cut_the_iterations(spec, monkeypatch):
 
     monkeypatch.setattr(entropy, "_armijo_descent", counting_descent)
     cfg = entropy.OptConfig(starts=64, seed=4242)
-    for alpha, most in ((1.0, 25), (2.0, 12)):
-        rep = entropy.min_output_entropy(T, alpha, cfg)
-        assert counts[-1] <= most
-        assert abs(rep.value - 1.0) <= 1e-12 and rep.per_start_converged.all()
+    rep = entropy.min_output_entropy(T, 2.0, cfg)
+    assert counts[-1] <= 12
+    assert abs(rep.value - 1.0) <= 1e-12 and rep.per_start_converged.all()
 
 
 def _wh_pair():
@@ -444,15 +447,50 @@ def test_fixed_point_on_the_product_settles_at_nu(alpha, starts, seed):
 
 
 def test_alpha_below_one_runs_no_armijo_descent(monkeypatch):
+    # nor at alpha = 1, which the fixed point serves too
     T, _ = zoo.build(zoo.WeylShift(3))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("Armijo descent below alpha = 1")
+        raise AssertionError("Armijo descent at alpha <= 1")
 
     monkeypatch.setattr(entropy, "_armijo_descent", refuse)
-    for alpha in (0.0, 0.25, 0.5, 0.75):
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0, 1.0 + 5e-7):
         rep = entropy.min_output_entropy(T, alpha, entropy.OptConfig(starts=4))
         assert abs(rep.value - 1.0) <= 1e-9, alpha
+
+
+@pytest.mark.parametrize("spec", ["wh:d=3", "weyl:d=3", "pinch:d=3,blocks=2+1", "casimir-reducible",
+                                  "coarse:n=2,D=2"])
+def test_von_neumann_fixed_point_stops_within_three_iterations(spec, monkeypatch):
+    # the five class channels of the characterization criterion: every start
+    # is at nu = 1 after its first step (on wh:d=3 every pure input is),
+    # stalls on its next, which drops its smoothing to the floor, and stops on
+    # the one after; the smoothing schedule alone took 24 and the Armijo/BB
+    # descent 13-14
+    T, _ = zoo.build(zoo.parse_spec(spec))
+    counts, factored = [], entropy._factored_adjoint
+
+    def counting(T):
+        adjoint = factored(T)
+        return lambda U: counts.append(1) or adjoint(U)
+
+    monkeypatch.setattr(entropy, "_factored_adjoint", counting)
+    rep = entropy.min_output_entropy(T, 1.0, entropy.OptConfig(starts=64, seed=4242))
+    assert len(counts) <= 3
+    assert rep.per_start_converged.all()
+    assert np.abs(np.array(rep.per_start_values) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [4242, 7])
+def test_von_neumann_fixed_point_on_the_product_reaches_nu_from_every_start(seed):
+    # 19 lockstep iterations at both seeds
+    TT = _wh_pair()
+    cfg = entropy.OptConfig(starts=256, seed=seed)
+    rep = entropy.min_output_entropy(TT, 1.0, cfg)
+    values = np.array(rep.per_start_values)
+    assert rep.per_start_converged.all()
+    assert np.abs(values - 2.0).max() <= 1e-12
+    assert (values <= _start_values(TT, 1.0, cfg) + 1e-12).all()
 
 
 def test_characterize_draws_each_random_start_once(wh3, monkeypatch):
