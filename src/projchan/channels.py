@@ -70,23 +70,21 @@ def check_states(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     if not np.isfinite(stack).all():
         raise ValidationError("state has a non-finite entry")
-    # One stack-sized buffer takes stack+ twice: first stack - stack+, whose
-    # squared moduli (squared real and imaginary parts, summed into the real
-    # slots) give the Hermiticity residual, then (stack + stack+) / 2.
+    # stack+ fills one stack-sized buffer twice, by a transposed copy and an
+    # in-place conjugate: conjugating the transposed view straight into the
+    # buffer takes a 128 KiB ufunc buffer, and np.abs of the difference a
+    # half-stack temporary, so the squared moduli are summed in its float view.
     buf = np.empty(stack.shape, dtype=complex)
     flipped = buf.swapaxes(-1, -2)
     flipped[...] = stack
-    np.subtract(stack, np.conjugate(buf, out=buf), out=buf)
-    parts = buf.view(float)
-    np.square(parts, out=parts)
-    sq = np.add(parts[..., ::2], parts[..., 1::2], out=parts[..., ::2])
-    if math.sqrt(sq.max(initial=0.0)) > STATE_TOL:
+    sq = np.subtract(stack, np.conjugate(buf, out=buf), out=buf).view(float)
+    np.square(sq, out=sq)
+    if math.sqrt(np.add(sq[..., ::2], sq[..., 1::2], out=sq[..., ::2]).max(initial=0.0)) > STATE_TOL:
         raise ValidationError(f"state is not Hermitian within {STATE_TOL:.0e}")
     flipped[...] = stack
-    np.conjugate(buf, out=buf)
-    buf += stack
-    buf /= 2
-    w = linalg.clamp_state_eigenvalues(np.linalg.eigvalsh(buf))
+    herm = np.add(stack, np.conjugate(buf, out=buf), out=buf)
+    herm /= 2
+    w = linalg.clamp_state_eigenvalues(np.linalg.eigvalsh(herm))
     tr = np.trace(stack, axis1=-2, axis2=-1).real
     bad = np.abs(tr - 1.0) > STATE_TOL
     if bad.any():

@@ -6,7 +6,7 @@ sphere:
   * each start draws a complex-Gaussian unit vector from a per-start generator
     split off the master seed, so the reduction over starts is order
     independent (min value, ties to the lowest start index);
-  * for alpha > 1, steps follow the Wirtinger gradient of S_alpha(T(psi psi+))
+  * for alpha >= 1, steps follow the Wirtinger gradient of S_alpha(T(psi psi+))
     projected onto the sphere tangent, with Armijo backtracking from each
     start's Barzilai-Borwein step, stopping once the improvement drops below
     `tol` or the iteration cap is hit;
@@ -17,6 +17,11 @@ sphere:
     at alpha = 1; the smoothing eps starts at 0.1, shrinks 4-fold per
     iteration and drops to 1e-30 once below 1e-14 (at alpha = 1 also once a
     step stalls), and each start keeps its best point (see README);
+  * at alpha = 1 the fixed point takes only three steps, which settle every
+    start on the class channels of the characterization criterion, and the
+    descent continues from the best point of each start still gaining:
+    outside the class the fixed point converges linearly and far more slowly
+    than the descent;
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
     evaluation serves every start still backtracking, by eigenvalues only;
@@ -54,6 +59,7 @@ ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
 SMOOTHING_START = 0.1      # first eps of the fixed point's smoothed weight p
 SMOOTHING_JUMP = 1e-14     # eps shrinks 4-fold per iteration while above this,
 SMOOTHING_FLOOR = 1e-30    # then drops to this
+VON_NEUMANN_FIXED_POINT_ITERS = 3  # fixed-point steps at alpha = 1 before the descent takes the rest
 ADJOINT_BLOCK_ENTRIES = 1 << 20  # most Kraus-image entries (16 MiB) per T+ call of the fixed point
 
 
@@ -124,7 +130,7 @@ def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
 def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
     """dS_alpha/dsigma on each output eigendecomposition of a (c, d) / (c, d, d)
     stack, and a (c,) mask of the outputs where the objective is locally flat
-    and nondifferentiable (degenerate top for alpha = inf). alpha > 1."""
+    and nondifferentiable (degenerate top for alpha = inf). alpha >= 1."""
     w = np.clip(w, 0.0, None)
     flat = np.zeros(len(w), dtype=bool)
     if math.isinf(alpha):
@@ -133,8 +139,11 @@ def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
         v = V[:, :, -1:]
         scale = -1.0 / (np.maximum(w[:, -1], EIG_FLOOR) * LN2)
         return scale[:, None, None] * (v @ v.conj().transpose(0, 2, 1)), flat
-    t = np.sum(w ** alpha, axis=1)
-    dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * w ** (alpha - 1.0)
+    if alpha == 1.0:
+        dw = -(np.log2(np.clip(w, EIG_FLOOR, None)) + 1.0 / LN2)
+    else:
+        t = np.sum(w ** alpha, axis=1)
+        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * w ** (alpha - 1.0)
     return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1), flat
 
 
@@ -233,9 +242,11 @@ def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
 
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
     """Entropy minimization (alpha > 0) from every row of Psi0 at once: the
-    fixed point up to alpha = 1, Armijo descent above it.
+    fixed point below alpha = 1, Armijo descent from alpha = 1 on. At alpha = 1
+    the fixed point takes VON_NEUMANN_FIXED_POINT_ITERS steps first, and the
+    descent continues from the best point of each row it left unsettled.
     Returns per-start (values, end points, converged flags)."""
-    if alpha <= 1.0:
+    if alpha < 1.0:
         return _fixed_point(T, alpha, Psi0, max_iters, tol)
 
     def value(Psi):
@@ -248,6 +259,15 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
         g = 2.0 * T.kraus_adjoint(Z @ G.conj())
         return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
 
+    if alpha == 1.0:
+        lead = min(max_iters, VON_NEUMANN_FIXED_POINT_ITERS)
+        f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
+        rest = np.flatnonzero(~converged)
+        if len(rest) and max_iters > lead:
+            f[rest], Psi[rest], reasons = _armijo_descent(value, grad, _sphere_retract, Psi[rest],
+                                                          max_iters - lead, tol, ENTROPY_STEP_CAP, bb=True)
+            converged[rest] = reasons != "max_iters"
+        return f, Psi, converged
     f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
                                       ENTROPY_STEP_CAP, bb=True)
     converged = reasons != "max_iters"

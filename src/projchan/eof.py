@@ -7,7 +7,7 @@ isometry W, so the search runs the entropy module's lockstep Armijo descent
 on the Stiefel manifold (QR retraction), every start as one (starts, k, r)
 stack, with the same seeding and best-start contract. It descends the
 Riemannian gradient G - W herm(W+ G) of the embedded metric Re tr(A+ B),
-with Barzilai-Borwein trial steps, as the sphere searches do above alpha = 1.
+with Barzilai-Borwein trial steps, as the sphere searches do at alpha >= 1.
 The average entanglement entropy of the induced ensemble is an upper bound
 on E_F for every W.
 """

@@ -328,15 +328,15 @@ def test_per_start_values_match_single_start_reference(spec):
 
 def test_lockstep_starts_match_starts_run_alone():
     # warm start |+> is stationary for the alpha = 2 descent and stops at
-    # once; the random starts are still improving when they hit the cap
-    # (one of them converges on its fourth iteration). Each start of the
+    # once; of the random starts one converges on its fourth iteration and
+    # the others are still improving when they hit the cap. Each start of the
     # batch gives what it gives alone.
     T, _ = zoo.build(zoo.dephasing(2))
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    cfg = entropy.OptConfig(starts=3, max_iters=3).with_warm_starts([plus])
+    cfg = entropy.OptConfig(starts=3, max_iters=4).with_warm_starts([plus])
     Psi0 = entropy._stack_starts(2, cfg)
     f, _, conv = entropy._descend_starts(T, 2.0, Psi0, cfg.max_iters, cfg.tol)
-    assert list(conv) == [True, False, False, False]
+    assert list(conv) == [True, False, True, False]
     for i in range(len(Psi0)):
         f1, _, conv1 = entropy._descend_starts(T, 2.0, Psi0[i:i + 1], cfg.max_iters, cfg.tol)
         assert abs(f1[0] - f[i]) <= 1e-12
@@ -447,7 +447,8 @@ def test_fixed_point_on_the_product_settles_at_nu(alpha, starts, seed):
 
 
 def test_alpha_below_one_runs_no_armijo_descent(monkeypatch):
-    # nor at alpha = 1, which the fixed point serves too
+    # nor at alpha = 1 on this class channel, where every start settles within
+    # the fixed point's first steps
     T, _ = zoo.build(zoo.WeylShift(3))
 
     def refuse(*args, **kwargs):
@@ -465,8 +466,8 @@ def test_von_neumann_fixed_point_stops_within_three_iterations(spec, monkeypatch
     # the five class channels of the characterization criterion: every start
     # is at nu = 1 after its first step (on wh:d=3 every pure input is),
     # stalls on its next, which drops its smoothing to the floor, and stops on
-    # the one after; the smoothing schedule alone took 24 and the Armijo/BB
-    # descent 13-14
+    # the one after, so none is left to the descent; the smoothing schedule
+    # alone took 24 and the Armijo/BB descent 13-14
     T, _ = zoo.build(zoo.parse_spec(spec))
     counts, factored = [], entropy._factored_adjoint
 
@@ -474,7 +475,11 @@ def test_von_neumann_fixed_point_stops_within_three_iterations(spec, monkeypatch
         adjoint = factored(T)
         return lambda U: counts.append(1) or adjoint(U)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a start left to the Armijo descent")
+
     monkeypatch.setattr(entropy, "_factored_adjoint", counting)
+    monkeypatch.setattr(entropy, "_armijo_descent", refuse)
     rep = entropy.min_output_entropy(T, 1.0, entropy.OptConfig(starts=64, seed=4242))
     assert len(counts) <= 3
     assert rep.per_start_converged.all()
@@ -482,8 +487,9 @@ def test_von_neumann_fixed_point_stops_within_three_iterations(spec, monkeypatch
 
 
 @pytest.mark.parametrize("seed", [4242, 7])
-def test_von_neumann_fixed_point_on_the_product_reaches_nu_from_every_start(seed):
-    # 19 lockstep iterations at both seeds
+def test_von_neumann_search_on_the_product_reaches_nu_from_every_start(seed):
+    # every start is left to the descent after the fixed point's three steps,
+    # which takes 11 more lockstep iterations at both seeds
     TT = _wh_pair()
     cfg = entropy.OptConfig(starts=256, seed=seed)
     rep = entropy.min_output_entropy(TT, 1.0, cfg)
@@ -491,6 +497,22 @@ def test_von_neumann_fixed_point_on_the_product_reaches_nu_from_every_start(seed
     assert rep.per_start_converged.all()
     assert np.abs(values - 2.0).max() <= 1e-12
     assert (values <= _start_values(TT, 1.0, cfg) + 1e-12).all()
+
+
+@pytest.mark.parametrize("which, descent_best", [("casimir:d=4", 0.9709505944632515),
+                                                 ("random", 6.532928800591002e-15)])
+def test_von_neumann_search_off_the_class_converges_from_every_start(which, descent_best):
+    # Outside the class the fixed point converges slowly: alone it left 17%
+    # of these random-channel starts at the 2000-iteration cap, up to 9e-4
+    # above the minimum, and took 703 lockstep iterations on casimir:d=4. The
+    # descent takes over every start it leaves unsettled, and ends no higher
+    # than the Armijo/BB descent alone did from these starts (descent_best).
+    T = _random_channel(3, 3, 2, 0)[1] if which == "random" else zoo.build(zoo.parse_spec(which))[0]
+    cfg = entropy.OptConfig(starts=64, seed=4242)
+    rep = entropy.min_output_entropy(T, 1.0, cfg)
+    assert rep.per_start_converged.all()
+    assert rep.value <= descent_best + 1e-12
+    assert (np.array(rep.per_start_values) <= _start_values(T, 1.0, cfg) + 1e-12).all()
 
 
 def test_characterize_draws_each_random_start_once(wh3, monkeypatch):
