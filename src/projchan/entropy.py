@@ -6,22 +6,25 @@ sphere:
   * each start draws a complex-Gaussian unit vector from a per-start generator
     split off the master seed, so the reduction over starts is order
     independent (min value, ties to the lowest start index);
-  * for alpha >= 1, steps follow the Wirtinger gradient of S_alpha(T(psi psi+))
-    projected onto the sphere tangent, with Armijo backtracking from each
-    start's Barzilai-Borwein step, stopping once the improvement drops below
-    `tol` or the iteration cap is hit;
+  * for alpha > 1, and from where the fixed point below hands a start on,
+    steps follow the Wirtinger gradient of S_alpha(T(psi psi+)) projected onto
+    the sphere tangent, with Armijo backtracking from each start's
+    Barzilai-Borwein step, stopping once the improvement drops below `tol` or
+    the iteration cap is hit;
   * for 0 < alpha <= 1, tr sigma^alpha (and S_1) is concave, so each start
     instead takes the majorize-minimize step psi <- bottom eigenvector of
     T+(W) with W = V diag(p) V+ from its output sigma = V diag(w) V+,
     p = (w + eps)^(alpha - 1) below alpha = 1 and log((1 + eps) / (w + eps))
     at alpha = 1; the smoothing eps starts at 0.1, shrinks 4-fold per
-    iteration and drops to 1e-30 once below 1e-14 (at alpha = 1 also once a
-    step stalls), and each start keeps its best point (see README);
-  * at alpha = 1 the fixed point takes only three steps, which settle every
-    start on the class channels of the characterization criterion, and the
-    descent continues from the best point of each start still gaining:
-    outside the class the fixed point converges linearly and far more slowly
-    than the descent;
+    iteration and drops to 1e-30 once below 1e-14 or once a step stalls, and
+    each start keeps its best point (see README). Below alpha = 1, output
+    eigenvalues at or below 1e-14 count as 0, in the value and the gradient;
+  * the fixed point takes at most 48 steps below alpha = 1 and 3 at alpha = 1;
+    on the class channels of the characterization criterion every start
+    settles within 3. The descent continues from the best point of each start
+    still gaining or whose projected gradient norm exceeds 1e-4: outside the
+    class the fixed point can stall short of a minimum, or converge linearly
+    and far more slowly than the descent;
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
     evaluation serves every start still backtracking, by eigenvalues only;
@@ -53,13 +56,16 @@ from .sampling import haar_state_vector, split_seed
 LN2 = math.log(2.0)
 VON_NEUMANN_WINDOW = 1e-6   # |alpha - 1| below this is treated as alpha = 1
 RANK_CUTOFF = 1e-10         # alpha = 0 eigenvalue cutoff
+ROUNDING_CUTOFF = 1e-14     # below alpha = 1, output eigenvalues at or below this count as 0
 EIG_FLOOR = 1e-18           # floor inside logs / negative powers
 DEGENERATE_GAP = 1e-8
 ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
 SMOOTHING_START = 0.1      # first eps of the fixed point's smoothed weight p
 SMOOTHING_JUMP = 1e-14     # eps shrinks 4-fold per iteration while above this,
 SMOOTHING_FLOOR = 1e-30    # then drops to this
-VON_NEUMANN_FIXED_POINT_ITERS = 3  # fixed-point steps at alpha = 1 before the descent takes the rest
+FIXED_POINT_ITERS = 48     # fixed-point steps (twice the smoothing schedule) below alpha = 1
+VON_NEUMANN_FIXED_POINT_ITERS = 3  # and at alpha = 1, before the descent takes the rest
+STATIONARY_GRAD = 1e-4     # projected gradient norm above which a settled fixed-point start is descended
 ADJOINT_BLOCK_ENTRIES = 1 << 20  # most Kraus-image entries (16 MiB) per T+ call of the fixed point
 
 
@@ -115,9 +121,16 @@ def _normalize_alpha(alpha: float) -> float:
     return alpha
 
 
+def _clip_spectrum(w: np.ndarray, alpha: float) -> np.ndarray:
+    """Output eigenvalues clipped at 0. Below alpha = 1 those at or below
+    ROUNDING_CUTOFF count as 0 too: a roundoff eigenvalue near 1e-17 would
+    add about (1e-17)^alpha to tr sigma^alpha, 6e-5 at alpha = 1/4."""
+    return np.where(w > ROUNDING_CUTOFF, w, 0.0) if alpha < 1.0 else np.clip(w, 0.0, None)
+
+
 def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
     """S_alpha in bits of each spectrum along the last axis of w."""
-    w = np.clip(w, 0.0, None)
+    w = _clip_spectrum(w, alpha)
     if alpha == 1.0:
         return -np.sum(np.where(w > EIG_FLOOR, w * np.log2(np.maximum(w, EIG_FLOOR)), 0.0), axis=-1)
     if math.isinf(alpha):
@@ -130,8 +143,10 @@ def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
 def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
     """dS_alpha/dsigma on each output eigendecomposition of a (c, d) / (c, d, d)
     stack, and a (c,) mask of the outputs where the objective is locally flat
-    and nondifferentiable (degenerate top for alpha = inf). alpha >= 1."""
-    w = np.clip(w, 0.0, None)
+    and nondifferentiable (degenerate top for alpha = inf). alpha > 0; below
+    alpha = 1 it is the gradient on the output's support, where eigenvalues
+    cut to 0 take no part."""
+    w = _clip_spectrum(w, alpha)
     flat = np.zeros(len(w), dtype=bool)
     if math.isinf(alpha):
         if w.shape[1] > 1:
@@ -143,7 +158,8 @@ def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
         dw = -(np.log2(np.clip(w, EIG_FLOOR, None)) + 1.0 / LN2)
     else:
         t = np.sum(w ** alpha, axis=1)
-        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * w ** (alpha - 1.0)
+        pw = np.power(w, alpha - 1.0, out=np.zeros_like(w), where=w > 0.0)  # 0 off the support
+        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * pw
     return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1), flat
 
 
@@ -241,13 +257,14 @@ def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
 
 
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
-    """Entropy minimization (alpha > 0) from every row of Psi0 at once: the
-    fixed point below alpha = 1, Armijo descent from alpha = 1 on. At alpha = 1
-    the fixed point takes VON_NEUMANN_FIXED_POINT_ITERS steps first, and the
-    descent continues from the best point of each row it left unsettled.
-    Returns per-start (values, end points, converged flags)."""
-    if alpha < 1.0:
-        return _fixed_point(T, alpha, Psi0, max_iters, tol)
+    """Entropy minimization (alpha > 0) from every row of Psi0 at once. For
+    0 < alpha <= 1 the fixed point takes at most FIXED_POINT_ITERS steps
+    (VON_NEUMANN_FIXED_POINT_ITERS at alpha = 1), and the Armijo/BB descent
+    continues, with the iterations left, from the best point of each row it
+    left unconverged or with a projected gradient norm above STATIONARY_GRAD;
+    above alpha = 1 the descent runs alone. Returns per-start (values, end
+    points, converged flags)."""
+    Psi0 = np.asarray(Psi0, dtype=complex)  # a real stack would drop its trial points' imaginary parts
 
     def value(Psi):
         return _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi)[1]), alpha)
@@ -259,9 +276,13 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
         g = 2.0 * T.kraus_adjoint(Z @ G.conj())
         return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
 
-    if alpha == 1.0:
-        lead = min(max_iters, VON_NEUMANN_FIXED_POINT_ITERS)
+    if alpha <= 1.0:
+        lead = min(max_iters, FIXED_POINT_ITERS if alpha < 1.0 else VON_NEUMANN_FIXED_POINT_ITERS)
         f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
+        settled = np.flatnonzero(converged)
+        if len(settled):
+            # a step that gains little can also be a stall short of a minimum
+            converged[settled] = np.linalg.norm(grad(Psi[settled])[0], axis=1) <= STATIONARY_GRAD
         rest = np.flatnonzero(~converged)
         if len(rest) and max_iters > lead:
             f[rest], Psi[rest], reasons = _armijo_descent(value, grad, _sphere_retract, Psi[rest],
@@ -323,11 +344,12 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     so the log(1 + eps) shift moves no eigenvector; it keeps W PSD for the
     factor V diag(sqrt p). Each row's smoothing eps starts at SMOOTHING_START,
     shrinks 4-fold per iteration and, once below SMOOTHING_JUMP, drops to
-    SMOOTHING_FLOOR; at alpha = 1 it also drops to the floor after a step that
-    gains at most `tol`. A row stops once eps is at the floor and a step gains
-    at most `tol`, and keeps the best point it visited. Returns per-row
-    (S_alpha, best points, converged flags), a flag False where the row was
-    still gaining at the iteration cap.
+    SMOOTHING_FLOOR; it also drops to the floor after a step that gains at
+    most `tol`. A row stops once eps is at the floor and a step gains at most
+    `tol`, and keeps the best point it visited. A stall is not a first-order
+    test: the caller checks the gradient. Returns per-row (S_alpha, best
+    points, converged flags), a flag False where the row was still gaining at
+    the iteration cap.
     """
     adjoint = _factored_adjoint(T)
 
@@ -356,14 +378,7 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
         gained = f2 < f - tol
         keep = gained | (eps > SMOOTHING_FLOOR)
         eps = np.where(eps > SMOOTHING_JUMP, eps / 4.0, SMOOTHING_FLOOR)
-        if alpha == 1.0:
-            # A stalled row needs no more smoothing: on the five class channels
-            # of the characterization criterion (64 starts, seed 4242) every row
-            # is at nu after its first step and stops by its third, where the
-            # schedule took 24. Below alpha = 1 the same jump left the best of
-            # 64 starts on wh:d=3 x wh:d=3 at 2 + 3.6e-9 and 2 + 2.7e-9
-            # (alpha = 1/2, seeds 1 and 3).
-            eps[~gained] = SMOOTHING_FLOOR
+        eps[~gained] = SMOOTHING_FLOOR
         live, f, w, V, eps = (a[keep] for a in (live, f2, w, V, eps))
     return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
 

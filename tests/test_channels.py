@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import identity_channel, permute_systems
+from conftest import identity_channel, permute_systems, random_channel
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
@@ -75,17 +75,6 @@ def test_apply_preserves_trace_random(wh3):
         assert abs(np.trace(out).real - 1.0) < 1e-12
 
 
-def _random_channel(d_in, d_out, k, seed):
-    """The k d_out x d_in blocks of a random (k d_out) x d_in isometry as Kraus
-    operators (k is raised to ceil(d_in / d_out) so that the isometry exists),
-    the channel they define, and a generator for test inputs."""
-    rng = split_seed(seed, d_in, d_out, k)
-    k = max(k, -(-d_in // d_out))
-    G = rng.normal(size=(k * d_out, d_in)) + 1j * rng.normal(size=(k * d_out, d_in))
-    K = np.linalg.qr(G)[0].reshape(k, d_out, d_in)
-    return K, ch.QuantumChannel(d_in, d_out, tuple(K)), rng
-
-
 def _random_matrix(rng, d):
     return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
@@ -97,7 +86,7 @@ KRAUS_SHAPES = (st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.inte
 @given(*KRAUS_SHAPES)
 @example(2, 3, 5, 0)
 def test_kernel_matches_einsum_reference(d_in, d_out, k, seed):
-    K, T, rng = _random_channel(d_in, d_out, k, seed)
+    K, T, rng = random_channel(d_in, d_out, k, seed)
     X, Y = _random_matrix(rng, d_in), _random_matrix(rng, d_out)
     assert linalg.herm_norm_inf(T.apply_raw(X) - np.einsum("kij,jl,kml->im", K, X, K.conj())) <= 1e-12
     assert linalg.herm_norm_inf(T.apply_adjoint_raw(Y) - np.einsum("kji,jl,klm->im", K.conj(), Y, K)) <= 1e-12
@@ -107,7 +96,7 @@ def test_kernel_matches_einsum_reference(d_in, d_out, k, seed):
 @given(*KRAUS_SHAPES)
 @example(2, 3, 5, 0)
 def test_kernel_adjoint_duality(d_in, d_out, k, seed):
-    _, T, rng = _random_channel(d_in, d_out, k, seed)
+    _, T, rng = random_channel(d_in, d_out, k, seed)
     X, Y = _random_matrix(rng, d_in), _random_matrix(rng, d_out)
     assert T.apply_raw(X).shape == (d_out, d_out)
     assert T.apply_adjoint_raw(Y).shape == (d_in, d_in)
@@ -119,7 +108,7 @@ def test_kernel_adjoint_duality(d_in, d_out, k, seed):
 @example(2, 3, 5, 0)
 @example(3, 1, 3, 976)
 def test_kernel_preserves_trace(d_in, d_out, k, seed):
-    K, T, rng = _random_channel(d_in, d_out, k, seed)
+    K, T, rng = random_channel(d_in, d_out, k, seed)
     # premise: the Kraus set itself is trace preserving to roundoff
     assert linalg.herm_norm_inf(sum(dag(A) @ A for A in K) - np.eye(d_in)) <= 1e-14
     X = _random_matrix(rng, d_in)
@@ -131,7 +120,7 @@ def test_kernel_preserves_trace(d_in, d_out, k, seed):
 @given(*KRAUS_SHAPES, st.sampled_from([1, linalg.BATCH_BLOCK, linalg.BATCH_BLOCK + 1, 40]))
 @example(2, 3, 5, 0, 17)
 def test_apply_pure_matches_apply_raw(d_in, d_out, k, seed, rows):
-    _, T, rng = _random_channel(d_in, d_out, k, seed)
+    _, T, rng = random_channel(d_in, d_out, k, seed)
     Psi = rng.normal(size=(rows, d_in)) + 1j * rng.normal(size=(rows, d_in))
     out = T.apply_pure(Psi)
     assert out.shape == (rows, d_out, d_out)

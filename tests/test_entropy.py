@@ -1,13 +1,13 @@
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_channel
-from test_channels import _random_channel
+from conftest import identity_channel, offclass_channel, random_channel
 from projchan import channels as ch
 from projchan import entropy, eof, zoo
 from projchan.errors import BadAlpha, DimMismatch, ProjchanError
@@ -203,7 +203,7 @@ def test_norm_search_converged_flag_is_truthful():
 
 def test_norm_polish_flags_rows_stopped_at_the_cap():
     # on this channel the rows need 14 to 73 steps
-    T = _random_channel(3, 3, 2, 1)[1]
+    T = random_channel(3, 3, 2, 1)[1]
     Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3))
     assert not entropy._norm_polish(T, Psi0, 1, 1e-12)[2].any()
     assert entropy._norm_polish(T, Psi0, 2000, 1e-12)[2].all()
@@ -289,7 +289,7 @@ def test_lockstep_polish_matches_one_start_polish(which):
     # of T+(v v+) is degenerate (coarse) the end point is any vector of that
     # eigenspace, so only the values are compared there.
     if which == "random":
-        T, warm = _random_channel(3, 3, 2, 1)[1], []
+        T, warm = random_channel(3, 3, 2, 1)[1], []
     else:
         T, form = zoo.build(zoo.parse_spec(which))
         warm = [np.linalg.eigh(form.rho0.mat)[1][:, -1]]
@@ -434,16 +434,20 @@ def _start_values(T, alpha, cfg):
 
 @pytest.mark.parametrize("alpha, starts, seed", [(0.5, 256, 4242), (0.25, 64, 4242), (0.25, 64, 7)])
 def test_fixed_point_on_the_product_settles_at_nu(alpha, starts, seed):
-    # Armijo descent left 4 of these 256 alpha = 1/2 starts at the iteration
-    # cap, and its best alpha = 1/4 values were 2 + 0.047 (seed 4242) and
-    # 2 + 0.041 (seed 7). Every start keeps its best point, so none ends
-    # above where it began.
+    # Armijo descent alone left 4 of these 256 alpha = 1/2 starts at the
+    # iteration cap, and its best alpha = 1/4 values were 2 + 0.047 (seed
+    # 4242) and 2 + 0.041 (seed 7). The fixed point alone, with the output's
+    # roundoff eigenvalues counted in tr sigma^(1/4), brought 1 of the 64
+    # alpha = 1/4 starts within 1e-6 of 2; now every start gets there. No
+    # start ends above where it began.
     TT = _wh_pair()
     cfg = entropy.OptConfig(starts=starts, seed=seed)
     rep = entropy.min_output_entropy(TT, alpha, cfg)
+    values = np.array(rep.per_start_values)
     assert rep.per_start_converged.all()
     assert abs(rep.value - 2.0) <= 1e-12
-    assert (np.array(rep.per_start_values) <= _start_values(TT, alpha, cfg) + 1e-12).all()
+    assert np.sum(values <= 2.0 + 1e-6) >= starts - starts // 16
+    assert (values <= _start_values(TT, alpha, cfg) + 1e-12).all()
 
 
 def test_alpha_below_one_runs_no_armijo_descent(monkeypatch):
@@ -463,11 +467,13 @@ def test_alpha_below_one_runs_no_armijo_descent(monkeypatch):
 @pytest.mark.parametrize("spec", ["wh:d=3", "weyl:d=3", "pinch:d=3,blocks=2+1", "casimir-reducible",
                                   "coarse:n=2,D=2"])
 def test_von_neumann_fixed_point_stops_within_three_iterations(spec, monkeypatch):
-    # the five class channels of the characterization criterion: every start
-    # is at nu = 1 after its first step (on wh:d=3 every pure input is),
-    # stalls on its next, which drops its smoothing to the floor, and stops on
-    # the one after, so none is left to the descent; the smoothing schedule
-    # alone took 24 and the Armijo/BB descent 13-14
+    # the five class channels of the characterization criterion, at alpha = 1
+    # and below: every start is at nu = 1 after its first step (on wh:d=3
+    # every pure input is), stalls on its next, which drops its smoothing to
+    # the floor, and stops on the one after, with a projected gradient far
+    # below STATIONARY_GRAD, so none is left to the descent. Below alpha = 1
+    # the smoothing schedule alone took 24 iterations, and at alpha = 1 the
+    # Armijo/BB descent 13-14.
     T, _ = zoo.build(zoo.parse_spec(spec))
     counts, factored = [], entropy._factored_adjoint
 
@@ -480,10 +486,12 @@ def test_von_neumann_fixed_point_stops_within_three_iterations(spec, monkeypatch
 
     monkeypatch.setattr(entropy, "_factored_adjoint", counting)
     monkeypatch.setattr(entropy, "_armijo_descent", refuse)
-    rep = entropy.min_output_entropy(T, 1.0, entropy.OptConfig(starts=64, seed=4242))
-    assert len(counts) <= 3
-    assert rep.per_start_converged.all()
-    assert np.abs(np.array(rep.per_start_values) - 1.0).max() <= 1e-12
+    for alpha in (0.25, 0.5, 0.75, 0.9, 1.0):
+        counts.clear()
+        rep = entropy.min_output_entropy(T, alpha, entropy.OptConfig(starts=64, seed=4242))
+        assert len(counts) <= 3, alpha
+        assert rep.per_start_converged.all(), alpha
+        assert np.abs(np.array(rep.per_start_values) - 1.0).max() <= 1e-12, alpha
 
 
 @pytest.mark.parametrize("seed", [4242, 7])
@@ -507,12 +515,50 @@ def test_von_neumann_search_off_the_class_converges_from_every_start(which, desc
     # above the minimum, and took 703 lockstep iterations on casimir:d=4. The
     # descent takes over every start it leaves unsettled, and ends no higher
     # than the Armijo/BB descent alone did from these starts (descent_best).
-    T = _random_channel(3, 3, 2, 0)[1] if which == "random" else zoo.build(zoo.parse_spec(which))[0]
+    T = random_channel(3, 3, 2, 0)[1] if which == "random" else zoo.build(zoo.parse_spec(which))[0]
     cfg = entropy.OptConfig(starts=64, seed=4242)
     rep = entropy.min_output_entropy(T, 1.0, cfg)
     assert rep.per_start_converged.all()
     assert rep.value <= descent_best + 1e-12
     assert (np.array(rep.per_start_values) <= _start_values(T, 1.0, cfg) + 1e-12).all()
+
+
+OFFCLASS = json.loads((pathlib.Path(__file__).parent / "data" / "offclass_seed4242_starts16.json").read_text())
+
+
+@pytest.mark.parametrize("label, alpha", [("4,4,3,0", "0.75"), ("4,4,3,1", "0.75"), ("4,4,3,2", "0.75"),
+                                          ("4,4,3,3", "0.75"), ("3,3,2,2", "0.75"), ("3,3,2,2", "0.5"),
+                                          ("casimir:d=4", "0.5")])
+def test_offclass_search_reaches_the_descent_references(label, alpha):
+    # Outside the class a fixed-point start can stall where one step gains
+    # little but the projected gradient is 0.2 to 1.8; flagged converged
+    # there, the best of 16 starts ended up to 4.6e-2 above the Armijo
+    # descent's (the references, written by scripts/offclass_references.py),
+    # and at alpha = 3/4 it crawled to the iteration cap. The descent now
+    # takes those starts over. Of the reference set this runs every alpha =
+    # 3/4 channel but casimir:d=4 (1 s; 5 of its 16 starts reach the
+    # descent's iteration cap, 9 in the references' run), and at alpha = 1/2
+    # casimir:d=4 and 3,3,2,2; about 1.5 s in all. At alpha = 1/2 the other
+    # random channels still end above their references (see ROADMAP).
+    T = offclass_channel(label)
+    cfg = entropy.OptConfig(starts=OFFCLASS["starts"], seed=OFFCLASS["seed"])
+    rep = entropy.min_output_entropy(T, float(alpha), cfg)
+    assert rep.value <= min(OFFCLASS["min_output_entropy"][label][alpha]) + 1e-9
+    assert rep.per_start_converged.all()
+    assert (np.array(rep.per_start_values) <= _start_values(T, float(alpha), cfg) + 1e-12).all()
+
+
+@pytest.mark.parametrize("spec", ["dephasing:2", "weyl:d=3"])
+def test_real_start_stack_is_searched_as_complex(spec):
+    # a real stack once took complex trial points into a real array, which
+    # dropped their imaginary parts with a ComplexWarning
+    T = zoo.build(zoo.dephasing(2) if spec == "dephasing:2" else zoo.parse_spec(spec))[0]
+    x = np.linspace(1.0, 0.5, T.dim_in)[None] if spec == "weyl:d=3" else np.ones((1, 2))
+    x /= np.linalg.norm(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = entropy._descend_starts(T, 2.0, x, 2000, 1e-12)[0]
+    assert abs(f[0] - entropy._descend_starts(T, 2.0, x.astype(complex), 2000, 1e-12)[0][0]) <= 1e-12
 
 
 def test_characterize_draws_each_random_start_once(wh3, monkeypatch):
@@ -545,7 +591,7 @@ def test_factored_adjoint_matches_the_kraus_sum(monkeypatch, k, budget, calls):
     # operators the Choi product is the cheaper; with 1 the Kraus images, 6
     # entries per member: all in one call, two members per call with a short
     # last block (12 entries) or one member per call (1 entry).
-    _, T, rng = _random_channel(2, 3, k, seed=5)
+    _, T, rng = random_channel(2, 3, k, seed=5)
     monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", budget)
     seen = []
     kernel = T.pure_outputs
