@@ -26,7 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "data" / "offclass_seed4242_starts16.json"
 COMMIT = "814fef4"
 LABELS = ("casimir:d=4", "4,4,3,0", "4,4,3,1", "4,4,3,2", "4,4,3,3", "3,3,2,2")
-ALPHAS = ("0.5", "0.75")
+ALPHAS = ("0.5", "0.75", "2", "5")
 STARTS, SEED = 16, 4242
 
 

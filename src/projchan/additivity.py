@@ -125,13 +125,6 @@ def _trace_squares(omega: np.ndarray) -> np.ndarray:
     return (omega * omega.swapaxes(-1, -2)).real.sum(axis=(-2, -1))
 
 
-def trace_square_bound(maps, rho: np.ndarray):
-    """Evaluate tr[(x_i M_i)(rho)^2] against prod_i 1/m_i."""
-    bound = _trace_square_limit(maps)
-    lhs = float(_trace_squares(apply_product_map(maps, rho)))
-    return lhs, bound, bool(lhs <= bound + 1e-9)
-
-
 def trace_square_suite(maps, count: int, seed: int = 12648430):
     """Max excess of the trace-square bound over `count` seeded random
     states, drawn and mapped TRACE_SQUARE_BLOCK at a time, with each

@@ -6,23 +6,25 @@ sphere:
   * each start draws a complex-Gaussian unit vector from a per-start generator
     split off the master seed, so the reduction over starts is order
     independent (min value, ties to the lowest start index);
-  * for alpha > 1, and from where the fixed point below hands a start on,
-    steps follow the Wirtinger gradient of S_alpha(T(psi psi+)) projected onto
-    the sphere tangent, with Armijo backtracking from each start's
-    Barzilai-Borwein step, stopping once the improvement drops below `tol` or
-    the iteration cap is hit;
-  * for 0 < alpha <= 1, tr sigma^alpha (and S_1) is concave, so each start
-    instead takes the majorize-minimize step psi <- bottom eigenvector of
-    T+(W) with W = V diag(p) V+ from its output sigma = V diag(w) V+,
-    p = (w + eps)^(alpha - 1) below alpha = 1 and log((1 + eps) / (w + eps))
-    at alpha = 1; the smoothing eps starts at 0.1, shrinks 4-fold per
-    iteration and drops to 1e-30 once below 1e-14 or once a step stalls, and
-    each start keeps its best point (see README). Below alpha = 1, output
-    eigenvalues at or below 1e-14 count as 0, in the value and the gradient;
-  * the fixed point takes at most 48 steps below alpha = 1 and 3 at alpha = 1;
-    on the class channels of the characterization criterion every start
-    settles within 3. The descent continues from the best point of each start
-    still gaining or whose projected gradient norm exceeds 1e-4: outside the
+  * for 0 < alpha < inf each start first takes fixed-point steps. Below
+    alpha = 1, tr sigma^alpha (and S_1) is concave, and the majorize-minimize
+    step is psi <- bottom eigenvector of T+(W) with W = V diag(p) V+ from its
+    output sigma = V diag(w) V+, p = (w + eps)^(alpha - 1) below alpha = 1 and
+    log((1 + eps) / (w + eps)) at alpha = 1; the smoothing eps starts at 0.1,
+    shrinks 4-fold per iteration and drops to 1e-30 once below 1e-14 or once
+    a step stalls. Above alpha = 1, tr sigma^alpha is convex, and the
+    minorize-maximize step is psi <- top eigenvector of T+(W) with p =
+    w^(alpha - 1), without smoothing. Each start keeps its best point (see
+    README). Below alpha = 1, output eigenvalues at or below 1e-14 count as 0,
+    in the value and the gradient;
+  * the fixed point takes at most 48 steps below alpha = 1, 3 at alpha = 1
+    and 2 above; on the class channels of the characterization criterion
+    every start settles within 3 (within 2 above alpha = 1). From the best
+    point of each start still gaining or whose projected gradient norm
+    exceeds 1e-4 the descent continues: steps follow the Wirtinger gradient of
+    S_alpha(T(psi psi+)) projected onto the sphere tangent, with Armijo
+    backtracking from each start's Barzilai-Borwein step, stopping once the
+    improvement drops below `tol` or the iteration cap is hit. Outside the
     class the fixed point can stall short of a minimum, or converge linearly
     and far more slowly than the descent;
   * all starts advance in lockstep as one (starts, d) stack, each with its
@@ -64,7 +66,8 @@ SMOOTHING_START = 0.1      # first eps of the fixed point's smoothed weight p
 SMOOTHING_JUMP = 1e-14     # eps shrinks 4-fold per iteration while above this,
 SMOOTHING_FLOOR = 1e-30    # then drops to this
 FIXED_POINT_ITERS = 48     # fixed-point steps (twice the smoothing schedule) below alpha = 1
-VON_NEUMANN_FIXED_POINT_ITERS = 3  # and at alpha = 1, before the descent takes the rest
+VON_NEUMANN_FIXED_POINT_ITERS = 3  # at alpha = 1, before the descent takes the rest
+CONVEX_FIXED_POINT_ITERS = 2       # and above alpha = 1 (finite): one step to land on nu, one to stall
 STATIONARY_GRAD = 1e-4     # projected gradient norm above which a settled fixed-point start is descended
 ADJOINT_BLOCK_ENTRIES = 1 << 20  # most Kraus-image entries (16 MiB) per T+ call of the fixed point
 
@@ -258,12 +261,13 @@ def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
 
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
     """Entropy minimization (alpha > 0) from every row of Psi0 at once. For
-    0 < alpha <= 1 the fixed point takes at most FIXED_POINT_ITERS steps
-    (VON_NEUMANN_FIXED_POINT_ITERS at alpha = 1), and the Armijo/BB descent
-    continues, with the iterations left, from the best point of each row it
-    left unconverged or with a projected gradient norm above STATIONARY_GRAD;
-    above alpha = 1 the descent runs alone. Returns per-start (values, end
-    points, converged flags)."""
+    finite alpha the fixed point takes at most FIXED_POINT_ITERS steps
+    (VON_NEUMANN_FIXED_POINT_ITERS at alpha = 1, CONVEX_FIXED_POINT_ITERS
+    above), and the Armijo/BB descent continues, with the iterations left,
+    from the best point of each row it left unconverged or with a projected
+    gradient norm above STATIONARY_GRAD. At alpha = inf the descent runs
+    alone, and the norm polish takes over the rows it leaves flat or stalled.
+    Returns per-start (values, end points, converged flags)."""
     Psi0 = np.asarray(Psi0, dtype=complex)  # a real stack would drop its trial points' imaginary parts
 
     def value(Psi):
@@ -276,23 +280,10 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
         g = 2.0 * T.kraus_adjoint(Z @ G.conj())
         return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
 
-    if alpha <= 1.0:
-        lead = min(max_iters, FIXED_POINT_ITERS if alpha < 1.0 else VON_NEUMANN_FIXED_POINT_ITERS)
-        f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
-        settled = np.flatnonzero(converged)
-        if len(settled):
-            # a step that gains little can also be a stall short of a minimum
-            converged[settled] = np.linalg.norm(grad(Psi[settled])[0], axis=1) <= STATIONARY_GRAD
-        rest = np.flatnonzero(~converged)
-        if len(rest) and max_iters > lead:
-            f[rest], Psi[rest], reasons = _armijo_descent(value, grad, _sphere_retract, Psi[rest],
-                                                          max_iters - lead, tol, ENTROPY_STEP_CAP, bb=True)
-            converged[rest] = reasons != "max_iters"
-        return f, Psi, converged
-    f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
-                                      ENTROPY_STEP_CAP, bb=True)
-    converged = reasons != "max_iters"
     if math.isinf(alpha):
+        f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
+                                          ENTROPY_STEP_CAP, bb=True)
+        converged = reasons != "max_iters"
         # degenerate ("flat") or stalled top eigenvalue: monotone polish on the norm objective
         redo = np.flatnonzero((reasons == "flat") | (reasons == "armijo"))
         if len(redo):
@@ -301,6 +292,19 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
             better = f2 < f[redo]
             redo = redo[better]
             f[redo], Psi[redo], converged[redo] = f2[better], polished[better], settled[better]
+        return f, Psi, converged
+    lead = min(max_iters, FIXED_POINT_ITERS if alpha < 1.0 else
+               VON_NEUMANN_FIXED_POINT_ITERS if alpha == 1.0 else CONVEX_FIXED_POINT_ITERS)
+    f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
+    settled = np.flatnonzero(converged)
+    if len(settled):
+        # a step that gains little can also be a stall short of a minimum
+        converged[settled] = np.linalg.norm(grad(Psi[settled])[0], axis=1) <= STATIONARY_GRAD
+    rest = np.flatnonzero(~converged)
+    if len(rest) and max_iters > lead:
+        f[rest], Psi[rest], reasons = _armijo_descent(value, grad, _sphere_retract, Psi[rest],
+                                                      max_iters - lead, tol, ENTROPY_STEP_CAP, bb=True)
+        converged[rest] = reasons != "max_iters"
     return f, Psi, converged
 
 
@@ -333,7 +337,7 @@ def _factored_adjoint(T: ch.QuantumChannel):
 
 
 def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
-    """Majorize-minimize fixed point for S_alpha(T(psi psi+)), 0 < alpha <= 1,
+    """Majorize-minimize fixed point for S_alpha(T(psi psi+)), 0 < alpha < inf,
     from every unit row of Psi0, in lockstep.
 
     tr sigma^alpha (alpha < 1) and S_1 are concave in sigma, so their tangent
@@ -345,11 +349,14 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     factor V diag(sqrt p). Each row's smoothing eps starts at SMOOTHING_START,
     shrinks 4-fold per iteration and, once below SMOOTHING_JUMP, drops to
     SMOOTHING_FLOOR; it also drops to the floor after a step that gains at
-    most `tol`. A row stops once eps is at the floor and a step gains at most
-    `tol`, and keeps the best point it visited. A stall is not a first-order
-    test: the caller checks the gradient. Returns per-row (S_alpha, best
-    points, converged flags), a flag False where the row was still gaining at
-    the iteration cap.
+    most `tol`. Above alpha = 1, tr sigma^alpha is convex, so the tangent
+    bounds it from below and the step to the top eigenvector of T+(W), p =
+    w^(alpha - 1), never lowers it (minorize-maximize); no smoothing is
+    needed, and eps starts at the floor. A row stops once eps is at the floor
+    and a step gains at most `tol`, and keeps the best point it visited. A
+    stall is not a first-order test: the caller checks the gradient. Returns
+    per-row (S_alpha, best points, converged flags), a flag False where the
+    row was still gaining at the iteration cap.
     """
     adjoint = _factored_adjoint(T)
 
@@ -366,12 +373,13 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     f, w, V = outputs(Psi0)
     f_best, Psi_best = f.copy(), np.array(Psi0)
     live = np.arange(len(f))
-    eps = np.full(len(f), SMOOTHING_START)
+    eps = np.full(len(f), SMOOTHING_START if alpha <= 1.0 else SMOOTHING_FLOOR)
+    pick = 0 if alpha <= 1.0 else -1  # bottom eigenvector to minimize the majorizer, top to maximize the minorizer
     for _ in range(max_iters):
         if not len(live):
             break
         H = adjoint(V * root_weight(w, eps[:, None])[:, None, :])
-        Psi = np.linalg.eigh(H)[1][:, :, 0]
+        Psi = np.linalg.eigh(H)[1][:, :, pick]
         f2, w, V = outputs(Psi)
         better = f2 < f_best[live]
         f_best[live[better]], Psi_best[live[better]] = f2[better], Psi[better]

@@ -84,19 +84,6 @@ def flip(d: int) -> np.ndarray:
     return F
 
 
-def max_entangled_vector(d: int) -> np.ndarray:
-    """|Omega> = sum_i |i,i> / sqrt(d)."""
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
-def max_entangled(d: int) -> np.ndarray:
-    """The maximally entangled state Omega = |Omega><Omega| on C^d x C^d."""
-    v = max_entangled_vector(d)
-    return np.outer(v, v.conj())
-
-
 def basis_matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     E = np.zeros((d, d), dtype=complex)
     E[i, j] = 1.0

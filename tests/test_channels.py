@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import identity_channel, permute_systems, random_channel
+from conftest import identity_channel, max_entangled, permute_systems, random_channel
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
@@ -280,7 +280,7 @@ def test_tensor_channels_choi_permuted(wh3):
 def test_tensor_channels_omega_spectrum(wh3):
     T, _ = wh3
     TT = ch.tensor_channels([T, T])
-    out = TT.apply_raw(linalg.max_entangled(3))
+    out = TT.apply_raw(max_entangled(3))
     w = np.sort(np.linalg.eigvalsh(out))
     expect = np.sort([1.0 / 3.0] + [1.0 / 12.0] * 8)
     assert np.allclose(w, expect, atol=1e-12)

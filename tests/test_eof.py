@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import identity_channel
+from conftest import identity_channel, max_entangled
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import eof, linalg, zoo
@@ -114,7 +114,7 @@ def test_eof_pure_product_zero():
 
 
 def test_eof_bell_one():
-    st = eof.BipartiteState(2, 2, ch.DensityMatrix(4, linalg.max_entangled(2)))
+    st = eof.BipartiteState(2, 2, ch.DensityMatrix(4, max_entangled(2)))
     rep = eof.eof_upper(st, eof.EofConfig(starts=4))
     assert abs(rep.value - 1.0) < 1e-9
 

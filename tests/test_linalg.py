@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import permute_systems, random_hermitian
+from conftest import max_entangled, permute_systems, random_hermitian
 from projchan import linalg
 from projchan.errors import BadDims, DimensionOverflow, NotPositiveSemidefinite
 from projchan.sampling import split_seed
@@ -24,7 +24,7 @@ def test_tensor_diag():
 
 
 def test_tensor_trace_multiplicative():
-    om = linalg.max_entangled(2)
+    om = max_entangled(2)
     assert abs(np.trace(linalg.tensor(om, om)) - 1.0) < 1e-14
 
 
@@ -41,7 +41,7 @@ def test_partial_trace_product():
 
 def test_partial_trace_max_entangled():
     for d in (2, 3):
-        om = linalg.max_entangled(d)
+        om = max_entangled(d)
         for keep in ([0], [1]):
             red = linalg.partial_trace(om, [d, d], keep)
             assert linalg.herm_norm_inf(red - np.eye(d) / d) < 1e-14
@@ -82,7 +82,7 @@ def _transpose_second(X, d):
 def test_partial_transpose_omega_gives_flip():
     # Omega^{T_2} = F / d
     for d in (2, 3):
-        om = linalg.max_entangled(d)
+        om = max_entangled(d)
         assert np.allclose(_transpose_second(om, d), linalg.flip(d) / d, atol=1e-14)
 
 
@@ -105,7 +105,7 @@ def test_flip_transpose_identity():
     # partial transpose of the flip is d * Omega
     for d in (2, 3, 4):
         pt = _transpose_second(linalg.flip(d), d)
-        assert np.allclose(pt, d * linalg.max_entangled(d), atol=1e-14)
+        assert np.allclose(pt, d * max_entangled(d), atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,10 +124,10 @@ def test_flip_swap_trace_identity_d3():
 
 
 def test_max_entangled_small():
-    assert np.allclose(linalg.max_entangled(1), [[1.0]])
-    om = linalg.max_entangled(2)
+    assert np.allclose(max_entangled(1), [[1.0]])
+    om = max_entangled(2)
     assert abs(np.trace(om @ om) - 1.0) < 1e-14  # purity 1
-    om4 = linalg.max_entangled(4)
+    om4 = max_entangled(4)
     assert linalg.herm_norm_inf(linalg.partial_trace(om4, [4, 4], [0]) - np.eye(4) / 4) < 1e-14
     assert linalg.herm_norm_inf(linalg.partial_trace(om4, [4, 4], [1]) - np.eye(4) / 4) < 1e-14
 
