@@ -3,7 +3,9 @@ outside the projective class to tests/data/offclass_seed4242_starts16.json.
 
 The values come from the tree of commit 814fef4, whose entropy search ran the
 Armijo descent at every alpha, before the majorize-minimize fixed point took
-over below alpha = 1. The script extracts that tree with `git archive` into a
+over below alpha = 1; at alpha = inf the plain fixed-point step then took
+the starts whose top output eigenvalue was degenerate or whose descent
+stalled. The script extracts that tree with `git archive` into a
 temporary directory and runs itself there as a child process, with that
 tree's projchan and this checkout's tests/conftest.py (which builds the
 channels) on the path. Run from the repository root:
@@ -25,8 +27,9 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 OUT = ROOT / "tests" / "data" / "offclass_seed4242_starts16.json"
 COMMIT = "814fef4"
-LABELS = ("casimir:d=4", "4,4,3,0", "4,4,3,1", "4,4,3,2", "4,4,3,3", "3,3,2,2")
-ALPHAS = ("0.5", "0.75", "2", "5")
+LABELS = ("casimir:d=4", "4,4,3,0", "4,4,3,1", "4,4,3,2", "4,4,3,3", "3,3,2,0", "3,3,2,1", "3,3,2,2",
+          "3,3,2,3")
+ALPHAS = ("0.5", "0.75", "1", "2", "5", "inf")
 STARTS, SEED = 16, 4242
 
 

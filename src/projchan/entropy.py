@@ -32,12 +32,15 @@ sphere:
     evaluation serves every start still backtracking, by eigenvalues only;
     eigenvectors are computed at the accepted points. Per-start values agree
     across batch sizes to 1e-12, not bit for bit (GEMM row blocking);
-  * the alpha = infinity case (and the maximal output norm) is handled by the
-    descent with the largest output eigenvalue as objective; when the top of
-    the output spectrum is degenerate (gap < 1e-8) the gradient is replaced by
-    a monotone derivative-free polish, iterating psi <- top eigenvector of
-    T+(v v+) for v the top output eigenvector, which never decreases the norm
-    (also in lockstep); `characterize` reads nu_inf off its norm search.
+  * at alpha = infinity, and for the maximal output norm, the objective is
+    the largest output eigenvalue, and the search is the minorize-maximize
+    fixed point alone, psi <- top eigenvector of T+(v v+) for v the top
+    output eigenvector, which never decreases the norm: 2 plain steps, then
+    SQUAREM cycles (two steps and one extrapolated step, falling back to the
+    second step where the extrapolated one is worse) up to the iteration
+    cap; a start stops once a step of the lead, or a cycle, gains at most
+    `tol`. `max_output_norm` reports 2^(-S_inf) of this search, and
+    `characterize` reads nu_inf off it.
 
 Estimates are one-sided: upper bounds for entropy minimization, lower bounds
 for norm maximization.
@@ -60,7 +63,6 @@ VON_NEUMANN_WINDOW = 1e-6   # |alpha - 1| below this is treated as alpha = 1
 RANK_CUTOFF = 1e-10         # alpha = 0 eigenvalue cutoff
 ROUNDING_CUTOFF = 1e-14     # below alpha = 1, output eigenvalues at or below this count as 0
 EIG_FLOOR = 1e-18           # floor inside logs / negative powers
-DEGENERATE_GAP = 1e-8
 ENTROPY_STEP_CAP = 1e3     # largest Armijo trial step on the sphere
 SMOOTHING_START = 0.1      # first eps of the fixed point's smoothed weight p
 SMOOTHING_JUMP = 1e-14     # eps shrinks 4-fold per iteration while above this,
@@ -143,31 +145,22 @@ def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
     return np.log2(np.sum(w ** alpha, axis=-1)) / (1.0 - alpha)
 
 
-def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float):
+def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float) -> np.ndarray:
     """dS_alpha/dsigma on each output eigendecomposition of a (c, d) / (c, d, d)
-    stack, and a (c,) mask of the outputs where the objective is locally flat
-    and nondifferentiable (degenerate top for alpha = inf). alpha > 0; below
-    alpha = 1 it is the gradient on the output's support, where eigenvalues
-    cut to 0 take no part."""
+    stack, 0 < alpha < inf; below alpha = 1 it is the gradient on the output's
+    support, where eigenvalues cut to 0 take no part."""
     w = _clip_spectrum(w, alpha)
-    flat = np.zeros(len(w), dtype=bool)
-    if math.isinf(alpha):
-        if w.shape[1] > 1:
-            flat = w[:, -1] - w[:, -2] < DEGENERATE_GAP
-        v = V[:, :, -1:]
-        scale = -1.0 / (np.maximum(w[:, -1], EIG_FLOOR) * LN2)
-        return scale[:, None, None] * (v @ v.conj().transpose(0, 2, 1)), flat
     if alpha == 1.0:
         dw = -(np.log2(np.clip(w, EIG_FLOOR, None)) + 1.0 / LN2)
     else:
         t = np.sum(w ** alpha, axis=1)
         pw = np.power(w, alpha - 1.0, out=np.zeros_like(w), where=w > 0.0)  # 0 off the support
         dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * pw
-    return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1), flat
+    return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1)
 
 
-REASONS = np.array(["max_iters", "flat", "stationary", "armijo", "tol"], dtype=object)
-MAX_ITERS, FLAT, STATIONARY, ARMIJO, TOL = range(len(REASONS))  # their codes in the loop
+REASONS = np.array(["max_iters", "stationary", "armijo", "tol"], dtype=object)
+MAX_ITERS, STATIONARY, ARMIJO, TOL = range(len(REASONS))  # their codes in the loop
 
 
 def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float, *,
@@ -182,11 +175,11 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
     and without `bb`, it is the start's last accepted step doubled.
 
     `value(X)` returns the objective of each member of a stack X; it is
-    called on every trial point. `grad(X)` returns the stacked directions and
-    a mask of the members where the objective is flat; it is called once per
-    iteration, on the accepted points. `retract` maps a stack X - t G back
-    onto the manifold. Each start keeps its own step t and stops on its own
-    reason: "flat", "stationary", "armijo" (no step down to 1e-18 decreases f
+    called on every trial point. `grad(X)` returns the stacked directions of
+    a smooth objective; it is called once per iteration, on the accepted
+    points. `retract` maps a stack X - t G back onto the manifold. Each start
+    keeps its own step t and stops on its own reason: "stationary" (the
+    direction vanishes), "armijo" (no step down to 1e-18 decreases f
     enough), "tol" (the last step improved f by less than `tol`) or
     "max_iters". One `value` call evaluates the trial points of every start
     still backtracking. Returns (f, x, reasons), each per start.
@@ -205,7 +198,7 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
         return np.sum(a.real * b.real + a.imag * b.imag, axis=axes)
 
     for _ in range(max_iters):
-        g, flat = grad(x)
+        g = grad(x)
         gn2 = dot(g, g)
         improvement = np.full(len(x), np.inf)  # stays inf where no step is taken
         t = np.minimum(t * 2.0, t_max)
@@ -214,7 +207,7 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
             sy = np.abs(dot(s, y))
             t = np.where(sy > 1e-30, np.clip(dot(s, s) / np.maximum(sy, 1e-30), 1e-12, t_max), t)
         x_prev, g_prev = x.copy(), g
-        pending = np.flatnonzero(~flat & (gn2 >= 1e-30))
+        pending = np.flatnonzero(gn2 >= 1e-30)
         while len(pending):
             tp = t[pending]
             cand = retract(x[pending] - tp.reshape(bcast) * g[pending])
@@ -228,9 +221,9 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
             pending = pending[~ok]
             t[pending] *= 0.5
             pending = pending[t[pending] > 1e-18]  # the others stop on "armijo"
-        done = flat | (gn2 < 1e-30) | (t <= 1e-18) | (improvement < tol)
+        done = (gn2 < 1e-30) | (t <= 1e-18) | (improvement < tol)
         if done.any():
-            code = np.select([flat, gn2 < 1e-30, t <= 1e-18], [FLAT, STATIONARY, ARMIJO], TOL)
+            code = np.select([gn2 < 1e-30, t <= 1e-18], [STATIONARY, ARMIJO], TOL)
             reasons[live[done]] = code[done]
             f_end[live[done]], x_end[live[done]] = f[done], x[done]
             keep = ~done
@@ -252,54 +245,36 @@ def _sphere_retract(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
-def _top_vectors(T: ch.QuantumChannel, Psi: np.ndarray, adjoint: bool = False):
-    """The largest eigenvalue and its eigenvector of T(psi psi+) (of T+(psi psi+)
-    when `adjoint`) for each row psi of Psi."""
-    w, V = np.linalg.eigh(T.pure_outputs(Psi, adjoint)[1])
-    return w[:, -1], V[:, :, -1]
-
-
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
     """Entropy minimization (alpha > 0) from every row of Psi0 at once. For
     finite alpha the fixed point takes at most FIXED_POINT_ITERS steps
     (VON_NEUMANN_FIXED_POINT_ITERS at alpha = 1, CONVEX_FIXED_POINT_ITERS
     above), and the Armijo/BB descent continues, with the iterations left,
     from the best point of each row it left unconverged or with a projected
-    gradient norm above STATIONARY_GRAD. At alpha = inf the descent runs
-    alone, and the norm polish takes over the rows it leaves flat or stalled.
-    Returns per-start (values, end points, converged flags)."""
+    gradient norm above STATIONARY_GRAD. At alpha = inf the fixed point, with
+    its extrapolated cycles, runs alone and takes every iteration. Returns
+    per-start (values, end points, converged flags)."""
     Psi0 = np.asarray(Psi0, dtype=complex)  # a real stack would drop its trial points' imaginary parts
+    if math.isinf(alpha):
+        return _fixed_point(T, alpha, Psi0, max_iters, tol)
 
     def value(Psi):
         return _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi)[1]), alpha)
 
     def grad(Psi):
         Z, sigma = T.pure_outputs(Psi)
-        G, flat = _entropy_gradient_matrices(*np.linalg.eigh(sigma), alpha)
+        G = _entropy_gradient_matrices(*np.linalg.eigh(sigma), alpha)
         # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
         g = 2.0 * T.kraus_adjoint(Z @ G.conj())
-        return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi, flat
+        return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi
 
-    if math.isinf(alpha):
-        f, Psi, reasons = _armijo_descent(value, grad, _sphere_retract, Psi0, max_iters, tol,
-                                          ENTROPY_STEP_CAP, bb=True)
-        converged = reasons != "max_iters"
-        # degenerate ("flat") or stalled top eigenvalue: monotone polish on the norm objective
-        redo = np.flatnonzero((reasons == "flat") | (reasons == "armijo"))
-        if len(redo):
-            lam, polished, settled = _norm_polish(T, Psi[redo], max_iters, tol)
-            f2 = -np.log2(np.maximum(lam, EIG_FLOOR))
-            better = f2 < f[redo]
-            redo = redo[better]
-            f[redo], Psi[redo], converged[redo] = f2[better], polished[better], settled[better]
-        return f, Psi, converged
     lead = min(max_iters, FIXED_POINT_ITERS if alpha < 1.0 else
                VON_NEUMANN_FIXED_POINT_ITERS if alpha == 1.0 else CONVEX_FIXED_POINT_ITERS)
     f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
     settled = np.flatnonzero(converged)
     if len(settled):
         # a step that gains little can also be a stall short of a minimum
-        converged[settled] = np.linalg.norm(grad(Psi[settled])[0], axis=1) <= STATIONARY_GRAD
+        converged[settled] = np.linalg.norm(grad(Psi[settled]), axis=1) <= STATIONARY_GRAD
     rest = np.flatnonzero(~converged)
     if len(rest) and max_iters > lead:
         f[rest], Psi[rest], reasons = _armijo_descent(value, grad, _sphere_retract, Psi[rest],
@@ -337,8 +312,8 @@ def _factored_adjoint(T: ch.QuantumChannel):
 
 
 def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
-    """Majorize-minimize fixed point for S_alpha(T(psi psi+)), 0 < alpha < inf,
-    from every unit row of Psi0, in lockstep.
+    """Majorize-minimize fixed point for S_alpha(T(psi psi+)), alpha > 0, from
+    every unit row of Psi0, in lockstep.
 
     tr sigma^alpha (alpha < 1) and S_1 are concave in sigma, so their tangent
     at the current output sigma = V diag(w) V+ bounds them from above, and the
@@ -352,68 +327,78 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     most `tol`. Above alpha = 1, tr sigma^alpha is convex, so the tangent
     bounds it from below and the step to the top eigenvector of T+(W), p =
     w^(alpha - 1), never lowers it (minorize-maximize); no smoothing is
-    needed, and eps starts at the floor. A row stops once eps is at the floor
-    and a step gains at most `tol`, and keeps the best point it visited. A
-    stall is not a first-order test: the caller checks the gradient. Returns
-    per-row (S_alpha, best points, converged flags), a flag False where the
-    row was still gaining at the iteration cap.
+    needed, and eps starts at the floor; at alpha = inf, W = v v+ for v the
+    top output eigenvector. A row stops once eps is at the floor and a step
+    gains at most `tol`, and keeps the best point it visited. A stall is not
+    a first-order test: the caller checks the gradient.
+
+    At alpha = inf the plain steps stop after CONVEX_FIXED_POINT_ITERS; off
+    the class their rate nears 1, so the rows still gaining go on in SQUAREM
+    cycles (Varadhan & Roland, Scand. J. Stat. 35, 2008): from x0 two steps
+    x1, x2, then y = x0 - 2a r + a^2 v with r = x1 - x0, v = x2 - 2 x1 + x0
+    and a = min(-|r|/|v|, -1), put back on the sphere and stepped once more,
+    or x2 where that is worse. x1 and x2 take the phase of the point each
+    starts from, so that differences see no arbitrary eigenvector phase.
+    Every step counts against `max_iters`, and a row stops once a cycle
+    gains at most `tol`. Returns per-row (S_alpha, best points, converged
+    flags), a flag False where the row was still gaining at the cap.
     """
     adjoint = _factored_adjoint(T)
 
-    def outputs(Psi):
-        w, V = np.linalg.eigh(T.pure_outputs(Psi)[1])
-        return _entropy_from_eigs(w, alpha), w, V
+    def visit(X):  # S_alpha and the output eigendecomposition at each live row's point X
+        w, V = np.linalg.eigh(T.pure_outputs(X)[1])
+        f = _entropy_from_eigs(w, alpha)
+        better = f < f_best[live]
+        f_best[live[better]], Psi_best[live[better]] = f[better], X[better]
+        return f, w, V
 
-    def root_weight(w, eps):  # sqrt(p), the factor of W
+    def weight_factor(w, V, eps):  # U with W = U U+
+        if math.isinf(alpha):
+            return V[:, :, -1:]
         w = np.clip(w, 0.0, None)
         if alpha == 1.0:
-            return np.sqrt(np.clip(np.log((1.0 + eps) / (w + eps)), 0.0, None))
-        return (w + eps) ** (0.5 * (alpha - 1.0))
+            return V * np.sqrt(np.clip(np.log((1.0 + eps) / (w + eps)), 0.0, None))[:, None, :]
+        return V * ((w + eps) ** (0.5 * (alpha - 1.0)))[:, None, :]
 
-    f, w, V = outputs(Psi0)
-    f_best, Psi_best = f.copy(), np.array(Psi0)
-    live = np.arange(len(f))
+    def step(w, V, eps):  # each row's next point, from its output eigendecomposition, and visit(it)
+        X = np.linalg.eigh(adjoint(weight_factor(w, V, eps[:, None])))[1][:, :, pick]
+        return (X,) + visit(X)
+
+    def aligned(X, Psi):  # each row of X in the phase of that row of Psi
+        return X * np.exp(-1j * np.angle(np.sum(Psi.conj() * X, axis=1)))[:, None]
+
+    live, f_best, Psi_best = np.arange(len(Psi0)), np.full(len(Psi0), np.inf), np.array(Psi0)
+    Psi = Psi_best.copy()
+    f, w, V = visit(Psi)
     eps = np.full(len(f), SMOOTHING_START if alpha <= 1.0 else SMOOTHING_FLOOR)
     pick = 0 if alpha <= 1.0 else -1  # bottom eigenvector to minimize the majorizer, top to maximize the minorizer
-    for _ in range(max_iters):
+    lead = min(max_iters, CONVEX_FIXED_POINT_ITERS) if math.isinf(alpha) else max_iters
+    for _ in range(lead):
         if not len(live):
             break
-        H = adjoint(V * root_weight(w, eps[:, None])[:, None, :])
-        Psi = np.linalg.eigh(H)[1][:, :, pick]
-        f2, w, V = outputs(Psi)
-        better = f2 < f_best[live]
-        f_best[live[better]], Psi_best[live[better]] = f2[better], Psi[better]
+        Psi, f2, w, V = step(w, V, eps)
         gained = f2 < f - tol
         keep = gained | (eps > SMOOTHING_FLOOR)
         eps = np.where(eps > SMOOTHING_JUMP, eps / 4.0, SMOOTHING_FLOOR)
         eps[~gained] = SMOOTHING_FLOOR
-        live, f, w, V, eps = (a[keep] for a in (live, f2, w, V, eps))
-    return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
-
-
-def _norm_polish(T: ch.QuantumChannel, Psi: np.ndarray, max_iters: int, tol: float):
-    """Monotone fixed-point ascent of lambda_max(T(psi psi+)) from every unit
-    row psi of Psi, in lockstep.
-
-    psi <- top eigenvector of T+(v v+) with v the top output eigenvector. A
-    row stops once a step gains at most `tol`, keeping the better of its last
-    two points, so lambda_max never decreases. Returns per-row (lambda_max,
-    end points, converged flags), a flag False where the row was still
-    gaining at the iteration cap.
-    """
-    Psi = np.array(Psi)
-    lam, v = _top_vectors(T, Psi)
-    live = np.arange(len(Psi))
-    for _ in range(max_iters):
+        live, Psi, f, w, V, eps = (a[keep] for a in (live, Psi, f2, w, V, eps))
+    for _ in range((max_iters - lead) // 3):  # SQUAREM cycles of three steps each
         if not len(live):
             break
-        Psi2 = _top_vectors(T, v, adjoint=True)[1]
-        lam2, v = _top_vectors(T, Psi2)
-        keep = lam2 > lam[live] + tol
-        gain = lam2 > lam[live]
-        lam[live[gain]], Psi[live[gain]] = lam2[gain], Psi2[gain]
-        live, v = live[keep], v[keep]
-    return lam, Psi, ~np.isin(np.arange(len(Psi)), live)
+        X1, _, w1, V1 = step(w, V, eps)
+        X1 = aligned(X1, Psi)
+        X2, f2, w2, V2 = step(w1, V1, eps)
+        X2 = aligned(X2, X1)
+        r, v = X1 - Psi, X2 - 2.0 * X1 + Psi
+        vn = np.linalg.norm(v, axis=1)  # 0 where a row is at a fixed point; a = -1 there, so y = x2
+        a = np.minimum(-np.linalg.norm(r, axis=1) / np.where(vn > 0.0, vn, np.inf), -1.0)[:, None]
+        Y = _sphere_retract(Psi - 2.0 * a * r + a * a * v)
+        X3, f3, w3, V3 = step(*visit(Y)[1:], eps)
+        back = f3 > f2
+        X3[back], f3[back], w3[back], V3[back] = X2[back], f2[back], w2[back], V2[back]
+        keep = f3 < f - tol
+        live, Psi, f, w, V, eps = (z[keep] for z in (live, X3, f3, w3, V3, eps))
+    return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
 
 
 def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarray:
@@ -482,15 +467,14 @@ def min_output_entropy(T: ch.QuantumChannel, alpha: float, cfg: OptConfig | None
 
 def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None, *,
                     Psi0: np.ndarray | None = None) -> OptReport:
-    """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs: the
-    alpha = inf descent, then the fixed-point polish, from every start. A start
-    is converged when neither stopped at the iteration cap. `Psi0`, when
+    """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs: 2^(-f)
+    of the alpha = inf search of `min_output_entropy`, the minorize-maximize
+    fixed point with its SQUAREM cycles, from every start. `Psi0`, when
     given, is the start stack of `cfg`, already drawn."""
     cfg = cfg or OptConfig()
     Psi0 = _stack_starts(T.dim_in, cfg) if Psi0 is None else Psi0
-    f, Psi, descended = _descend_starts(T, math.inf, Psi0, cfg.max_iters, cfg.tol)
-    lam, Psi, polished = _norm_polish(T, Psi, cfg.max_iters, cfg.tol)
-    return _report(cfg, np.maximum(lam, 2.0 ** (-f)), Psi, descended & polished, pick_min=False)
+    f, Psi, converged = _descend_starts(T, math.inf, Psi0, cfg.max_iters, cfg.tol)
+    return _report(cfg, 2.0 ** (-f), Psi, converged, pick_min=False)
 
 
 @dataclass

@@ -151,7 +151,7 @@ def _ensemble_objective(E: np.ndarray, dA: int, dB: int):
             V[~live] = 0.0
             logs = (V * np.log2(np.clip(mu, 1e-18, None))[..., None, :]) @ V.conj().swapaxes(-1, -2)
             G[i:i + BATCH_BLOCK] = -(logs @ C).reshape(len(C), -1, dA * dB) @ dag(E)
-        return G, np.zeros(len(W), dtype=bool)
+        return G
 
     return value, grad
 
@@ -175,9 +175,9 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     value, euclidean_grad = _ensemble_objective(E, dA, dB)
 
     def grad(W):  # the Riemannian gradient: G - W herm(W+ G), tangent at W
-        G, flat = euclidean_grad(W)
+        G = euclidean_grad(W)
         WG = W.conj().swapaxes(-1, -2) @ G
-        return G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2), flat
+        return G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2)
 
     rngs = [split_seed(cfg.seed, i) for i in range(cfg.starts)]
     W0 = _qr_retract(np.array([g.standard_normal((k, r)) + 1j * g.standard_normal((k, r)) for g in rngs]))

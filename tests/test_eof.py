@@ -173,7 +173,7 @@ def _kernel(state):
         return value(W[None])[0]
 
     def grad1(W):
-        return grad(W[None])[0][0]
+        return grad(W[None])[0]
 
     return E, value1, grad1, E.shape[0] ** 2
 
@@ -279,7 +279,7 @@ def test_search_gradient_is_riemannian(monkeypatch, which):
     E, _, _, k = _kernel(state)
     rng = split_seed(63, k)
     W = _isometry(rng, k, E.shape[0])[None]
-    G = seen["grad"](W)[0]
+    G = seen["grad"](W)
     WG = W[0].conj().T @ G[0]
     assert np.abs(WG + WG.conj().T).max() <= 1e-12
     Z = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
