@@ -31,16 +31,16 @@ def main() -> None:
     print(f"{'channel':24s} {'capacity':>14s} {'analytic':>14s} {'error':>10s} {'cov':>9s} {'avg':>9s}")
     for name, spec, want in CASES:
         T, form = zoo.build(spec)
-        rho0, pi, Pi = zoo.auto_group(spec, form)
-        rep = cap.capacity_weakcov(T, rho0, pi, Pi, cfg)
+        rho0, group, conjugate = zoo.auto_group(spec, form)
+        rep = cap.capacity_weakcov(T, rho0, group, conjugate, cfg)
         print(f"{name:24s} {rep.capacity:14.10f} {want:14.10f} {abs(rep.capacity - want):10.1e} "
               f"{rep.covariance_residual:9.1e} {rep.average_residual:9.1e}")
 
     # the stretching family is the known failure mode of the covariance route
     spec = zoo.Stretching(3, 0.5)
     T, form = zoo.build(spec)
-    rho0, pi, Pi = zoo.auto_group(spec, form)
-    cov, avg = cap.verify_weak_covariance(T, rho0, pi, Pi)
+    rho0, group, conjugate = zoo.auto_group(spec, form)
+    cov, avg = cap.verify_weak_covariance(T, rho0, group, conjugate)
     print(f"\nstretch:d=3,lambda=0.5   not weakly covariant: covariance residual {cov:.3f}")
 
 

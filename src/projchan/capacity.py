@@ -1,8 +1,17 @@
 """Holevo quantity for explicit ensembles, weak-covariance verification, and
 the capacity formula S(T(rho_bar)) - nu_1 for weakly covariant channels.
 
+A covariance is one twirl spec, the input representation pi, plus a flag
+`conjugate`: the output representation Pi(g) is pi(g) itself, or its
+complex conjugate when the flag is set (a complex group under an M that
+contains a transpose). Weak covariance is checked on the orbit of rho0 only,
+T(pi(g) rho0 pi(g)+) = Pi(g) T(rho0) Pi(g)+, over the spec's
+`elements(count, seed)`: every element of a finite group, or
+COVARIANCE_SAMPLES draws from the caller's seed.
+
 Each twirl spec's `average` is the exact group average, the Hilbert-Schmidt
-projection onto the commutant of the representation:
+projection onto the commutant of the representation; the average over the
+conjugate representation is conj(average(conj X)):
   * FiniteGroup: the sum over an explicit unitary family (closed under
     products up to global phase).
   * SU2Euler: the Haar integral in z-y-z Euler angles on
@@ -23,14 +32,8 @@ import numpy as np
 
 from . import channels as ch
 from . import linalg
-from .entropy import EIG_FLOOR, OptConfig, min_output_entropy, renyi_entropy
-from .errors import (
-    DimMismatch,
-    NotWeaklyCovariant,
-    OptimalStateMismatch,
-    SpecInvalid,
-    SpecMismatch,
-)
+from .entropy import OptConfig, _entropy_from_eigs, min_output_entropy, renyi_entropy
+from .errors import DimMismatch, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from .linalg import dag
 from .sampling import flat_simplex, haar_unitary, split_seed
 
@@ -86,6 +89,10 @@ class FiniteGroup:
             if linalg.herm_norm_inf(dag(U) @ U - np.eye(U.shape[0])) > 1e-10:
                 raise SpecInvalid(f"group element {k} is not unitary within 1e-10")
         _check_closure(us)
+
+    def elements(self, count: int, seed: int) -> tuple:
+        """Every element; a finite group needs no sampling."""
+        return self.unitaries
 
     def average(self, X: np.ndarray) -> np.ndarray:
         return sum(U @ X @ dag(U) for U in self.unitaries) / len(self.unitaries)
@@ -146,6 +153,17 @@ class SU2Euler:
         """U = exp(i x3 J3) exp(i x2 J2) exp(i x1 J3), z-y-z angles."""
         return self._expm(self._eig3, x3) @ self._expm(self._eig2, x2) @ self._expm(self._eig3, x1)
 
+    def elements(self, count: int, seed: int) -> list:
+        """`count` Haar-random elements: x1, x3 uniform, cos(x2) uniform."""
+        rng = split_seed(seed, 13)
+        out = []
+        for _ in range(count):
+            x1 = rng.uniform(0, 4 * np.pi)
+            x2 = float(np.arccos(1 - 2 * rng.uniform()))
+            x3 = rng.uniform(0, 2 * np.pi)
+            out.append(self.element(x1, x2, x3))
+        return out
+
     def average(self, X: np.ndarray) -> np.ndarray:
         Y = X
         for (w, V), ft in ((self._eig3, lambda k: _uniform_ft(k, 4 * np.pi)),
@@ -160,45 +178,18 @@ class SU2Euler:
 class BlockUnitaryHaar:
     n: int
     D: int
-    seed: int = 12648430
-    conjugate: bool = False
 
-    def _blocks(self, count: int):
-        rng = split_seed(self.seed, 11, self.n, self.D)
+    def elements(self, count: int, seed: int) -> list:
+        """`count` Haar-random V (x) 1_D."""
+        rng = split_seed(seed, 11, self.n, self.D)
         eye = np.eye(self.D)
-        for _ in range(count):
-            V = haar_unitary(rng, self.n)
-            yield np.kron(V.conj() if self.conjugate else V, eye)
+        return [np.kron(haar_unitary(rng, self.n), eye) for _ in range(count)]
 
     def average(self, X: np.ndarray) -> np.ndarray:
         """Haar twirl: I_n/n (x) tr_n(X), the same for V and its conjugate."""
         n, D = self.n, self.D
         XD = np.trace(X.reshape(n, D, n, D), axis1=0, axis2=2)
         return np.kron(np.eye(n) / n, XD)
-
-
-def paired_elements(pi, Pi, count: int = COVARIANCE_SAMPLES, seed: int = 12648430):
-    """Matched (pi(g), Pi(g)) samples for the covariance check."""
-    if type(pi) is not type(Pi):
-        raise SpecMismatch(f"group specs differ: {type(pi).__name__} vs {type(Pi).__name__}")
-    if isinstance(pi, FiniteGroup):
-        if len(pi.unitaries) != len(Pi.unitaries):
-            raise SpecMismatch("finite groups have different cardinality")
-        return list(zip(pi.unitaries, Pi.unitaries))
-    if isinstance(pi, SU2Euler):
-        rng = split_seed(seed, 13)
-        out = []
-        for _ in range(count):
-            x1 = rng.uniform(0, 4 * np.pi)
-            x2 = float(np.arccos(1 - 2 * rng.uniform()))
-            x3 = rng.uniform(0, 2 * np.pi)
-            out.append((pi.element(x1, x2, x3), Pi.element(x1, x2, x3)))
-        return out
-    if isinstance(pi, BlockUnitaryHaar):
-        if (pi.n, pi.D, pi.seed) != (Pi.n, Pi.D, Pi.seed):
-            raise SpecMismatch("BlockUnitaryHaar parameters differ")
-        return list(zip(pi._blocks(count), Pi._blocks(count)))
-    raise SpecMismatch(f"unsupported twirl spec {type(pi).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +210,34 @@ def _chi(probs: np.ndarray, outputs: np.ndarray, starts) -> np.ndarray:
     that sum to 1 per ensemble. The entropies come from the eigenvalues that
     one check_states call returns for the outputs and the ensemble averages."""
     avgs = np.add.reduceat(probs[:, None, None] * outputs, starts)
-    w = ch.check_states(np.concatenate([outputs, avgs]))
-    S = -np.sum(w * np.log2(np.where(w > EIG_FLOOR, w, 1.0)), axis=1)
+    S = _entropy_from_eigs(ch.check_states(np.concatenate([outputs, avgs])), 1.0)
     return S[len(probs):] - np.add.reduceat(probs * S[:len(probs)], starts)
 
 
-def orbit_average(T: ch.QuantumChannel, rho0: ch.DensityMatrix, g) -> tuple:
+def orbit_average(T: ch.QuantumChannel, rho0: ch.DensityMatrix, group, conjugate: bool) -> tuple:
     """Average of Pi(g) T(rho0) Pi(g)+ over the twirl spec, with its distance
     from the maximally mixed state."""
     out = T.apply_raw(rho0.mat)
-    avg = g.average(out)
+    avg = group.average(out.conj()).conj() if conjugate else group.average(out)
     resid = linalg.herm_norm_inf(avg - np.eye(T.dim_out) / T.dim_out)
     return ch.DensityMatrix(T.dim_out, (avg + dag(avg)) / 2), float(resid)
 
 
-def verify_weak_covariance(T: ch.QuantumChannel, rho0: ch.DensityMatrix, pi, Pi,
-                           count: int = COVARIANCE_SAMPLES, seed: int = 12648430) -> tuple:
+def verify_weak_covariance(T: ch.QuantumChannel, rho0: ch.DensityMatrix, group, conjugate: bool,
+                           seed: int = 12648430) -> tuple:
     """Max on-orbit covariance defect and the output-average defect.
 
     covariance_residual = max_g || T(pi(g) rho0 pi(g)+) - Pi(g) T(rho0) Pi(g)+ ||_inf
-    over the sampled (finite groups: all) elements.
+    over the group's elements, with Pi(g) = conj(pi(g)) when `conjugate` is set.
     """
     out0 = T.apply_raw(rho0.mat)
     resid = 0.0
-    for A, B in paired_elements(pi, Pi, count=count, seed=seed):
+    for A in group.elements(COVARIANCE_SAMPLES, seed):
+        B = A.conj() if conjugate else A
         lhs = T.apply_raw(A @ rho0.mat @ dag(A))
         rhs = B @ out0 @ dag(B)
         resid = max(resid, linalg.herm_norm_inf(lhs - rhs))
-    _, avg_resid = orbit_average(T, rho0, Pi)
+    _, avg_resid = orbit_average(T, rho0, group, conjugate)
     return float(resid), float(avg_resid)
 
 
@@ -268,7 +259,7 @@ class CapacityReport:
         }
 
 
-def capacity_weakcov(T: ch.QuantumChannel, rho0: ch.DensityMatrix, pi, Pi,
+def capacity_weakcov(T: ch.QuantumChannel, rho0: ch.DensityMatrix, group, conjugate: bool,
                      cfg: OptConfig | None = None) -> CapacityReport:
     """Holevo capacity S(T(rho_bar)) - nu_1 for a weakly covariant channel.
 
@@ -276,7 +267,7 @@ def capacity_weakcov(T: ch.QuantumChannel, rho0: ch.DensityMatrix, pi, Pi,
     residual; every twirl's average is exact.
     """
     cfg = cfg or OptConfig()
-    cov_res, avg_res = verify_weak_covariance(T, rho0, pi, Pi, seed=cfg.seed)
+    cov_res, avg_res = verify_weak_covariance(T, rho0, group, conjugate, seed=cfg.seed)
     if cov_res > COVARIANCE_GATE:
         raise NotWeaklyCovariant(f"covariance residual {cov_res:.3e} > {COVARIANCE_GATE:.0e}")
     if avg_res > COVARIANCE_GATE:
@@ -290,7 +281,7 @@ def capacity_weakcov(T: ch.QuantumChannel, rho0: ch.DensityMatrix, pi, Pi,
             f"S(T(rho0)) = {s_rho0!r} exceeds the nu_1 estimate {nu1.value!r} by more than 1e-6"
         )
 
-    rho_bar = pi.average(rho0.mat)
+    rho_bar = group.average(rho0.mat)
     rho_bar = (rho_bar + dag(rho_bar)) / 2
     max_term = renyi_entropy(ch.DensityMatrix(T.dim_out, T.apply_raw(rho_bar)), 1.0)
     return CapacityReport(

@@ -246,12 +246,12 @@ def run(argv) -> int:
             raise UsageError("need --spec")
         spec = zoo.parse_spec(args.spec)
         T, form = zoo.build(spec)
-        rho0, pi, Pi = zoo.auto_group(spec, form)
+        rho0, group, conjugate = zoo.auto_group(spec, form)
         if args.command == "covariance":
-            cov, avg = capmod.verify_weak_covariance(T, rho0, pi, Pi, seed=args.seed)
+            cov, avg = capmod.verify_weak_covariance(T, rho0, group, conjugate, seed=args.seed)
             report = {"covariance_residual": cov, "average_residual": avg}
         else:
-            rep = capmod.capacity_weakcov(T, rho0, pi, Pi, _opt_config(args, entropy))
+            rep = capmod.capacity_weakcov(T, rho0, group, conjugate, _opt_config(args, entropy))
             report = rep.to_dict()
 
     elif args.command == "eof":

@@ -49,7 +49,7 @@ for norm maximization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,8 +84,7 @@ class OptConfig:
     warm_starts: tuple = ()
 
     def with_warm_starts(self, vectors) -> "OptConfig":
-        return OptConfig(self.starts, self.seed, self.max_iters, self.tol, self.tol_equiv,
-                         tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors))
+        return replace(self, warm_starts=tuple(np.asarray(v, dtype=complex).reshape(-1) for v in vectors))
 
 
 @dataclass

@@ -45,10 +45,6 @@ class OptimalStateMismatch(ProjchanError):
     pass
 
 
-class SpecMismatch(ProjchanError):
-    pass
-
-
 class ParseError(ProjchanError):
     pass
 

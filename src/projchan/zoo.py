@@ -3,9 +3,11 @@
 Every family is a spec dataclass whose `_build` returns a QuantumChannel plus,
 where the family admits one, the ProjectiveForm witness (M, rho0) with
 m * M(rho0) a rank-m projection; `build` validates both. Where the family is
-weakly covariant under a known group, its `_group` returns the twirl pair
-(pi, Pi) that `auto_group` hands to the capacity formula. Transposition is
-always taken in the computational basis.
+weakly covariant under a known group, its `_group` returns the twirl spec of
+the input representation pi and the flag `conjugate` that `auto_group` hands
+to the capacity formula. The flag is set where the output representation is
+Pi(g) = conj(pi(g)): a complex group under an M that contains a transpose.
+Transposition is always taken in the computational basis.
 """
 
 from __future__ import annotations
@@ -196,13 +198,6 @@ def _require_d2(d: int, family: str) -> None:
         raise SpecInvalid(f"{family} needs d >= 2")
 
 
-def _finite_pair(us, conjugate: bool = False):
-    """(pi, Pi) over a finite unitary family; Pi is the conjugate family when
-    M contains a transpose, otherwise the same group object."""
-    pi = FiniteGroup(tuple(us))
-    return pi, (FiniteGroup(tuple(U.conj() for U in us)) if conjugate else pi)
-
-
 @dataclass(frozen=True)
 class WernerHolevo:
     d: int
@@ -215,7 +210,7 @@ class WernerHolevo:
         return T, ch.ProjectiveForm(transpose_map(d), _zero_state(d))
 
     def _group(self):
-        return _finite_pair(heisenberg_weyl_unitaries(self.d), conjugate=True)
+        return FiniteGroup(heisenberg_weyl_unitaries(self.d)), True
 
 
 @dataclass(frozen=True)
@@ -247,7 +242,7 @@ class Stretching:
 
     def _group(self):
         # only a single optimal input exists; any nontrivial group fails the gate
-        return _finite_pair(weyl_unitaries(self.d))
+        return FiniteGroup(weyl_unitaries(self.d)), False
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,7 @@ class WeylShift:
         return T, ch.ProjectiveForm(weyl_m_map(d), _flat_state(d))
 
     def _group(self):
-        return _finite_pair(phase_unitaries(self.d), conjugate=True)
+        return FiniteGroup(phase_unitaries(self.d)), True
 
 
 @dataclass(frozen=True)
@@ -298,7 +293,7 @@ class Pinching:
         return T, ch.ProjectiveForm(pinching_m_map(projs), rho0)
 
     def _group(self):
-        return _finite_pair(weyl_unitaries(self.d))
+        return FiniteGroup(weyl_unitaries(self.d)), False
 
 
 @dataclass(frozen=True)
@@ -314,8 +309,7 @@ class CasimirIrreducible:
         return ch.QuantumChannel(d, d, kraus, name=f"casimir:d={d}"), None
 
     def _group(self):
-        tw = SU2Euler(tuple(su2_generators(self.d)))
-        return tw, tw
+        return SU2Euler(tuple(su2_generators(self.d))), False
 
 
 @dataclass(frozen=True)
@@ -329,8 +323,7 @@ class CasimirReducibleExample:
         return T, ch.ProjectiveForm(M, casimir_reducible_rho0())
 
     def _group(self):
-        tw = SU2Euler(tuple(casimir_reducible_complementary_generators()))
-        return tw, tw
+        return SU2Euler(tuple(casimir_reducible_complementary_generators())), False
 
 
 @dataclass(frozen=True)
@@ -388,7 +381,7 @@ class CoarseGraining:
         return T, ch.ProjectiveForm(coarse_m_map(n, D), _flat_state(d))
 
     def _group(self):
-        return BlockUnitaryHaar(self.n, self.D), BlockUnitaryHaar(self.n, self.D, conjugate=True)
+        return BlockUnitaryHaar(self.n, self.D), True
 
 
 @dataclass(frozen=True)
@@ -409,7 +402,7 @@ class Diagonal:
         return ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}"), None
 
     def _group(self):
-        return _finite_pair(weyl_unitaries(self.d))
+        return FiniteGroup(weyl_unitaries(self.d)), False
 
 
 def build(spec):
@@ -437,9 +430,9 @@ def _finish(T: ch.QuantumChannel, form: ch.ProjectiveForm | None):
 
 
 def auto_group(spec, form: ch.ProjectiveForm | None):
-    """(rho0, pi, Pi) for a built zoo spec: the witness input, form.rho0 or
-    |0><0| for a family without a form, and the twirl pair under which the
-    family is weakly covariant."""
+    """(rho0, group, conjugate) for a built zoo spec: the witness input,
+    form.rho0 or |0><0| for a family without a form, the twirl spec of pi and
+    whether Pi(g) = conj(pi(g)), under which the family is weakly covariant."""
     group = getattr(spec, "_group", None)
     if group is None:
         raise SpecInvalid(f"no automatic group for {spec!r}")

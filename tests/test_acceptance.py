@@ -190,8 +190,8 @@ def test_criterion_08_capacities():
     details = []
     for spec, want, tol in cases:
         T, form = zoo.build(spec)
-        rho0, pi, Pi = zoo.auto_group(spec, form)
-        rep = cap.capacity_weakcov(T, rho0, pi, Pi, CFG64)
+        rho0, group, conjugate = zoo.auto_group(spec, form)
+        rep = cap.capacity_weakcov(T, rho0, group, conjugate, CFG64)
         err = abs(rep.capacity - want)
         ok = ok and err <= tol
         details.append(f"{T.name}: err={err:.1e}")

@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
@@ -24,6 +25,8 @@ GOLDEN_CASES = {
                                     "--alpha", "2", "--starts", "4"],
     "capacity_weyl3.json": ["capacity", "--spec", "weyl:d=3", "--group", "auto", "--starts", "4"],
     "covariance_weyl3.json": ["covariance", "--spec", "weyl:d=3", "--group", "auto"],
+    "covariance_coarse22.json": ["covariance", "--spec", "coarse:n=2,D=2", "--group", "auto"],
+    "covariance_casred.json": ["covariance", "--spec", "casimir-reducible", "--group", "auto"],
     "eof_example9.json": ["eof", "--state", "example9", "--starts", "4"],
     "dilate_wh3.json": ["dilate", "--spec", "wh:d=3"],
     "minent_wh3_a1.csv": ["minent", "--spec", "wh:d=3", "--alpha", "1", "--starts", "4",
@@ -362,3 +365,23 @@ def test_generate_goldens_writes_only_the_named_golden(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["validate_wh3.json"]
     assert golden_mismatches((tmp_path / "validate_wh3.json").read_text(),
                              (GOLDEN / "validate_wh3.json").read_text()) == []
+
+
+def _run_script(name: str, capsys) -> list:
+    runpy.run_path(str(pathlib.Path(__file__).parents[1] / "scripts" / name), run_name="__main__")
+    return [line.split() for line in capsys.readouterr().out.splitlines() if line.strip()]
+
+
+def test_capacity_survey_script_runs(capsys):
+    *rows, stretch = _run_script("capacity_survey.py", capsys)[1:]
+    assert len(rows) == 9
+    assert all(float(row[3]) <= 1e-6 for row in rows)  # |capacity - analytic|
+    assert stretch[:4] == ["stretch:d=3,lambda=0.5", "not", "weakly", "covariant:"]
+
+
+def test_additivity_scan_script_runs(capsys):
+    rows = _run_script("additivity_scan.py", capsys)[1:]
+    gaps = {float(row[0]): float(row[2]) for row in rows}
+    assert len(gaps) == 10
+    assert all(abs(gap) <= 1e-9 for alpha, gap in gaps.items() if alpha <= 2)
+    assert all(gaps[alpha] > 0.01 for alpha in (5.0, 6.0, 10.0))

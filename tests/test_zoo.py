@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import permute_systems
+from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import ParseError, SpecInvalid
@@ -46,10 +47,11 @@ def test_auto_group_witness(spec):
         with pytest.raises(SpecInvalid):
             zoo.auto_group(spec, form)
         return
-    rho0, pi, Pi = zoo.auto_group(spec, form)
+    rho0, group, conjugate = zoo.auto_group(spec, form)
     want = form.rho0.mat if form is not None else np.diag(np.eye(T.dim_in)[0]).astype(complex)
     assert np.array_equal(rho0.mat, want)
-    assert type(pi) is type(Pi)
+    assert isinstance(group, (cap.FiniteGroup, cap.SU2Euler, cap.BlockUnitaryHaar))
+    assert isinstance(conjugate, bool)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__ + str(getattr(s, "d", "")))
