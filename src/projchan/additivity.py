@@ -179,13 +179,6 @@ def purity_expansion(channel_forms, rho: np.ndarray):
         total += term
     expansion = prefactor * total
 
-    out = apply_product_map([_kraus_superop(T) for T, _ in channel_forms], rho)
+    out = apply_product_map([ch.LinearMap(T.dim_in, T.superop) for T, _ in channel_forms], rho)
     direct = float(np.trace(out @ out).real)
     return expansion, direct
-
-
-def _kraus_superop(T: ch.QuantumChannel) -> ch.LinearMap:
-    """T as a LinearMap on square matrices: sum_k A_k x conj(A_k), read off
-    the Choi matrix, whose entry [(a, i), (b, j)] is sum_k A_k[a, i] conj(A_k[b, j]) / d."""
-    d = T.dim_in
-    return ch.LinearMap(d, (T.choi * d).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))

@@ -135,6 +135,17 @@ class QuantumChannel:
         K = self._kstack.reshape(len(self.kraus), -1)
         return (K.T @ K.conj()) / self.dim_in
 
+    @property
+    def superop(self) -> np.ndarray:
+        """T on row-major vec, a (d_out^2, d_in^2) matrix with entry
+        [(a, b), (i, j)] = sum_k A_k[a, i] conj(A_k[b, j]): the Choi matrix
+        times d_in, reshuffled. Built on each access: a cached copy would keep
+        d_out^2 d_in^2 more entries on every channel."""
+        d_out, d_in = self.dim_out, self.dim_in
+        S = np.empty((d_out, d_out, d_in, d_in), dtype=complex)
+        np.multiply(self.choi.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3), d_in, out=S)
+        return S.reshape(d_out * d_out, d_in * d_in)
+
     def apply_raw(self, rho: np.ndarray) -> np.ndarray:
         """Schroedinger-picture action, sum_k A_k rho A_k+."""
         return _kraus_sum(self._kcol, rho, self._kcol_dag)
@@ -222,10 +233,6 @@ class ProjectiveForm:
         """m M(rho0), a rank-m projection for a valid witness."""
         return self.m * self.M.apply(self.rho0.mat)
 
-    def reconstruct(self, X: np.ndarray) -> np.ndarray:
-        """(tr X * I - m M(X)) / (d - m), the channel the form encodes."""
-        return (np.trace(X) * np.eye(self.d) - self.m * self.M.apply(X)) / (self.d - self.m)
-
 
 @dataclass
 class Isometry:
@@ -295,15 +302,15 @@ def require_stack_fits(count: int, d_out: int, d_in: int) -> None:
         )
 
 
-def tensor_channels(channels, cap: int = linalg.DIM_CAP) -> QuantumChannel:
+def tensor_channels(channels) -> QuantumChannel:
     """Tensor product channel; Kraus set is all products of constituents."""
     channels = list(channels)
     if not channels:
         raise BadDims("need at least one channel")
     din = int(np.prod([T.dim_in for T in channels]))
     dout = int(np.prod([T.dim_out for T in channels]))
-    if max(din, dout) > cap:
-        raise DimensionOverflow(f"product dimension {max(din, dout)} exceeds cap {cap}")
+    if max(din, dout) > linalg.DIM_CAP:
+        raise DimensionOverflow(f"product dimension {max(din, dout)} exceeds cap {linalg.DIM_CAP}")
     require_stack_fits(math.prod(len(T.kraus) for T in channels), dout, din)
     kraus = [np.array([[1.0 + 0j]])]
     for T in channels:
@@ -327,11 +334,11 @@ def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm
     if m0 >= d:
         raise NotProjectiveClass(f"m0 = {m0} leaves no projective part (m = d - m0 = {d - m0})")
     m = d - m0
-
-    def M_fn(X):
-        return (m0 / (d - m0)) * ((np.trace(X) / m0) * np.eye(d) - T.apply_raw(X))
-
-    form = ProjectiveForm(LinearMap.from_apply(M_fn, d, m=m), argmax_state)
+    S = T.superop  # made M's in place: (TR - m0 S_T) / m, TR that of X -> tr X * I
+    S *= -m0
+    S += linalg.trace_superop(d)
+    S /= m
+    form = ProjectiveForm(LinearMap(d, S, m=m), argmax_state)
     idem, tr_err, resid = witness_defects(T, form)
     if idem > RECON_TOL or tr_err > RECON_TOL:
         raise NotProjectiveClass(
@@ -352,14 +359,16 @@ def witness_defects(T: QuantumChannel, form: ProjectiveForm) -> tuple[float, flo
 
 
 def reconstruction_residual(T: QuantumChannel, form: ProjectiveForm) -> float:
-    """Max over matrix units of ||T(E) - (tr E * I - m M(E))/(d - m)||_inf."""
-    d = T.dim_in
-    resid = 0.0
-    for i in range(d):
-        for j in range(d):
-            E = linalg.basis_matrix_unit(d, i, j)
-            resid = max(resid, linalg.herm_norm_inf(T.apply_raw(E) - form.reconstruct(E)))
-    return resid
+    """max |S_T - (TR - m S_M) / (d - m)| over the superoperators of T, of
+    X -> tr X * I and of M, taken as max |((d - m) S_T - TR) / m + S_M| * m / (d - m)
+    in S_T's buffer, so that no second superoperator-sized temporary is held."""
+    d, m = form.d, form.m
+    R = T.superop
+    R *= d - m
+    R -= linalg.trace_superop(d)
+    R /= m
+    R += form.M.superop
+    return linalg.herm_norm_inf(R) * m / (d - m)
 
 
 def stinespring(T: QuantumChannel) -> Isometry:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channels as ch
-from .errors import BadAlpha, DimMismatch, NotProjectiveClass, SpecInvalid
+from .errors import BadAlpha, DimMismatch, SpecInvalid
 from .linalg import DIM_CAP
 from .sampling import haar_state_vector, split_seed
 
@@ -72,6 +72,7 @@ VON_NEUMANN_FIXED_POINT_ITERS = 3  # at alpha = 1, before the descent takes the 
 CONVEX_FIXED_POINT_ITERS = 2       # and above alpha = 1 (finite): one step to land on nu, one to stall
 STATIONARY_GRAD = 1e-4     # projected gradient norm above which a settled fixed-point start is descended
 ADJOINT_BLOCK_ENTRIES = 1 << 20  # most Kraus-image entries (16 MiB) per T+ call of the fixed point
+TOL_EQUIV = 1e-5           # largest spread of nu_alpha over the grid that `characterize` calls constant
 
 
 @dataclass
@@ -80,7 +81,6 @@ class OptConfig:
     seed: int = 12648430
     max_iters: int = 2000
     tol: float = 1e-12
-    tol_equiv: float = 1e-5
     warm_starts: tuple = ()
 
     def with_warm_starts(self, vectors) -> "OptConfig":
@@ -162,16 +162,15 @@ REASONS = np.array(["max_iters", "stationary", "armijo", "tol"], dtype=object)
 MAX_ITERS, STATIONARY, ARMIJO, TOL = range(len(REASONS))  # their codes in the loop
 
 
-def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float, *,
-                    bb: bool):
+def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max: float):
     """Steepest descent on a manifold with Armijo backtracking (halving, from
     a first trial step capped at `t_max`), run in lockstep over an (s, ...)
     stack x0 of starts.
 
-    With `bb` the first trial step is each start's Barzilai-Borwein step
+    The first trial step is each start's Barzilai-Borwein step
     <s,s> / |Re<s,y>|, for s its last move and y the change in its gradient,
-    clipped below at 1e-12. On the first iteration, where |Re<s,y>| <= 1e-30
-    and without `bb`, it is the start's last accepted step doubled.
+    clipped below at 1e-12. On the first iteration and where
+    |Re<s,y>| <= 1e-30, it is the start's last accepted step doubled.
 
     `value(X)` returns the objective of each member of a stack X; it is
     called on every trial point. `grad(X)` returns the stacked directions of
@@ -201,7 +200,7 @@ def _armijo_descent(value, grad, retract, x0, max_iters: int, tol: float, t_max:
         gn2 = dot(g, g)
         improvement = np.full(len(x), np.inf)  # stays inf where no step is taken
         t = np.minimum(t * 2.0, t_max)
-        if bb and g_prev is not None:
+        if g_prev is not None:
             s, y = x - x_prev, g - g_prev
             sy = np.abs(dot(s, y))
             t = np.where(sy > 1e-30, np.clip(dot(s, s) / np.maximum(sy, 1e-30), 1e-12, t_max), t)
@@ -277,7 +276,7 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
     rest = np.flatnonzero(~converged)
     if len(rest) and max_iters > lead:
         f[rest], Psi[rest], reasons = _armijo_descent(value, grad, _sphere_retract, Psi[rest],
-                                                      max_iters - lead, tol, ENTROPY_STEP_CAP, bb=True)
+                                                      max_iters - lead, tol, ENTROPY_STEP_CAP)
         converged[rest] = reasons != "max_iters"
     return f, Psi, converged
 
@@ -285,7 +284,7 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
 def _factored_adjoint(T: ch.QuantumChannel):
     """The map U -> T+(U U+) on each member of a (c, d_out, r) stack U.
 
-    It is one product with the reshuffled Choi matrix where that takes fewer
+    It is one product with T's superoperator where that takes fewer
     multiplications than the Kraus images (d_out d_in <= k (d_in + 1)) and
     the matrix has at most DIM_CAP**2 entries, the cap on a Kraus stack.
     Otherwise it is T+ on the columns of U as one input of rank r
@@ -294,12 +293,13 @@ def _factored_adjoint(T: ch.QuantumChannel):
     """
     d_out, d_in, k = T.dim_out, T.dim_in, len(T.kraus)
     if d_out * d_in <= min(k * (d_in + 1), DIM_CAP):
-        # T+(W)[a, b] = d_in sum_ij W[i, j] conj(choi[(i, a), (j, b)])
-        M = np.empty((d_out, d_out, d_in, d_in), dtype=complex)
-        np.conjugate(T.choi.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3), out=M)
-        M *= d_in
-        M = M.reshape(d_out * d_out, d_in * d_in)
-        return lambda U: ((U @ U.conj().transpose(0, 2, 1)).reshape(len(U), -1) @ M).reshape(-1, d_in, d_in)
+        # vec(T+(W)) = vec(W) conj(S) = conj(vec(conj W) S) for T's superoperator S
+        S = T.superop
+
+        def reshuffled(U):
+            Y = (U.conj() @ U.transpose(0, 2, 1)).reshape(len(U), -1) @ S
+            return np.conjugate(Y, out=Y).reshape(-1, d_in, d_in)
+        return reshuffled
 
     def blocked(U):
         c, _, r = U.shape
@@ -539,7 +539,7 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     norm_value = norm_report.value
     nu = {a: reports[a].value if a in reports else -math.log2(max(norm_value, EIG_FLOOR)) for a in alphas}
     spread = max(nu.values()) - min(nu.values())
-    constant_nu = bool(spread <= cfg.tol_equiv)
+    constant_nu = bool(spread <= TOL_EQUIV)
 
     out = ch.apply(T, argmax_state)
     norm_at_projection, rank = ch.is_normalized_projection(out)
@@ -548,8 +548,6 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     err = None
     try:
         form = ch.extract_projective_form(T, argmax_state, norm_value)
-    except NotProjectiveClass as exc:
-        err = str(exc)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         err = str(exc)
     m0 = int(round(1.0 / norm_value)) if norm_value > 0 else 0

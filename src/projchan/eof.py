@@ -7,7 +7,8 @@ isometry W, so the search runs the entropy module's lockstep Armijo descent
 on the Stiefel manifold (QR retraction), every start as one (starts, k, r)
 stack, with the same seeding and best-start contract. It descends the
 Riemannian gradient G - W herm(W+ G) of the embedded metric Re tr(A+ B),
-with Barzilai-Borwein trial steps, as the sphere searches do at alpha >= 1.
+with Barzilai-Borwein trial steps, as the sphere descent does at every
+finite alpha.
 The average entanglement entropy of the induced ensemble is an upper bound
 on E_F for every W.
 """
@@ -181,8 +182,7 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
 
     rngs = [split_seed(cfg.seed, i) for i in range(cfg.starts)]
     W0 = _qr_retract(np.array([g.standard_normal((k, r)) + 1j * g.standard_normal((k, r)) for g in rngs]))
-    values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol,
-                                          EOF_STEP_CAP, bb=True)
+    values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol, EOF_STEP_CAP)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))

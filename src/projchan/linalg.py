@@ -1,6 +1,6 @@
-"""Dense complex matrix kernel: the eigenvalue clamp for states, tensor
-products, partial trace, subsystem permutation, and the special operators
-(flip, maximally entangled state) used throughout.
+"""Dense complex matrix kernel: the eigenvalue clamp for states, partial
+trace, and the superoperators of the transpose (the flip operator) and of
+X -> tr X * I.
 
 Storage is row-major; composite systems are ordered left to right, so the
 matrix index of a basis vector |i1,...,iN> is i1*prod(d2..dN) + ... + iN.
@@ -12,9 +12,9 @@ import string
 
 import numpy as np
 
-from .errors import BadDims, DimensionOverflow, NotPositiveSemidefinite
+from .errors import BadDims, NotPositiveSemidefinite
 
-# Largest matrix dimension tensor() and tensor_channels() will produce.
+# Largest matrix dimension tensor_channels() will produce.
 DIM_CAP = 4096
 
 # Eigenvalues of states in [-NEG_EIG_TOL, 0) are treated as roundoff and
@@ -45,15 +45,6 @@ def clamp_state_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.where(w < 0.0, 0.0, w)
 
 
-def tensor(A: np.ndarray, B: np.ndarray, cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a dimension cap."""
-    rows = A.shape[0] * B.shape[0]
-    cols = A.shape[1] * B.shape[1]
-    if max(rows, cols) > cap:
-        raise DimensionOverflow(f"product dimension {max(rows, cols)} exceeds cap {cap}")
-    return np.kron(A, B)
-
-
 def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in `keep` (order preserved)."""
     dims = list(dims)
@@ -76,12 +67,18 @@ def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def flip(d: int) -> np.ndarray:
-    """Flip (swap) operator on C^d x C^d: F|i,j> = |j,i>."""
+    """Flip (swap) operator on C^d x C^d: F|i,j> = |j,i>; also the
+    transpose X -> X^T as a superoperator on row-major vec."""
     F = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
             F[j * d + i, i * d + j] = 1.0
     return F
+
+
+def trace_superop(d: int) -> np.ndarray:
+    """X -> tr X * I on C^{d x d} as a superoperator on row-major vec: vec(I) vec(I)^T."""
+    return np.outer(np.eye(d), np.eye(d))
 
 
 def basis_matrix_unit(d: int, i: int, j: int) -> np.ndarray:

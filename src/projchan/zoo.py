@@ -319,7 +319,7 @@ class CasimirReducibleExample:
         Js = casimir_reducible_generators()
         kraus = tuple(Js) + (np.eye(4, dtype=complex) / 2,)
         T = ch.QuantumChannel(4, 4, kraus, name="casimir-reducible")
-        M = ch.LinearMap.from_apply(lambda X: np.trace(X) * np.eye(4) / 2 - T.apply_raw(X), 4, m=2)
+        M = ch.LinearMap(4, linalg.trace_superop(4) / 2 - T.superop, m=2)
         return T, ch.ProjectiveForm(M, casimir_reducible_rho0())
 
     def _group(self):

@@ -88,8 +88,12 @@ KRAUS_SHAPES = (st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.inte
 def test_kernel_matches_einsum_reference(d_in, d_out, k, seed):
     K, T, rng = random_channel(d_in, d_out, k, seed)
     X, Y = _random_matrix(rng, d_in), _random_matrix(rng, d_out)
-    assert linalg.herm_norm_inf(T.apply_raw(X) - np.einsum("kij,jl,kml->im", K, X, K.conj())) <= 1e-12
-    assert linalg.herm_norm_inf(T.apply_adjoint_raw(Y) - np.einsum("kji,jl,klm->im", K.conj(), Y, K)) <= 1e-12
+    TX, TY = np.einsum("kij,jl,kml->im", K, X, K.conj()), np.einsum("kji,jl,klm->im", K.conj(), Y, K)
+    assert linalg.herm_norm_inf(T.apply_raw(X) - TX) <= 1e-12
+    assert linalg.herm_norm_inf(T.apply_adjoint_raw(Y) - TY) <= 1e-12
+    # the superoperator on row-major vec, and its conjugate from the right for T+
+    assert linalg.herm_norm_inf(T.superop @ X.reshape(-1) - TX.reshape(-1)) <= 1e-12
+    assert linalg.herm_norm_inf(Y.reshape(-1) @ np.conj(T.superop) - TY.reshape(-1)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,6 +255,12 @@ def test_tensor_channels_refuses_oversize_kraus_stack():
         ch.tensor_channels([T, T])
 
 
+def test_tensor_channels_refuses_oversize_product():
+    T = identity_channel(65)
+    with pytest.raises(DimensionOverflow, match="product dimension 4225 exceeds cap 4096"):
+        ch.tensor_channels([T, T])
+
+
 def test_tensor_channels_identity():
     T = ch.tensor_channels([identity_channel(2), identity_channel(2)])
     rho = random_density(split_seed(7), 4)
@@ -347,6 +357,26 @@ def test_witness_defects_are_separate(wh3):
     assert abs(idem - 2 / 9) <= 1e-12 and tr_err <= 1e-12 and resid <= 1e-12
     with pytest.raises(SpecInvalid, match="witness m\\*M\\(rho0\\) is not a rank-m projection"):
         zoo._finish(T, mixed)
+
+
+@pytest.mark.parametrize("wrong", ["weyl", "perturbed"])
+def test_reconstruction_residual_sees_a_wrong_map(wh3, wrong):
+    # negative control: wh:d=3 paired with weyl:d=3's M, or with its own M
+    # (the transpose) moved by 1e-6 in one superoperator entry
+    T, form = wh3
+    if wrong == "weyl":
+        M = zoo.build(zoo.WeylShift(3))[1].M
+    else:
+        M = ch.LinearMap(3, form.M.superop.copy(), m=1)
+        M.superop[0, 4] += 1e-6
+    bad = ch.ProjectiveForm(M, form.rho0)
+    # the residual's definition, over the matrix units E, as the reference
+    reference = max(linalg.herm_norm_inf(T.apply_raw(E) - (np.trace(E) * np.eye(3) - M.apply(E)) / 2)
+                    for E in np.eye(9, dtype=complex).reshape(9, 3, 3))
+    assert abs(ch.reconstruction_residual(T, bad) - reference) <= 1e-12
+    assert ch.reconstruction_residual(T, bad) > ch.RECON_TOL
+    with pytest.raises(SpecInvalid, match="projective form reconstruction residual"):
+        zoo._finish(T, bad)
 
 
 def test_stinespring_identity():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import max_entangled, permute_systems, random_hermitian
 from projchan import linalg
-from projchan.errors import BadDims, DimensionOverflow, NotPositiveSemidefinite
+from projchan.errors import BadDims, NotPositiveSemidefinite
 from projchan.sampling import split_seed
 
 
@@ -12,25 +12,6 @@ def test_clamp_policy():
     assert np.all(linalg.clamp_state_eigenvalues(np.array([-5e-11, 0.5])) >= 0)
     with pytest.raises(NotPositiveSemidefinite):
         linalg.clamp_state_eigenvalues(np.array([-1e-9, 1.0]))
-
-
-def test_tensor_identity():
-    assert np.allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_diag():
-    out = linalg.tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_trace_multiplicative():
-    om = max_entangled(2)
-    assert abs(np.trace(linalg.tensor(om, om)) - 1.0) < 1e-14
-
-
-def test_tensor_overflow():
-    with pytest.raises(DimensionOverflow):
-        linalg.tensor(np.eye(100), np.eye(100))
 
 
 def test_partial_trace_product():
