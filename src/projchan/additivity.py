@@ -68,7 +68,7 @@ def additivity_gap(channel_list, alpha: float, cfg: OptConfig | None = None) -> 
     channel_list = list(channel_list)
     runs, singles = {}, []
     for T in channel_list:
-        key = tuple((A.shape, A.tobytes()) for A in T.kraus)
+        key = (T.kraus.shape, T.kraus.tobytes())
         if key not in runs:
             runs[key] = min_output_entropy(T, alpha, cfg)
         singles.append(runs[key])

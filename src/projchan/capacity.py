@@ -35,7 +35,7 @@ from . import linalg
 from .entropy import OptConfig, _entropy_from_eigs, min_output_entropy, renyi_entropy
 from .errors import DimMismatch, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from .linalg import dag
-from .sampling import flat_simplex, haar_unitary, split_seed
+from .sampling import complex_normal, flat_simplex, haar_unitaries, split_seed
 
 COVARIANCE_GATE = 1e-6
 COVARIANCE_SAMPLES = 64
@@ -80,36 +80,38 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    unitaries: tuple
+    unitaries: np.ndarray  # (n, d, d)
 
     def __post_init__(self):
-        us = tuple(np.asarray(U, dtype=complex) for U in self.unitaries)
+        us = np.asarray(self.unitaries, dtype=complex)
         object.__setattr__(self, "unitaries", us)
-        for k, U in enumerate(us):
-            if linalg.herm_norm_inf(dag(U) @ U - np.eye(U.shape[0])) > 1e-10:
-                raise SpecInvalid(f"group element {k} is not unitary within 1e-10")
+        bad = np.flatnonzero(np.abs(dag(us) @ us - np.eye(us.shape[-1])).max(axis=(1, 2)) > 1e-10)
+        if len(bad):
+            raise SpecInvalid(f"group element {bad[0]} is not unitary within 1e-10")
         _check_closure(us)
 
-    def elements(self, count: int, seed: int) -> tuple:
+    def elements(self, count: int, seed: int) -> np.ndarray:
         """Every element; a finite group needs no sampling."""
         return self.unitaries
 
     def average(self, X: np.ndarray) -> np.ndarray:
-        return sum(U @ X @ dag(U) for U in self.unitaries) / len(self.unitaries)
+        return np.mean(self.unitaries @ X @ dag(self.unitaries), axis=0)
 
 
-def _phase_aligned_distance(U: np.ndarray, V: np.ndarray) -> float:
-    tr = np.trace(dag(V) @ U)
-    ph = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-    return linalg.herm_norm_inf(U - ph * V)
-
-
-def _check_closure(us, tol: float = 1e-8) -> None:
-    for A in us:
-        for B in us:
-            P = A @ B
-            if min(_phase_aligned_distance(P, U) for U in us) > tol:
-                raise SpecInvalid("unitary family is not closed under products (up to phase)")
+def _check_closure(us: np.ndarray, tol: float = 1e-8) -> None:
+    """Every product A B of the (n, d, d) family is within `tol` of the member U of
+    largest overlap |tr(U+ A B)| (one that close has overlap near d), up to phase;
+    a block of left factors A at a time, in at most ADJOINT_BLOCK_ENTRIES entries."""
+    n, d = len(us), us.shape[-1]
+    flat = us.reshape(n, d * d)
+    block = max(1, linalg.ADJOINT_BLOCK_ENTRIES // (n * (d * d + n)))
+    for i in range(0, n, block):
+        P = (us[i:i + block, None] @ us[None]).reshape(-1, d * d)
+        tr = P @ flat.conj().T  # tr(U_v+ P) for every product and member v
+        best = np.argmax(np.abs(tr), axis=1)
+        ph = np.exp(1j * np.angle(tr[np.arange(len(P)), best]))
+        if np.abs(P - ph[:, None] * flat[best]).max() > tol:
+            raise SpecInvalid("unitary family is not closed under products (up to phase)")
 
 
 def _uniform_ft(k: np.ndarray, length: float) -> np.ndarray:
@@ -145,24 +147,19 @@ class SU2Euler:
         object.__setattr__(self, "_eig3", np.linalg.eigh(gs[2]))
 
     @staticmethod
-    def _expm(eig, t: float) -> np.ndarray:
+    def _expm(eig, t) -> np.ndarray:
         w, V = eig
-        return (V * np.exp(1j * t * w)) @ dag(V)
+        return (V * np.exp(1j * np.asarray(t)[..., None] * w)[..., None, :]) @ dag(V)
 
-    def element(self, x1: float, x2: float, x3: float) -> np.ndarray:
-        """U = exp(i x3 J3) exp(i x2 J2) exp(i x1 J3), z-y-z angles."""
+    def element(self, x1, x2, x3) -> np.ndarray:
+        """U = exp(i x3 J3) exp(i x2 J2) exp(i x1 J3), z-y-z angles; for
+        angle arrays, the stack of the elements they broadcast to."""
         return self._expm(self._eig3, x3) @ self._expm(self._eig2, x2) @ self._expm(self._eig3, x1)
 
-    def elements(self, count: int, seed: int) -> list:
+    def elements(self, count: int, seed: int) -> np.ndarray:
         """`count` Haar-random elements: x1, x3 uniform, cos(x2) uniform."""
-        rng = split_seed(seed, 13)
-        out = []
-        for _ in range(count):
-            x1 = rng.uniform(0, 4 * np.pi)
-            x2 = float(np.arccos(1 - 2 * rng.uniform()))
-            x3 = rng.uniform(0, 2 * np.pi)
-            out.append(self.element(x1, x2, x3))
-        return out
+        u = split_seed(seed, 13).uniform(size=(count, 3))
+        return self.element(4 * np.pi * u[:, 0], np.arccos(1 - 2 * u[:, 1]), 2 * np.pi * u[:, 2])
 
     def average(self, X: np.ndarray) -> np.ndarray:
         Y = X
@@ -179,11 +176,9 @@ class BlockUnitaryHaar:
     n: int
     D: int
 
-    def elements(self, count: int, seed: int) -> list:
+    def elements(self, count: int, seed: int) -> np.ndarray:
         """`count` Haar-random V (x) 1_D."""
-        rng = split_seed(seed, 11, self.n, self.D)
-        eye = np.eye(self.D)
-        return [np.kron(haar_unitary(rng, self.n), eye) for _ in range(count)]
+        return np.kron(haar_unitaries(split_seed(seed, 11, self.n, self.D), self.n, count), np.eye(self.D))
 
     def average(self, X: np.ndarray) -> np.ndarray:
         """Haar twirl: I_n/n (x) tr_n(X), the same for V and its conjugate."""
@@ -201,7 +196,7 @@ def holevo_chi(T: ch.QuantumChannel, e: Ensemble) -> float:
     """chi = S(sum p_i T(rho_i)) - sum p_i S(T(rho_i)), in bits."""
     if e.dim != T.dim_in:
         raise DimMismatch(f"ensemble dim {e.dim} != channel input dim {T.dim_in}")
-    return float(_chi(e.probs, np.stack([T.apply_raw(s.mat) for s in e.states]), [0])[0])
+    return float(_chi(e.probs, T.apply_raw(np.stack([s.mat for s in e.states])), [0])[0])
 
 
 def _chi(probs: np.ndarray, outputs: np.ndarray, starts) -> np.ndarray:
@@ -230,15 +225,12 @@ def verify_weak_covariance(T: ch.QuantumChannel, rho0: ch.DensityMatrix, group, 
     covariance_residual = max_g || T(pi(g) rho0 pi(g)+) - Pi(g) T(rho0) Pi(g)+ ||_inf
     over the group's elements, with Pi(g) = conj(pi(g)) when `conjugate` is set.
     """
-    out0 = T.apply_raw(rho0.mat)
-    resid = 0.0
-    for A in group.elements(COVARIANCE_SAMPLES, seed):
-        B = A.conj() if conjugate else A
-        lhs = T.apply_raw(A @ rho0.mat @ dag(A))
-        rhs = B @ out0 @ dag(B)
-        resid = max(resid, linalg.herm_norm_inf(lhs - rhs))
+    A = group.elements(COVARIANCE_SAMPLES, seed)
+    B = A.conj() if conjugate else A
+    lhs = T.apply_raw(A @ rho0.mat @ dag(A))
+    rhs = B @ T.apply_raw(rho0.mat) @ dag(B)
     _, avg_resid = orbit_average(T, rho0, group, conjugate)
-    return float(resid), float(avg_resid)
+    return linalg.herm_norm_inf(lhs - rhs), float(avg_resid)
 
 
 @dataclass
@@ -319,9 +311,7 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
             rng = split_seed(cfg.seed, 17, trial)
             size = int(rng.integers(2, T.dim_in ** 4 + 1))
             probs.append(flat_simplex(rng, size))
-            # one draw in the order of `size` haar_state_vector calls
-            G = rng.standard_normal((size, 2, d2))
-            Psi.append(G[:, 0] + 1j * G[:, 1])
+            Psi.append(complex_normal(rng, size, d2))  # as `size` haar_state_vector draws
         Psi = np.concatenate(Psi)
         Psi /= np.linalg.norm(Psi, axis=1, keepdims=True)
         ch.check_pure_states(Psi)

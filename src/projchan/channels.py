@@ -110,29 +110,36 @@ def check_pure_states(Psi: np.ndarray) -> None:
 
 @dataclass
 class QuantumChannel:
-    """Kraus-operator channel with a cached trace-1 Choi matrix."""
+    """Kraus-operator channel with a cached trace-1 Choi matrix; `kraus` is one read-only
+    (k, d_out, d_in) array (a complex contiguous array passed in is kept, not copied)."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple
+    kraus: np.ndarray
     name: str = ""
 
     def __post_init__(self):
-        self.kraus = tuple(np.asarray(A, dtype=complex) for A in self.kraus)
-        for A in self.kraus:
-            if A.shape != (self.dim_out, self.dim_in):
-                raise BadDims(f"Kraus shape {A.shape} != ({self.dim_out}, {self.dim_in})")
-        self._kstack = np.stack(self.kraus)
-        k = len(self.kraus)
-        # [A_1; ...; A_k] and [A_1+; ...; A_k+], the operands of _kraus_sum
-        self._kcol = self._kstack.reshape(k * self.dim_out, self.dim_in)
-        self._kcol_dag = self._kstack.conj().transpose(0, 2, 1).reshape(k * self.dim_in, self.dim_out)
+        try:
+            K = np.ascontiguousarray(self.kraus, dtype=complex).view()
+        except ValueError as exc:  # matrices of different shapes
+            raise BadDims(f"Kraus operators of unequal shapes: {exc}") from exc
+        if K.ndim != 3 or K.shape[1:] != (self.dim_out, self.dim_in):
+            raise BadDims(f"Kraus shape {K.shape[1:]} != ({self.dim_out}, {self.dim_in})")
+        K.flags.writeable = False
+        self.kraus = K
+        # [A_1; ...; A_k], the left operand of _kraus_sum, a view of `kraus`
+        self._kcol = K.reshape(-1, self.dim_in)
+
+    @cached_property
+    def _kcol_dag(self) -> np.ndarray:
+        """[A_1+; ...; A_k+], built on the first adjoint-side product."""
+        return self.kraus.conj().transpose(0, 2, 1).reshape(-1, self.dim_out)
 
     @cached_property
     def choi(self) -> np.ndarray:
         # (T x id)(Omega) = sum_k vec(A_k) vec(A_k)+ / d_in with row-major vec,
         # index ordering (output, reference).
-        K = self._kstack.reshape(len(self.kraus), -1)
+        K = self.kraus.reshape(len(self.kraus), -1)
         return (K.T @ K.conj()) / self.dim_in
 
     @property
@@ -147,11 +154,11 @@ class QuantumChannel:
         return S.reshape(d_out * d_out, d_in * d_in)
 
     def apply_raw(self, rho: np.ndarray) -> np.ndarray:
-        """Schroedinger-picture action, sum_k A_k rho A_k+."""
+        """Schroedinger-picture action, sum_k A_k rho A_k+, on a matrix or a stack."""
         return _kraus_sum(self._kcol, rho, self._kcol_dag)
 
     def apply_adjoint_raw(self, X: np.ndarray) -> np.ndarray:
-        """Heisenberg-picture adjoint, sum_k A_k+ X A_k."""
+        """Heisenberg-picture adjoint, sum_k A_k+ X A_k, on a matrix or a stack."""
         return _kraus_sum(self._kcol_dag, X, self._kcol)
 
     def pure_outputs(self, Psi: np.ndarray, adjoint: bool = False, rank: int = 1):
@@ -183,11 +190,19 @@ class QuantumChannel:
 def _kraus_sum(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_k L_k X R_k for stacks left = [L_1; ...; L_k] of shape (k*p, q) and
     right = [R_1; ...; R_k] of shape (k*q, r): the blocks L_k X, laid side by
-    side as a (p, k*q) matrix, times the stacked R_k."""
-    q = left.shape[1]
+    side as a (p, k*q) matrix, times the stacked R_k. X is a (q, q) matrix or
+    a (c, q, q) stack, taken a block of members at a time so that a product
+    holds at most ADJOINT_BLOCK_ENTRIES Kraus images L_k X."""
+    q, r = left.shape[1], right.shape[1]
     k = right.shape[0] // q
-    LX = (left @ X).reshape(k, -1, q)
-    return LX.transpose(1, 0, 2).reshape(-1, k * q) @ right
+    p = left.shape[0] // k
+    stack = X.reshape(-1, q, q)
+    out = np.empty((len(stack), p, r), dtype=complex)
+    block = max(1, linalg.ADJOINT_BLOCK_ENTRIES // left.size)
+    for i in range(0, len(stack), block):
+        LX = (left @ stack[i:i + block]).reshape(-1, k, p, q)
+        np.matmul(LX.swapaxes(1, 2).reshape(-1, p, k * q), right, out=out[i:i + block])
+    return out.reshape(X.shape[:-2] + out.shape[1:])
 
 
 @dataclass
@@ -205,11 +220,14 @@ class LinearMap:
 
     @classmethod
     def from_apply(cls, fn, d: int, m: int | None = None) -> "LinearMap":
-        S = np.zeros((d * d, d * d), dtype=complex)
+        """The map of `fn`, which acts on each member of a (d, d, d) stack:
+        one call per row i, on the matrix units E_i0, ..., E_i(d-1)."""
+        S = np.empty((d * d, d, d), dtype=complex)
         for i in range(d):
-            for j in range(d):
-                S[:, i * d + j] = fn(linalg.basis_matrix_unit(d, i, j)).reshape(-1)
-        return cls(d, S, m)
+            units = np.zeros((d, d, d), dtype=complex)
+            units[:, i] = np.eye(d)  # units[j] = E_ij
+            S[:, i] = fn(units).reshape(d, d * d).T
+        return cls(d, S.reshape(d * d, d * d), m)
 
 
 @dataclass
@@ -276,9 +294,11 @@ class ValidationReport:
 
 def validate(T: QuantumChannel) -> ValidationReport:
     """Trace preservation and complete positivity, with residuals."""
-    acc = sum(dag(A) @ A for A in T.kraus)
-    tp_res = linalg.herm_norm_inf(acc - np.eye(T.dim_in))
-    w = np.linalg.eigvalsh((T.choi + dag(T.choi)) / 2)
+    # both read the Choi matrix J alone, with no temporary of its size: d_in tr_out J =
+    # conj(sum_k A_k+ A_k), and eigvalsh reads one triangle of J, Hermitian by construction
+    J, d_in = T.choi.reshape(T.dim_out, T.dim_in, T.dim_out, T.dim_in), T.dim_in
+    tp_res = linalg.herm_norm_inf(np.einsum("aiaj->ij", J) * d_in - np.eye(d_in))
+    w = np.linalg.eigvalsh(T.choi)
     return ValidationReport(
         trace_preserving=bool(tp_res <= TP_TOL),
         completely_positive=bool(w.min() >= -linalg.NEG_EIG_TOL),
@@ -295,7 +315,7 @@ def apply(T: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def require_stack_fits(count: int, d_out: int, d_in: int) -> None:
     """Refuse, before any operator is built, a Kraus stack of more than
-    DIM_CAP**2 entries; a channel keeps the stack and its adjoint copy."""
+    DIM_CAP**2 entries; a channel keeps the stack (and an adjoint copy once used)."""
     if count * d_out * d_in > linalg.DIM_CAP ** 2:
         raise DimensionOverflow(
             f"{count} Kraus operators of shape {d_out}x{d_in} exceed the cap of {linalg.DIM_CAP ** 2} entries"
@@ -312,11 +332,12 @@ def tensor_channels(channels) -> QuantumChannel:
     if max(din, dout) > linalg.DIM_CAP:
         raise DimensionOverflow(f"product dimension {max(din, dout)} exceeds cap {linalg.DIM_CAP}")
     require_stack_fits(math.prod(len(T.kraus) for T in channels), dout, din)
-    kraus = [np.array([[1.0 + 0j]])]
-    for T in channels:
-        kraus = [np.kron(A, B) for A in kraus for B in T.kraus]
+    kraus = np.ones((1, 1, 1), dtype=complex)
+    for T in channels:  # every A (x) B, ordered by A first, then by B
+        kraus = np.kron(kraus[:, None], T.kraus[None])
+        kraus = kraus.reshape(-1, *kraus.shape[2:])
     name = " (x) ".join(T.name or "?" for T in channels)
-    return QuantumChannel(din, dout, tuple(kraus), name=name)
+    return QuantumChannel(din, dout, kraus, name=name)
 
 
 def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm_value: float) -> ProjectiveForm:
@@ -373,12 +394,9 @@ def reconstruction_residual(T: QuantumChannel, form: ProjectiveForm) -> float:
 
 def stinespring(T: QuantumChannel) -> Isometry:
     """Dilation isometry U with tr_env(U rho U+) = T(rho); env indexes Kraus operators."""
-    kraus = [A for A in T.kraus if np.linalg.norm(A) >= 1e-12]
-    K = len(kraus)
-    U = np.zeros((T.dim_out * K, T.dim_in), dtype=complex)
-    for k, A in enumerate(kraus):
-        U[k :: K, :] = A  # row (a*K + k) <- A[a, :]
-    return Isometry(T.dim_in, T.dim_out, K, U)
+    kraus = T.kraus[np.linalg.norm(T.kraus, axis=(1, 2)) >= 1e-12]
+    # row (a*K + k) <- A_k[a, :] for the K operators kept
+    return Isometry(T.dim_in, T.dim_out, len(kraus), kraus.transpose(1, 0, 2).reshape(-1, T.dim_in))
 
 
 def is_normalized_projection(rho: DensityMatrix, tol: float = 1e-8):
@@ -456,7 +474,7 @@ def channel_from_json(obj) -> QuantumChannel:
     for i, A in enumerate(ops):
         if A.shape != (d, d):
             raise ValidationError(f"kraus[{i}] has shape {A.shape}, expected ({d}, {d})")
-    T = QuantumChannel(d, d, tuple(ops), name="file")
+    T = QuantumChannel(d, d, ops, name="file")
     report = validate(T)
     if not report.valid:
         raise ValidationError(

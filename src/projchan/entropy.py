@@ -54,6 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channels as ch
+from . import linalg
 from .errors import BadAlpha, DimMismatch, SpecInvalid
 from .linalg import DIM_CAP
 from .sampling import haar_state_vector, split_seed
@@ -71,7 +72,6 @@ FIXED_POINT_ITERS = 48     # fixed-point steps (twice the smoothing schedule) be
 VON_NEUMANN_FIXED_POINT_ITERS = 3  # at alpha = 1, before the descent takes the rest
 CONVEX_FIXED_POINT_ITERS = 2       # and above alpha = 1 (finite): one step to land on nu, one to stall
 STATIONARY_GRAD = 1e-4     # projected gradient norm above which a settled fixed-point start is descended
-ADJOINT_BLOCK_ENTRIES = 1 << 20  # most Kraus-image entries (16 MiB) per T+ call of the fixed point
 TOL_EQUIV = 1e-5           # largest spread of nu_alpha over the grid that `characterize` calls constant
 
 
@@ -289,7 +289,7 @@ def _factored_adjoint(T: ch.QuantumChannel):
     the matrix has at most DIM_CAP**2 entries, the cap on a Kraus stack.
     Otherwise it is T+ on the columns of U as one input of rank r
     (`pure_outputs` with `rank`), a block of members at a time, so that a
-    call holds at most ADJOINT_BLOCK_ENTRIES Kraus-image entries.
+    call holds at most linalg.ADJOINT_BLOCK_ENTRIES Kraus-image entries.
     """
     d_out, d_in, k = T.dim_out, T.dim_in, len(T.kraus)
     if d_out * d_in <= min(k * (d_in + 1), DIM_CAP):
@@ -303,7 +303,7 @@ def _factored_adjoint(T: ch.QuantumChannel):
 
     def blocked(U):
         c, _, r = U.shape
-        block = max(1, ADJOINT_BLOCK_ENTRIES // (r * k * d_in))
+        block = max(1, linalg.ADJOINT_BLOCK_ENTRIES // (r * k * d_in))
         rows = U.transpose(0, 2, 1).reshape(c * r, d_out)
         return np.concatenate([T.pure_outputs(rows[i:i + block * r], adjoint=True, rank=r)[1]
                                for i in range(0, c * r, block * r)])

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import channels as ch
 from .capacity import Ensemble
-from .entropy import _armijo_descent, _best_start
+from .entropy import _armijo_descent, _best_start, _entropy_from_eigs
 from .errors import BadDims, DimensionOverflow, DimMismatch, SpecInvalid
 from .linalg import BATCH_BLOCK, DIM_CAP, dag
-from .sampling import split_seed
+from .sampling import complex_normal, split_seed
 
 EOF_STEP_CAP = 1e2  # largest Armijo trial step on the Stiefel manifold
 
@@ -91,21 +91,14 @@ def channel_optimal_state(T: ch.QuantumChannel, e: Ensemble) -> BipartiteState:
         raise DimMismatch(f"ensemble dim {e.dim} != channel input dim {T.dim_in}")
     ch.ensure_pure_members(e.states)
     U = ch.stinespring(T)
-    acc = np.zeros((U.mat.shape[0], U.mat.shape[0]), dtype=complex)
-    for p, s in zip(e.probs, e.states):
-        w, V = np.linalg.eigh(s.mat)
-        phi = V[:, -1]
-        out = U.mat @ phi
-        acc += p * np.outer(out, out.conj())
-    return BipartiteState(T.dim_out, U.env_dim, ch.DensityMatrix(acc.shape[0], acc))
+    out = np.linalg.eigh(np.stack([s.mat for s in e.states]))[1][:, :, -1] @ U.mat.T  # row i: U psi_i
+    acc = (e.probs[:, None] * out).T @ out.conj()
+    return BipartiteState(T.dim_out, U.env_dim, ch.DensityMatrix(len(acc), acc))
 
 
 def entanglement_entropy(psi: np.ndarray, dimA: int, dimB: int) -> float:
     C = np.asarray(psi, dtype=complex).reshape(dimA, dimB)
-    w = np.linalg.eigvalsh(C @ dag(C))
-    w = np.clip(w, 0.0, None)
-    nz = w[w > 1e-18]
-    return float(-np.sum(nz * np.log2(nz)))
+    return float(_entropy_from_eigs(np.linalg.eigvalsh(C @ dag(C)), 1.0))
 
 
 def _qr_retract(W: np.ndarray) -> np.ndarray:
@@ -140,9 +133,7 @@ def _ensemble_objective(E: np.ndarray, dA: int, dB: int):
         f = np.empty(len(W))
         for i in range(0, len(W), BATCH_BLOCK):
             _, p, live, mu = members(W[i:i + BATCH_BLOCK], np.linalg.eigvalsh)
-            mu = np.clip(mu, 1e-18, None)
-            ent = -np.sum(np.where(mu > 1e-17, mu * np.log2(mu), 0.0), axis=-1)
-            f[i:i + BATCH_BLOCK] = np.sum(np.where(live, p * ent, 0.0), axis=1)
+            f[i:i + BATCH_BLOCK] = np.sum(np.where(live, p * _entropy_from_eigs(mu, 1.0), 0.0), axis=1)
         return f
 
     def grad(W):
@@ -180,8 +171,7 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
         WG = W.conj().swapaxes(-1, -2) @ G
         return G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2)
 
-    rngs = [split_seed(cfg.seed, i) for i in range(cfg.starts)]
-    W0 = _qr_retract(np.array([g.standard_normal((k, r)) + 1j * g.standard_normal((k, r)) for g in rngs]))
+    W0 = _qr_retract(np.concatenate([complex_normal(split_seed(cfg.seed, i), 1, k, r) for i in range(cfg.starts)]))
     values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol, EOF_STEP_CAP)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E

@@ -26,10 +26,14 @@ NEG_EIG_TOL = 1e-10
 # memory without running faster.
 BATCH_BLOCK = 16
 
+# Most entries (16 MiB) one stacked product holds: Kraus images in a channel's
+# applies and the fixed point's T+ calls, group products in FiniteGroup's closure check.
+ADJOINT_BLOCK_ENTRIES = 1 << 20
+
 
 def dag(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return A.conj().T
+    """Conjugate transpose, of a matrix or of each member of a stack."""
+    return A.conj().swapaxes(-1, -2)
 
 
 def herm_norm_inf(A: np.ndarray) -> float:
@@ -69,22 +73,12 @@ def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
 def flip(d: int) -> np.ndarray:
     """Flip (swap) operator on C^d x C^d: F|i,j> = |j,i>; also the
     transpose X -> X^T as a superoperator on row-major vec."""
-    F = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            F[j * d + i, i * d + j] = 1.0
-    return F
+    return np.eye(d * d).reshape(d, d, d, d).swapaxes(2, 3).reshape(d * d, d * d)
 
 
 def trace_superop(d: int) -> np.ndarray:
     """X -> tr X * I on C^{d x d} as a superoperator on row-major vec: vec(I) vec(I)^T."""
     return np.outer(np.eye(d), np.eye(d))
-
-
-def basis_matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    E = np.zeros((d, d), dtype=complex)
-    E[i, j] = 1.0
-    return E
 
 
 def projector_from_vector(psi: np.ndarray) -> np.ndarray:

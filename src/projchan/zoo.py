@@ -102,21 +102,21 @@ def transpose_map(d: int) -> ch.LinearMap:
 
 def weyl_m_map(d: int) -> ch.LinearMap:
     W = weyl_unitaries(d)
-    return ch.LinearMap.from_apply(lambda X: sum(Wi @ X.T @ dag(Wi) for Wi in W) / d, d, m=1)
+    return ch.LinearMap.from_apply(lambda X: sum(Wi @ X.swapaxes(-1, -2) @ dag(Wi) for Wi in W) / d, d, m=1)
 
 
 def pinching_m_map(projections) -> ch.LinearMap:
     projections = [np.asarray(P, dtype=complex) for P in projections]
     d = projections[0].shape[0]
-    return ch.LinearMap.from_apply(lambda X: sum(P @ X.T @ P for P in projections), d, m=1)
+    return ch.LinearMap.from_apply(lambda X: sum(P @ X.swapaxes(-1, -2) @ P for P in projections), d, m=1)
 
 
 def coarse_m_map(n: int, D: int) -> ch.LinearMap:
     d = n * D
 
     def M_fn(X):
-        Xn = np.trace(X.reshape(n, D, n, D), axis1=1, axis2=3)
-        return np.kron(Xn.T, np.eye(D)) / D
+        Xn = np.trace(X.reshape(-1, n, D, n, D), axis1=2, axis2=4)
+        return np.kron(Xn.swapaxes(-1, -2), np.eye(D)) / D
 
     return ch.LinearMap.from_apply(M_fn, d, m=D)
 
@@ -237,7 +237,8 @@ class Stretching:
                 A = np.sqrt((1 - lam) / (d - 1)) * np.outer(v, np.eye(d)[:, b])
                 kraus.append(A)
         T = ch.QuantumChannel(d, d, tuple(kraus), name=f"stretch:d={d},lambda={lam}")
-        M = ch.LinearMap.from_apply(lambda X: lam * X.T + (1 - lam) * omega * np.trace(X), d, m=1)
+        M = ch.LinearMap.from_apply(lambda X: lam * X.swapaxes(-1, -2) + (1 - lam) * omega
+                                    * np.trace(X, axis1=-2, axis2=-1)[..., None, None], d, m=1)
         return T, ch.ProjectiveForm(M, ch.DensityMatrix(d, omega.T.copy()))
 
     def _group(self):
@@ -350,10 +351,9 @@ class ShiftsPinching:
         W = weyl_unitaries(d)
 
         def M_fn(X):
-            out = np.zeros((d, d), dtype=complex)
+            out = np.zeros(X.shape, dtype=complex)
             for k in K:
-                Y = dag(W[k - 1]) @ X @ W[k - 1]
-                out += np.diag(np.diag(Y))
+                out[..., range(d), range(d)] += np.diagonal(dag(W[k - 1]) @ X @ W[k - 1], axis1=-2, axis2=-1)
             return out / len(K)
 
         return T, ch.ProjectiveForm(ch.LinearMap.from_apply(M_fn, d, m=len(K)), _zero_state(d))

@@ -42,6 +42,15 @@ def trace_square_bound(maps, rho):
     return lhs, bound, bool(lhs <= bound + 1e-9)
 
 
+def haar_unitary(rng, d):
+    """One Haar unitary drawn by two standard_normal calls, real part then
+    imaginary part: the per-draw reference for sampling.haar_unitaries."""
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    Q, R = np.linalg.qr(G)
+    ph = np.diag(R)
+    return Q * (ph / np.abs(ph))
+
+
 def random_channel(d_in, d_out, k, seed):
     """The k d_out x d_in blocks of a random (k d_out) x d_in isometry as Kraus
     operators (k is raised to ceil(d_in / d_out) so that the isometry exists),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import identity_channel
+from conftest import haar_unitary, identity_channel
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
@@ -62,6 +62,17 @@ def test_finite_group_requires_closure():
     U = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
     with pytest.raises(SpecInvalid):
         cap.FiniteGroup((np.eye(2, dtype=complex), U))
+
+
+@pytest.mark.parametrize("budget", [linalg.ADJOINT_BLOCK_ENTRIES, 1], ids=["one_block", "per_factor"])
+def test_finite_group_closure_is_up_to_phase(monkeypatch, budget):
+    monkeypatch.setattr(linalg, "ADJOINT_BLOCK_ENTRIES", budget)
+    X, Z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+    cap.FiniteGroup((np.eye(2), X, X @ Z, Z))  # X Z = -i Y and Z X = i Y: closed up to phase
+    with pytest.raises(SpecInvalid, match="not closed"):
+        cap.FiniteGroup((np.eye(2), X, Z))
+    with pytest.raises(SpecInvalid, match="group element 2 is not unitary"):
+        cap.FiniteGroup((np.eye(2), X, 1.1 * Z))
 
 
 def test_orbit_average_weyl_phases_exact():
@@ -222,6 +233,35 @@ def test_sampled_elements_follow_the_seed(group):
     assert len(first) == cap.COVARIANCE_SAMPLES
     assert all(np.array_equal(A, B) for A, B in zip(first, again))
     assert all(np.abs(A - C).max() > 1e-3 for A, C in zip(first, other))
+
+
+@pytest.mark.parametrize("seed", [5, 12648430])
+def test_sampled_elements_equal_the_per_draw_lists(seed):
+    su2 = cap.SU2Euler(tuple(zoo.su2_generators(3)))
+    rng = split_seed(seed, 13)
+    want = []
+    for _ in range(cap.COVARIANCE_SAMPLES):
+        x1 = rng.uniform(0, 4 * np.pi)
+        x2 = float(np.arccos(1 - 2 * rng.uniform()))
+        want.append(su2.element(x1, x2, rng.uniform(0, 2 * np.pi)))
+    assert np.array_equal(su2.elements(cap.COVARIANCE_SAMPLES, seed), np.array(want))
+    rng = split_seed(seed, 11, 3, 2)
+    want = [np.kron(haar_unitary(rng, 3), np.eye(2)) for _ in range(cap.COVARIANCE_SAMPLES)]
+    assert np.array_equal(cap.BlockUnitaryHaar(3, 2).elements(cap.COVARIANCE_SAMPLES, seed), np.array(want))
+
+
+@pytest.mark.parametrize("spec", ["wh:d=3", "weyl:d=3", "stretch:d=3,lambda=0.5", "coarse:n=2,D=2", "casimir:d=3",
+                                  "casimir-reducible"])
+def test_weak_covariance_matches_the_per_element_loop(spec):
+    s = zoo.parse_spec(spec)
+    T, form = zoo.build(s)
+    rho0, group, conjugate = zoo.auto_group(s, form)
+    out0, resid = T.apply_raw(rho0.mat), 0.0
+    for A in group.elements(cap.COVARIANCE_SAMPLES, 12648430):
+        B = A.conj() if conjugate else A
+        resid = max(resid, linalg.herm_norm_inf(T.apply_raw(A @ rho0.mat @ dag(A)) - B @ out0 @ dag(B)))
+    cov, _ = cap.verify_weak_covariance(T, rho0, group, conjugate)
+    assert abs(cov - resid) <= 1e-15
 
 
 def test_weak_covariance_casimir32_average_exact():

@@ -9,6 +9,7 @@ from conftest import identity_channel, max_entangled, permute_systems, random_ch
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
+    BadDims,
     DimensionOverflow,
     DimMismatch,
     NonPureEnsemble,
@@ -249,6 +250,71 @@ def test_check_pure_states_agrees_with_check_states(d, seed, rows, offset):
     assert _verdict(ch.check_pure_states, Psi) == _verdict(ch.check_states, _projectors(Psi))
 
 
+@pytest.mark.parametrize("budget", [linalg.ADJOINT_BLOCK_ENTRIES, 3 * 5 * 4 * 3], ids=["one_block", "three_blocks"])
+def test_apply_raw_on_a_stack_matches_per_member(monkeypatch, budget):
+    # 5 Kraus operators of 4 x 3 hold 60 image entries per member, so the
+    # small budget takes the 7 members as blocks of 3, 3 and 1
+    _, T, rng = random_channel(3, 4, 5, seed=11)
+    X = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+    Y = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    want_X, want_Y = np.array([T.apply_raw(x) for x in X]), np.array([T.apply_adjoint_raw(y) for y in Y])
+    monkeypatch.setattr(linalg, "ADJOINT_BLOCK_ENTRIES", budget)
+    assert np.array_equal(T.apply_raw(X), want_X)
+    assert np.array_equal(T.apply_adjoint_raw(Y), want_Y)
+
+
+def test_a_built_channel_keeps_one_read_only_kraus_array():
+    T, _ = zoo.build(zoo.parse_spec("weyl:d=3"))
+    assert isinstance(T.kraus, np.ndarray) and T.kraus.shape == (9, 3, 3)
+    assert np.shares_memory(T._kcol, T.kraus)
+    assert "_kcol_dag" not in vars(T)  # built on the first adjoint-side product
+    with pytest.raises(ValueError, match="read-only"):
+        T.kraus[0, 0, 0] = 1.0
+    T.apply_adjoint_raw(np.eye(3))
+    assert "_kcol_dag" in vars(T)
+
+
+def test_unequal_kraus_shapes_are_refused():
+    with pytest.raises(BadDims):
+        ch.QuantumChannel(2, 2, (np.eye(2), np.eye(3)))
+    with pytest.raises(BadDims, match=r"Kraus shape \(2, 2\) != \(3, 2\)"):
+        ch.QuantumChannel(2, 3, (np.eye(2),))
+
+
+def test_validate_holds_no_choi_sized_temporary():
+    T, _ = zoo.build(zoo.parse_spec("wh:d=20"))  # the build's validate cached T.choi
+    tracemalloc.start()
+    try:
+        report = ch.validate(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 0.5 * T.choi.nbytes
+
+
+def _kron_list(channels):
+    """The Kraus products of a tensor product channel, one np.kron per pair."""
+    kraus = [np.array([[1.0 + 0j]])]
+    for T in channels:
+        kraus = [np.kron(A, B) for A in kraus for B in T.kraus]
+    return np.array(kraus)
+
+
+@pytest.mark.parametrize("specs", [["wh:d=3", "wh:d=3"], ["wh:d=3", "weyl:d=3", "pinch:d=3,blocks=1+2"],
+                                   ["coarse:n=2,D=2", "casimir:d=2"]])
+def test_tensor_channels_matches_the_kron_list(specs):
+    channels = [zoo.build(zoo.parse_spec(s))[0] for s in specs]
+    assert np.array_equal(ch.tensor_channels(channels).kraus, _kron_list(channels))
+
+
+def test_tensor_channels_of_rectangular_channels_matches_the_kron_list():
+    channels = [random_channel(2, 3, 2, seed=1)[1], random_channel(3, 1, 3, seed=2)[1]]
+    TT = ch.tensor_channels(channels)
+    assert (TT.dim_in, TT.dim_out) == (6, 3)
+    assert np.array_equal(TT.kraus, _kron_list(channels))
+
+
 def test_tensor_channels_refuses_oversize_kraus_stack():
     T, _ = zoo.build(zoo.WeylShift(8))  # 224 operators; the product would hold 50176 of 64 x 64
     with pytest.raises(DimensionOverflow, match="50176 Kraus operators of shape 64x64"):
@@ -304,7 +370,7 @@ def test_extract_projective_form_wh3(wh3):
     # the recovered M is transposition on a matrix-unit basis
     for i in range(3):
         for j in range(3):
-            E = linalg.basis_matrix_unit(3, i, j)
+            E = np.outer(np.eye(3)[i], np.eye(3)[j])  # the matrix unit E_ij
             assert linalg.herm_norm_inf(form.M.apply(E) - E.T) < 1e-10
 
 
@@ -377,6 +443,28 @@ def test_reconstruction_residual_sees_a_wrong_map(wh3, wrong):
     assert ch.reconstruction_residual(T, bad) > ch.RECON_TOL
     with pytest.raises(SpecInvalid, match="projective form reconstruction residual"):
         zoo._finish(T, bad)
+
+
+def _interleaved_isometry(T):
+    """The dilation by the per-operator loop: row a*K + k holds A_k[a, :],
+    over the K operators of norm at least 1e-12."""
+    kraus = [A for A in T.kraus if np.linalg.norm(A) >= 1e-12]
+    K = len(kraus)
+    U = np.zeros((T.dim_out * K, T.dim_in), dtype=complex)
+    for k, A in enumerate(kraus):
+        U[k::K, :] = A
+    return U
+
+
+@pytest.mark.parametrize("make", [lambda: zoo.build(zoo.parse_spec("casimir-reducible"))[0],
+                                  lambda: random_channel(2, 3, 4, seed=3)[1],
+                                  lambda: ch.QuantumChannel(2, 2, (np.eye(2), np.zeros((2, 2))))],
+                         ids=["casred", "rectangular", "zero_operator"])
+def test_stinespring_matches_the_interleave_loop(make):
+    T = make()
+    iso = ch.stinespring(T)
+    assert np.array_equal(iso.mat, _interleaved_isometry(T))
+    assert iso.env_dim == len(iso.mat) // T.dim_out
 
 
 def test_stinespring_identity():

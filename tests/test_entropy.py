@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import identity_channel, offclass_channel, random_channel
 from projchan import channels as ch
-from projchan import entropy, eof, zoo
+from projchan import entropy, eof, linalg, zoo
 from projchan.errors import BadAlpha, DimMismatch, ProjchanError
 from projchan.sampling import haar_state_vector, random_density, split_seed
 
@@ -698,15 +698,15 @@ def test_shared_start_rows_match_fresh_draws_and_are_not_shared():
     assert np.array_equal(entropy._stack_starts(5, cfg, drawn), fresh[:6])
 
 
-@pytest.mark.parametrize("k, budget, calls", [(2, entropy.ADJOINT_BLOCK_ENTRIES, 0),
-                                               (1, entropy.ADJOINT_BLOCK_ENTRIES, 1), (1, 12, 3), (1, 1, 5)])
+@pytest.mark.parametrize("k, budget, calls", [(2, linalg.ADJOINT_BLOCK_ENTRIES, 0),
+                                               (1, linalg.ADJOINT_BLOCK_ENTRIES, 1), (1, 12, 3), (1, 1, 5)])
 def test_factored_adjoint_matches_the_kraus_sum(monkeypatch, k, budget, calls):
     # T+(U U+) on 5 members for a complex 2 -> 3 channel. With 2 Kraus
     # operators the Choi product is the cheaper; with 1 the Kraus images, 6
     # entries per member: all in one call, two members per call with a short
     # last block (12 entries) or one member per call (1 entry).
     _, T, rng = random_channel(2, 3, k, seed=5)
-    monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(linalg, "ADJOINT_BLOCK_ENTRIES", budget)
     seen = []
     kernel = T.pure_outputs
     monkeypatch.setattr(T, "pure_outputs", lambda *args, **kwargs: seen.append(1) or kernel(*args, **kwargs))
@@ -722,7 +722,7 @@ def test_fixed_point_values_do_not_depend_on_the_adjoint_path(monkeypatch):
     cfg = entropy.OptConfig(starts=8, seed=4242)
     by_choi = entropy.min_output_entropy(T, 0.5, cfg).per_start_values
     monkeypatch.setattr(entropy, "DIM_CAP", 1)
-    monkeypatch.setattr(entropy, "ADJOINT_BLOCK_ENTRIES", 60)
+    monkeypatch.setattr(linalg, "ADJOINT_BLOCK_ENTRIES", 60)
     by_kraus = entropy.min_output_entropy(T, 0.5, cfg).per_start_values
     assert np.abs(np.array(by_choi) - by_kraus).max() <= 1e-12
 

@@ -298,3 +298,26 @@ def test_diag_file_roundtrip(tmp_path):
     spec = zoo.parse_spec(f"diag:file={path}")
     T, _ = zoo.build(spec)
     assert ch.validate(T).valid
+
+
+@pytest.mark.parametrize("spec", ["weyl:d=4", "pinch:d=5,blocks=2+3", "coarse:n=3,D=2", "stretch:d=3,lambda=0.3",
+                                  "shiftpinch:d=5,K=1,3"])
+def test_from_apply_matches_the_matrix_unit_loop(monkeypatch, spec):
+    # each family's M declaration, applied to one matrix unit at a time, against
+    # from_apply's one call per row of units
+    maps, calls = [], []
+    from_apply = ch.LinearMap.from_apply
+
+    def recording(fn, d, m=None):
+        maps.append(fn)
+        return from_apply(lambda X: calls.append(X.shape) or fn(X), d, m)
+
+    monkeypatch.setattr(ch.LinearMap, "from_apply", recording)
+    _, form = zoo.build(zoo.parse_spec(spec))
+    d = form.d
+    assert len(maps) == 1 and calls == [(d, d, d)] * d
+    S = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            S[:, i * d + j] = maps[0](np.outer(np.eye(d)[i], np.eye(d)[j])).reshape(-1)
+    assert np.array_equal(form.M.superop, S)
