@@ -117,13 +117,14 @@ def build_parser() -> Parser:
 
 
 def _load_channel_arg(args, zoo):
+    """(T, spec, form) from --file or --spec; spec and form are None for a file."""
     if getattr(args, "file", None):
-        return load_channel(args.file), f"file:{args.file}", None
+        return load_channel(args.file), None, None
     if not args.spec:
-        raise UsageError("need --spec or --file")
+        raise UsageError("need --spec or --file" if hasattr(args, "file") else "need --spec")
     spec = zoo.parse_spec(args.spec)
     T, form = zoo.build(spec)
-    return T, args.spec, (spec, form)
+    return T, spec, form
 
 
 def load_channel(path: str):
@@ -153,7 +154,6 @@ def run(argv) -> int:
     from . import eof as eofmod
     from . import reporting
     from . import zoo
-    from .errors import ProjchanError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -183,34 +183,34 @@ def run(argv) -> int:
     exit_code = 0
 
     if args.command == "validate":
-        T, spec_str, _ = _load_channel_arg(args, zoo)
+        T = _load_channel_arg(args, zoo)[0]
         vr = ch.validate(T)
         report = vr.to_dict()
         if not vr.valid:
             exit_code = 2
 
     elif args.command == "zoo":
-        T, spec_str, built = _load_channel_arg(args, zoo)
+        T, _, form = _load_channel_arg(args, zoo)
         report = ch.channel_to_json(T)
         report["name"] = T.name
-        if built and built[1] is not None:
-            report["m"] = built[1].m
+        if form is not None:
+            report["m"] = form.m
 
     elif args.command == "minent":
-        T, spec_str, _ = _load_channel_arg(args, zoo)
+        T = _load_channel_arg(args, zoo)[0]
         alpha = _parse_alpha(args.alpha)
         rep = entropy.min_output_entropy(T, alpha, _opt_config(args, entropy))
         report = rep.to_dict()
         report["arg_state"] = _state_to_json(rep.arg_state, ch)
 
     elif args.command == "norm":
-        T, spec_str, _ = _load_channel_arg(args, zoo)
+        T = _load_channel_arg(args, zoo)[0]
         rep = entropy.max_output_norm(T, _opt_config(args, entropy))
         report = rep.to_dict()
         report["arg_state"] = _state_to_json(rep.arg_state, ch)
 
     elif args.command == "characterize":
-        T, spec_str, _ = _load_channel_arg(args, zoo)
+        T = _load_channel_arg(args, zoo)[0]
         grid = [_parse_alpha(a) for a in args.alphas.split(",") if a.strip()]
         rep = entropy.characterize(T, grid, _opt_config(args, entropy))
         report = rep.to_dict()
@@ -219,9 +219,9 @@ def run(argv) -> int:
         if not args.spec and not args.check_lemma3:
             raise UsageError("additivity needs --spec (repeatable) or --check-lemma3")
         if args.spec:
-            built = [zoo.build(zoo.parse_spec(s)) for s in args.spec]
+            built = {s: zoo.build(zoo.parse_spec(s))[0] for s in dict.fromkeys(args.spec)}
             alpha = _parse_alpha(args.alpha)
-            rep = addmod.additivity_gap([T for T, _ in built], alpha, _opt_config(args, entropy))
+            rep = addmod.additivity_gap([built[s] for s in args.spec], alpha, _opt_config(args, entropy))
             report = rep.to_dict()
         if args.check_lemma3:
             maps = {
@@ -242,10 +242,7 @@ def run(argv) -> int:
     elif args.command in ("capacity", "covariance"):
         if args.group != "auto":
             raise UsageError(f"unsupported --group {args.group!r} (only 'auto')")
-        if not args.spec:
-            raise UsageError("need --spec")
-        spec = zoo.parse_spec(args.spec)
-        T, form = zoo.build(spec)
+        T, spec, form = _load_channel_arg(args, zoo)
         rho0, group, conjugate = zoo.auto_group(spec, form)
         if args.command == "covariance":
             cov, avg = capmod.verify_weak_covariance(T, rho0, group, conjugate, seed=args.seed)
@@ -265,7 +262,7 @@ def run(argv) -> int:
         report = rep.to_dict()
 
     elif args.command == "dilate":
-        T, spec_str, _ = _load_channel_arg(args, zoo)
+        T = _load_channel_arg(args, zoo)[0]
         iso = ch.stinespring(T)
         report = {
             "dim_in": iso.dim_in,

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,7 +91,6 @@ class OptConfig:
 @dataclass
 class OptReport:
     value: float
-    arg_state: ch.DensityMatrix
     starts: int
     seed: int
     per_start_values: list
@@ -98,6 +98,11 @@ class OptReport:
     best_start: int
     per_start_args: np.ndarray       # (starts, d_in): the point each start ended at
     per_start_converged: np.ndarray  # (starts,): False where a start hit the iteration cap
+
+    @cached_property
+    def arg_state(self) -> ch.DensityMatrix:
+        """The best start's end point as a validated state, built on first access."""
+        return ch.DensityMatrix.from_vector(self.per_start_args[self.best_start])
 
     def to_dict(self) -> dict:
         return {
@@ -425,7 +430,6 @@ def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, pic
     best = _best_start(values, pick_min)
     return OptReport(
         value=float(min(values) if pick_min else max(values)),
-        arg_state=ch.DensityMatrix.from_vector(args[best]),
         starts=len(values),
         seed=cfg.seed,
         per_start_values=values,

@@ -50,6 +50,4 @@ class ParseError(ProjchanError):
 
 
 class ValidationError(ProjchanError):
-    def __init__(self, msg, residuals=None):
-        super().__init__(msg)
-        self.residuals = residuals or {}
+    pass

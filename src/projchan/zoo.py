@@ -12,6 +12,7 @@ Transposition is always taken in the computational basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,39 +29,35 @@ from .linalg import dag
 # ---------------------------------------------------------------------------
 
 
-def weyl_unitaries(d: int):
-    """Shift operators W_i |j> = |j+i mod d>, i = 1..d (W_d = identity)."""
-    out = []
-    for i in range(1, d + 1):
-        W = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            W[(j + i) % d, j] = 1.0
-        out.append(W)
-    return out
+def weyl_unitaries(d: int) -> np.ndarray:
+    """Shift operators W_i |j> = |j+i mod d>, i = 1..d (W_d = identity), as one (d, d, d) stack."""
+    i, j = np.arange(1, d + 1)[:, None], np.arange(d)
+    W = np.zeros((d, d, d), dtype=complex)
+    W[i - 1, (j + i) % d, j] = 1.0
+    return W
 
 
-def phase_unitaries(d: int):
-    """U_j = sum_l exp(2 pi i l j / d) |l><l|, j = 1..d."""
-    return [np.diag([np.exp(2j * np.pi * l * j / d) for l in range(d)]) for j in range(1, d + 1)]
+def phase_unitaries(d: int) -> np.ndarray:
+    """U_j = sum_l exp(2 pi i l j / d) |l><l|, j = 1..d, as one (d, d, d) stack."""
+    l, j = np.arange(d), np.arange(1, d + 1)[:, None]
+    U = np.zeros((d, d, d), dtype=complex)
+    # the angle is a real array: as a complex array, 2j pi l j / d rounds differently
+    U[:, l, l] = np.exp(1j * (2 * np.pi * l * j / d))
+    return U
 
 
-def heisenberg_weyl_unitaries(d: int):
-    """The d^2 products W^a Z^b of shift and clock operators."""
-    W = weyl_unitaries(d)[0]
+def heisenberg_weyl_unitaries(d: int) -> np.ndarray:
+    """The d^2 products W^a Z^b of shift and clock operators, ordered by a, then b, as one stack."""
+    Wa = np.roll(weyl_unitaries(d), 1, axis=0)  # W^0 = W_d, W^1, ..., W^(d-1)
+    # Z^b by repeated products: each power carries the rounding of the one before
     Z = phase_unitaries(d)[0]
-    out = []
-    Wa = np.eye(d, dtype=complex)
-    for _ in range(d):
-        Zb = np.eye(d, dtype=complex)
-        for _ in range(d):
-            out.append(Wa @ Zb)
-            Zb = Zb @ Z
-        Wa = Wa @ W
-    return out
+    Zb = np.array(list(itertools.accumulate([Z] * (d - 1), np.matmul, initial=np.eye(d, dtype=complex))))
+    return (Wa[:, None] @ Zb[None]).reshape(-1, d, d)
 
 
-def su2_generators(d: int):
-    """Spin-j matrices (Jx, Jy, Jz) for j = (d-1)/2, built from ladder operators.
+def su2_generators(d: int) -> np.ndarray:
+    """Spin-j matrices (Jx, Jy, Jz) for j = (d-1)/2, built from ladder operators,
+    as one (3, d, d) stack.
 
     Satisfy [J_i, J_j] = i eps_ijk J_k and sum_k J_k^2 = (d-1)(d+1)/4 * I.
     """
@@ -69,26 +66,21 @@ def su2_generators(d: int):
     j = (d - 1) / 2
     m = np.arange(j, -j - 1, -1)
     Jp = np.zeros((d, d))
-    for k in range(d - 1):
-        mm = m[k + 1]
-        Jp[k, k + 1] = np.sqrt(j * (j + 1) - mm * (mm + 1))
+    k = np.arange(d - 1)
+    Jp[k, k + 1] = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
     Jm = Jp.T
-    Jx = (Jp + Jm) / 2 + 0j
-    Jy = (Jp - Jm) / 2j
-    Jz = np.diag(m).astype(complex)
-    return [Jx, Jy, Jz]
+    return np.stack([(Jp + Jm) / 2 + 0j, (Jp - Jm) / 2j, np.diag(m).astype(complex)])
 
 
-def _wh_kraus(d: int):
+def _wh_kraus(d: int) -> np.ndarray:
+    """(|i><j| - |j><i|) / sqrt(d - 1) for i < j, in row-major order, as one stack."""
+    i, j = np.triu_indices(d, 1)
+    r = np.arange(len(i))
     c = 1.0 / np.sqrt(d - 1)
-    ops = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            A = np.zeros((d, d), dtype=complex)
-            A[i, j] = c
-            A[j, i] = -c
-            ops.append(A)
-    return ops
+    K = np.zeros((len(i), d, d), dtype=complex)
+    K[r, i, j] = c
+    K[r, j, i] = -c
+    return K
 
 
 def _flat_state(d: int) -> ch.DensityMatrix:
@@ -106,8 +98,8 @@ def weyl_m_map(d: int) -> ch.LinearMap:
 
 
 def pinching_m_map(projections) -> ch.LinearMap:
-    projections = [np.asarray(P, dtype=complex) for P in projections]
-    d = projections[0].shape[0]
+    projections = np.asarray(projections, dtype=complex)
+    d = projections.shape[-1]
     return ch.LinearMap.from_apply(lambda X: sum(P @ X.swapaxes(-1, -2) @ P for P in projections), d, m=1)
 
 
@@ -121,31 +113,26 @@ def coarse_m_map(n: int, D: int) -> ch.LinearMap:
     return ch.LinearMap.from_apply(M_fn, d, m=D)
 
 
-def block_projectors(d: int, sizes) -> tuple:
-    """Diagonal projectors of the given block sizes (must sum to d)."""
-    if sum(sizes) != d:
-        raise SpecInvalid(f"block sizes {sizes} do not sum to d={d}")
+def block_projectors(d: int, sizes) -> np.ndarray:
+    """Diagonal projectors of the given block sizes (nonnegative, summing to d), as one stack."""
+    if sum(sizes) != d or min(sizes, default=0) < 0:
+        raise SpecInvalid(f"block sizes {sizes} must be nonnegative and sum to d={d}")
     ch.require_stack_fits(len(sizes), d, d)
-    out = []
-    at = 0
-    for s in sizes:
-        P = np.zeros((d, d), dtype=complex)
-        for k in range(at, at + s):
-            P[k, k] = 1.0
-        out.append(P)
-        at += s
-    return tuple(out)
+    k = np.arange(d)
+    P = np.zeros((len(sizes), d, d), dtype=complex)
+    P[np.repeat(np.arange(len(sizes)), sizes), k, k] = 1.0
+    return P
 
 
-def casimir_reducible_generators():
-    """The printed 4-dimensional reducible generators (computational basis)."""
+def casimir_reducible_generators() -> np.ndarray:
+    """The printed 4-dimensional reducible generators (computational basis), as one stack."""
     J1 = np.zeros((4, 4), dtype=complex)
     J1[1, 2] = 1; J1[3, 0] = 1; J1[0, 3] = -1; J1[2, 1] = -1
     J2 = np.zeros((4, 4), dtype=complex)
     J2[2, 0] = 1; J2[3, 1] = 1; J2[0, 2] = -1; J2[1, 3] = -1
     J3 = np.zeros((4, 4), dtype=complex)
     J3[0, 1] = 1; J3[3, 2] = 1; J3[1, 0] = -1; J3[2, 3] = -1
-    return [(1j / 2) * J1, (1j / 2) * J2, (1j / 2) * J3]
+    return (1j / 2) * np.stack([J1, J2, J3])
 
 
 def casimir_reducible_rho0() -> ch.DensityMatrix:
@@ -154,9 +141,9 @@ def casimir_reducible_rho0() -> ch.DensityMatrix:
     return ch.DensityMatrix(4, rho / 2)
 
 
-def casimir_reducible_complementary_generators():
+def casimir_reducible_complementary_generators() -> np.ndarray:
     """SU(2) generators acting on the multiplicity factor of the reducible
-    representation.
+    representation, as one (3, 4, 4) stack.
 
     The printed generators decompose as two spin-1/2 copies; outputs of the
     example channel commute with them, so the capacity twirl has to rotate the
@@ -167,21 +154,14 @@ def casimir_reducible_complementary_generators():
     J1, J2, J3 = casimir_reducible_generators()
     w, V = np.linalg.eigh(J3)
     plus = V[:, np.isclose(w, 0.5)]
-    a = []
-    for k in range(plus.shape[1]):
-        v = plus[:, k]
-        idx = int(np.argmax(np.abs(v)))
-        a.append(v * np.exp(-1j * np.angle(v[idx])))
-    lower = J1 + 1j * J2
-    cols = []
-    for v in a:
-        b = lower @ v
-        cols += [v, b / np.linalg.norm(b)]
-    R = np.stack(cols, axis=1)  # columns ordered (mu, s) with s minor
+    top = np.argmax(np.abs(plus), axis=0)
+    a = plus * np.exp(-1j * np.angle(plus[top, np.arange(plus.shape[1])]))  # largest entry of each made real
+    b = (J1 + 1j * J2) @ a
+    R = np.stack([a, b / np.linalg.norm(b, axis=0)], axis=2).reshape(4, 4)  # columns (mu, s), s minor
     jx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     jy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     jz = np.diag([0.5, -0.5]).astype(complex)
-    return [R @ np.kron(j, np.eye(2)) @ dag(R) for j in (jx, jy, jz)]
+    return R @ np.kron(np.stack([jx, jy, jz]), np.eye(2)) @ dag(R)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +186,7 @@ class WernerHolevo:
         d = self.d
         _require_d2(d, "Werner-Holevo")
         ch.require_stack_fits(d * (d - 1) // 2, d, d)
-        T = ch.QuantumChannel(d, d, tuple(_wh_kraus(d)), name=f"wh:d={d}")
+        T = ch.QuantumChannel(d, d, _wh_kraus(d), name=f"wh:d={d}")
         return T, ch.ProjectiveForm(transpose_map(d), _zero_state(d))
 
     def _group(self):
@@ -229,14 +209,12 @@ class Stretching:
         omega = np.asarray(omega, dtype=complex)
         if linalg.herm_norm_inf(omega @ omega - omega) > 1e-10 or abs(np.trace(omega).real - 1) > 1e-10:
             raise SpecInvalid("stretching omega must be a pure state")
-        kraus = [np.sqrt(lam) * A for A in _wh_kraus(d)]
         w, V = np.linalg.eigh(omega)
-        comp = [V[:, k] for k in range(d) if w[k] < 0.5]
-        for v in comp:
-            for b in range(d):
-                A = np.sqrt((1 - lam) / (d - 1)) * np.outer(v, np.eye(d)[:, b])
-                kraus.append(A)
-        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"stretch:d={d},lambda={lam}")
+        comp = V[:, w < 0.5].T  # the d - 1 vectors v orthogonal to omega
+        # sqrt((1 - lam) / (d - 1)) v e_b^T, one per (v, b)
+        replacement = np.sqrt((1 - lam) / (d - 1)) * (comp[:, None, :, None] * np.eye(d)[None, :, None, :])
+        kraus = np.concatenate([np.sqrt(lam) * _wh_kraus(d), replacement.reshape(-1, d, d)])
+        T = ch.QuantumChannel(d, d, kraus, name=f"stretch:d={d},lambda={lam}")
         M = ch.LinearMap.from_apply(lambda X: lam * X.swapaxes(-1, -2) + (1 - lam) * omega
                                     * np.trace(X, axis1=-2, axis2=-1)[..., None, None], d, m=1)
         return T, ch.ProjectiveForm(M, ch.DensityMatrix(d, omega.T.copy()))
@@ -254,9 +232,9 @@ class WeylShift:
         d = self.d
         _require_d2(d, "Weyl shift")
         ch.require_stack_fits(d * d * (d - 1) // 2, d, d)
-        W = weyl_unitaries(d)
-        kraus = [Wi @ A / np.sqrt(d) for Wi in W for A in _wh_kraus(d)]
-        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"weyl:d={d}")
+        kraus = weyl_unitaries(d)[:, None] @ _wh_kraus(d)[None]
+        kraus /= np.sqrt(d)
+        T = ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"weyl:d={d}")
         return T, ch.ProjectiveForm(weyl_m_map(d), _flat_state(d))
 
     def _group(self):
@@ -271,21 +249,21 @@ class Pinching:
     def _build(self):
         d = self.d
         _require_d2(d, "pinching")
-        projs = [np.asarray(P, dtype=complex) for P in self.projections]
-        if not projs:
+        if len(self.projections) == 0:
             raise SpecInvalid("pinching needs at least one projection")
-        ch.require_stack_fits(len(projs) * d * (d - 1) // 2, d, d)
-        acc = sum(projs)
-        if linalg.herm_norm_inf(acc - np.eye(d)) > 1e-10:
+        projs = np.asarray(self.projections, dtype=complex)
+        n = len(projs)
+        ch.require_stack_fits(n * d * (d - 1) // 2, d, d)
+        if linalg.herm_norm_inf(projs.sum(axis=0) - np.eye(d)) > 1e-10:
             raise SpecInvalid("projections do not resolve the identity")
-        for i, P in enumerate(projs):
-            for j, Q in enumerate(projs):
-                want = P if i == j else np.zeros_like(P)
-                if linalg.herm_norm_inf(P @ Q - want) > 1e-10:
-                    raise SpecInvalid(f"projections {i},{j} are not orthogonal idempotents")
-        kraus = [P @ A for P in projs for A in _wh_kraus(d)]
-        kraus = [A for A in kraus if np.linalg.norm(A) > 1e-14]
-        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"pinch:d={d}")
+        defect = projs[:, None] @ projs[None]  # P_i P_j - delta_ij P_i
+        defect[np.arange(n), np.arange(n)] -= projs
+        bad = np.argwhere(np.abs(defect).max(axis=(2, 3)) > 1e-10)
+        if len(bad):
+            raise SpecInvalid(f"projections {bad[0, 0]},{bad[0, 1]} are not orthogonal idempotents")
+        kraus = (projs[:, None] @ _wh_kraus(d)[None]).reshape(-1, d, d)
+        kraus = kraus[np.linalg.norm(kraus, axis=(1, 2)) > 1e-14]
+        T = ch.QuantumChannel(d, d, kraus, name=f"pinch:d={d}")
         # witness: a vector inside the support of the first projection
         j_star = int(np.argmax(np.diag(projs[0]).real))
         v = projs[0] @ np.eye(d)[:, j_star]
@@ -304,9 +282,8 @@ class CasimirIrreducible:
     def _build(self):
         d = self.d
         ch.require_stack_fits(3, d, d)
-        Js = su2_generators(d)
         lam_pi = (d - 1) * (d + 1) / 4
-        kraus = tuple(J / np.sqrt(lam_pi) for J in Js)
+        kraus = su2_generators(d) / np.sqrt(lam_pi)
         return ch.QuantumChannel(d, d, kraus, name=f"casimir:d={d}"), None
 
     def _group(self):
@@ -317,8 +294,7 @@ class CasimirIrreducible:
 class CasimirReducibleExample:
     def _build(self):
         ch.require_stack_fits(4, 4, 4)
-        Js = casimir_reducible_generators()
-        kraus = tuple(Js) + (np.eye(4, dtype=complex) / 2,)
+        kraus = np.concatenate([casimir_reducible_generators(), np.eye(4, dtype=complex)[None] / 2])
         T = ch.QuantumChannel(4, 4, kraus, name="casimir-reducible")
         M = ch.LinearMap(4, linalg.trace_superop(4) / 2 - T.superop, m=2)
         return T, ch.ProjectiveForm(M, casimir_reducible_rho0())
@@ -340,14 +316,11 @@ class ShiftsPinching:
         if len(K) >= d:
             raise SpecInvalid("K must be a proper subset (d - |K| >= 1)")
         ch.require_stack_fits(d * (d - len(K)), d, d)
-        rest = [k for k in range(1, d + 1) if k not in K]
-        kraus = []
-        for i in range(d):
-            for k in rest:
-                A = np.zeros((d, d), dtype=complex)
-                A[(i - k) % d, i] = 1.0 / np.sqrt(d - len(K))
-                kraus.append(A)
-        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"shiftpinch:d={d},K={','.join(map(str, K))}")
+        rest = np.setdiff1d(np.arange(1, d + 1), K)
+        i, r = np.arange(d)[:, None], np.arange(len(rest))
+        kraus = np.zeros((d, len(rest), d, d), dtype=complex)  # |i - k><i| for i, then k not in K
+        kraus[i, r, (i - rest) % d, i] = 1.0 / np.sqrt(d - len(K))
+        T = ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"shiftpinch:d={d},K={','.join(map(str, K))}")
         W = weyl_unitaries(d)
 
         def M_fn(X):
@@ -370,14 +343,11 @@ class CoarseGraining:
             raise SpecInvalid("coarse graining needs n >= 2 and D >= 1")
         d = n * D
         ch.require_stack_fits(n * (n - 1) // 2 * D * D, d, d)
-        kraus = []
-        for A in _wh_kraus(n):
-            for e in range(D):
-                for f in range(D):
-                    Kf = np.zeros((D, D), dtype=complex)
-                    Kf[f, e] = 1.0 / np.sqrt(D)
-                    kraus.append(np.kron(A, Kf))
-        T = ch.QuantumChannel(d, d, tuple(kraus), name=f"coarse:n={n},D={D}")
+        E = np.zeros((D, D, D, D), dtype=complex)  # E[e, f] = |f><e| / sqrt(D)
+        e, f = np.arange(D)[:, None], np.arange(D)
+        E[e, f, f, e] = 1.0 / np.sqrt(D)
+        kraus = np.kron(_wh_kraus(n)[:, None], E.reshape(1, D * D, D, D))
+        T = ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"coarse:n={n},D={D}")
         return T, ch.ProjectiveForm(coarse_m_map(n, D), _flat_state(d))
 
     def _group(self):
@@ -391,14 +361,17 @@ class Diagonal:
 
     def _build(self):
         d = self.d
-        diags = [np.asarray(a, dtype=complex).reshape(-1) for a in self.diagonals]
-        if not diags or any(len(a) != d for a in diags):
+        try:
+            col = np.asarray(self.diagonals, dtype=complex)
+        except ValueError as exc:  # ragged
+            raise SpecInvalid(f"diagonal channel needs length-d diagonals ({exc})") from exc
+        if col.ndim != 2 or len(col) == 0 or col.shape[1] != d:
             raise SpecInvalid("diagonal channel needs length-d diagonals")
-        col = np.stack(diags)
         if np.abs((np.abs(col) ** 2).sum(axis=0) - 1.0).max() > 1e-10:
             raise SpecInvalid("diagonal amplitudes do not preserve trace (sum_k |a_k(i)|^2 != 1)")
-        ch.require_stack_fits(len(diags), d, d)
-        kraus = tuple(np.diag(a) for a in diags)
+        ch.require_stack_fits(len(col), d, d)
+        kraus = np.zeros((len(col), d, d), dtype=complex)
+        kraus[:, np.arange(d), np.arange(d)] = col
         return ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}"), None
 
     def _group(self):
@@ -421,9 +394,10 @@ def _finish(T: ch.QuantumChannel, form: ch.ProjectiveForm | None):
             f"min choi eig {report.min_choi_eigenvalue:.3e}"
         )
     if form is not None:
-        idem, tr_err, resid = ch.witness_defects(T, form)
+        resid = ch.reconstruction_residual(T, form)
         if resid > 1e-9:
             raise SpecInvalid(f"projective form reconstruction residual {resid:.3e}")
+        idem, tr_err = ch.witness_defects(form)
         if idem > 1e-8 or tr_err > 1e-8:
             raise SpecInvalid("witness m*M(rho0) is not a rank-m projection")
     return T, form
@@ -514,12 +488,5 @@ def _diagonal_from_file(path: str) -> Diagonal:
     d = ch.int_field(obj, "dim", path)
     if not isinstance(obj.get("diagonals"), list):
         raise ParseError(f"{path}: diagonal channel file needs a 'diagonals' list")
-    diags = []
-    for i, a in enumerate(obj["diagonals"]):
-        if not isinstance(a, dict) or "re" not in a or "im" not in a:
-            raise ParseError(f"{path}: diagonals[{i}] needs 're' and 'im' vectors")
-        try:
-            diags.append(tuple(np.asarray(a["re"], dtype=float) + 1j * np.asarray(a["im"], dtype=float)))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: diagonals[{i}]: ragged or non-numeric entries ({exc})") from exc
-    return Diagonal(d, tuple(diags))
+    return Diagonal(d, tuple(tuple(ch.matrix_from_json(a, f"{path}: diagonals[{i}]", ndim=1))
+                             for i, a in enumerate(obj["diagonals"])))

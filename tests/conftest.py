@@ -3,6 +3,7 @@ import pytest
 
 from projchan import additivity as add
 from projchan import channels as ch
+from projchan import linalg
 from projchan import zoo
 from projchan.sampling import split_seed
 
@@ -81,3 +82,118 @@ def permute_systems(X: np.ndarray, dims, perm) -> np.ndarray:
     dims, perm = list(dims), list(perm)
     n = int(np.prod(dims))
     return np.asarray(X).reshape(dims + dims).transpose(perm + [len(dims) + p for p in perm]).reshape(n, n)
+
+
+# Per-operator references for the zoo's stacked builders: each family built one
+# matrix at a time, by loops over operators, group elements and projectors.
+
+
+def weyl_unitaries_ref(d):
+    out = []
+    for i in range(1, d + 1):
+        W = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            W[(j + i) % d, j] = 1.0
+        out.append(W)
+    return np.array(out)
+
+
+def phase_unitaries_ref(d):
+    return np.array([np.diag([np.exp(2j * np.pi * l * j / d) for l in range(d)]) for j in range(1, d + 1)])
+
+
+def heisenberg_weyl_unitaries_ref(d):
+    W = weyl_unitaries_ref(d)[0]
+    Z = phase_unitaries_ref(d)[0]
+    out = []
+    Wa = np.eye(d, dtype=complex)
+    for _ in range(d):
+        Zb = np.eye(d, dtype=complex)
+        for _ in range(d):
+            out.append(Wa @ Zb)
+            Zb = Zb @ Z
+        Wa = Wa @ W
+    return np.array(out)
+
+
+def su2_generators_ref(d):
+    j = (d - 1) / 2
+    m = np.arange(j, -j - 1, -1)
+    Jp = np.zeros((d, d))
+    for k in range(d - 1):
+        mm = m[k + 1]
+        Jp[k, k + 1] = np.sqrt(j * (j + 1) - mm * (mm + 1))
+    Jm = Jp.T
+    return [(Jp + Jm) / 2 + 0j, (Jp - Jm) / 2j, np.diag(m).astype(complex)]
+
+
+def wh_kraus_ref(d):
+    c = 1.0 / np.sqrt(d - 1)
+    ops = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            A = np.zeros((d, d), dtype=complex)
+            A[i, j] = c
+            A[j, i] = -c
+            ops.append(A)
+    return ops
+
+
+def kraus_ref(spec):
+    """The Kraus set of a zoo spec, one operator at a time, as one array."""
+    if isinstance(spec, zoo.WernerHolevo):
+        kraus = wh_kraus_ref(spec.d)
+    elif isinstance(spec, zoo.Stretching):
+        d, lam = spec.d, float(spec.lam)
+        omega = linalg.projector_from_vector(np.eye(d)[:, 0]) if spec.omega is None else spec.omega
+        omega = np.asarray(omega, dtype=complex)
+        kraus = [np.sqrt(lam) * A for A in wh_kraus_ref(d)]
+        w, V = np.linalg.eigh(omega)
+        for v in [V[:, k] for k in range(d) if w[k] < 0.5]:
+            for b in range(d):
+                kraus.append(np.sqrt((1 - lam) / (d - 1)) * np.outer(v, np.eye(d)[:, b]))
+    elif isinstance(spec, zoo.WeylShift):
+        d = spec.d
+        kraus = [Wi @ A / np.sqrt(d) for Wi in weyl_unitaries_ref(d) for A in wh_kraus_ref(d)]
+    elif isinstance(spec, zoo.Pinching):
+        kraus = [np.asarray(P, dtype=complex) @ A for P in spec.projections for A in wh_kraus_ref(spec.d)]
+        kraus = [A for A in kraus if np.linalg.norm(A) > 1e-14]
+    elif isinstance(spec, zoo.CasimirIrreducible):
+        d = spec.d
+        kraus = [J / np.sqrt((d - 1) * (d + 1) / 4) for J in su2_generators_ref(d)]
+    elif isinstance(spec, zoo.CasimirReducibleExample):
+        J1 = np.zeros((4, 4), dtype=complex)
+        J1[1, 2] = 1; J1[3, 0] = 1; J1[0, 3] = -1; J1[2, 1] = -1
+        J2 = np.zeros((4, 4), dtype=complex)
+        J2[2, 0] = 1; J2[3, 1] = 1; J2[0, 2] = -1; J2[1, 3] = -1
+        J3 = np.zeros((4, 4), dtype=complex)
+        J3[0, 1] = 1; J3[3, 2] = 1; J3[1, 0] = -1; J3[2, 3] = -1
+        kraus = [(1j / 2) * J1, (1j / 2) * J2, (1j / 2) * J3, np.eye(4, dtype=complex) / 2]
+    elif isinstance(spec, zoo.ShiftsPinching):
+        d, K = spec.d, set(spec.K)
+        kraus = []
+        for i in range(d):
+            for k in [k for k in range(1, d + 1) if k not in K]:
+                A = np.zeros((d, d), dtype=complex)
+                A[(i - k) % d, i] = 1.0 / np.sqrt(d - len(K))
+                kraus.append(A)
+    elif isinstance(spec, zoo.CoarseGraining):
+        n, D = spec.n, spec.D
+        kraus = []
+        for A in wh_kraus_ref(n):
+            for e in range(D):
+                for f in range(D):
+                    Kf = np.zeros((D, D), dtype=complex)
+                    Kf[f, e] = 1.0 / np.sqrt(D)
+                    kraus.append(np.kron(A, Kf))
+    elif isinstance(spec, zoo.Diagonal):
+        kraus = [np.diag(np.asarray(a, dtype=complex)) for a in spec.diagonals]
+    else:
+        raise TypeError(f"no reference for {spec!r}")
+    return np.array(kraus)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal shape, dtype and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -416,10 +416,11 @@ def test_extract_rejects_depolarizing_limit():
 
 def test_witness_defects_are_separate(wh3):
     T, form = wh3
-    assert max(ch.witness_defects(T, form)) <= 1e-12
+    assert max(ch.witness_defects(form)) <= 1e-12
     # the mixed input keeps M and the trace of m M(rho0) but not its idempotency
     mixed = ch.ProjectiveForm(form.M, ch.DensityMatrix(3, np.eye(3) / 3))
-    idem, tr_err, resid = ch.witness_defects(T, mixed)
+    idem, tr_err = ch.witness_defects(mixed)
+    resid = ch.reconstruction_residual(T, mixed)
     assert abs(idem - 2 / 9) <= 1e-12 and tr_err <= 1e-12 and resid <= 1e-12
     with pytest.raises(SpecInvalid, match="witness m\\*M\\(rho0\\) is not a rank-m projection"):
         zoo._finish(T, mixed)

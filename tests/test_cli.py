@@ -230,6 +230,9 @@ _MALFORMED = {
     "diag_file_not_an_object": ("5", ["validate", "--spec", "diag:file={path}"]),
     "diag_entries_not_numbers": (json.dumps({"dim": 2, "diagonals": [{"re": ["a", 0], "im": [0, 0]}]}),
                                  ["validate", "--spec", "diag:file={path}"]),
+    "diag_re_im_lengths_differ": (json.dumps({"dim": 2, "diagonals": [{"re": [1, 0], "im": [0]},
+                                                                     {"re": [0, 1], "im": [0]}]}),
+                                  ["validate", "--spec", "diag:file={path}"]),
     "state_dim_not_a_number": (json.dumps({"dimA": "two", "dimB": 1, "mat": _KRAUS_ID2[0]}),
                                ["eof", "--state", "{path}", "--starts", "1"]),
     "spec_weyl_d0": (None, ["validate", "--spec", "weyl:d=0"]),
@@ -287,6 +290,16 @@ def test_usage_errors_exit64():
     assert cli.main([]) == 64
     assert cli.main(["minent"]) == 64  # no spec/file
     assert cli.main(["capacity", "--spec", "wh:d=3", "--group", "bogus"]) == 64
+    assert cli.main(["capacity", "--group", "auto"]) == 64  # no spec
+
+
+def test_additivity_builds_each_distinct_spec_once(tmp_path, monkeypatch):
+    built = []
+    build = zoo.build
+    monkeypatch.setattr(zoo, "build", lambda spec: built.append(spec) or build(spec))
+    assert cli.main(["additivity", "--spec", "wh:d=3", "--spec", "wh:d=3", "--alpha", "2", "--starts", "2",
+                     "--out", str(tmp_path / "a.json")]) == 0
+    assert built == [zoo.WernerHolevo(3)]
 
 
 def test_eof_state_file(tmp_path):

@@ -102,6 +102,13 @@ def test_reevaluation_matches_report(wh3):
         assert abs(again - rep.value) < 1e-9
 
 
+def test_arg_state_is_built_on_first_access(wh3):
+    rep = entropy.min_output_entropy(wh3[0], 1.0, CFG)
+    assert "arg_state" not in vars(rep)
+    want = ch.DensityMatrix.from_vector(rep.per_start_args[rep.best_start]).mat
+    assert np.array_equal(rep.arg_state.mat, want) and rep.arg_state is rep.arg_state
+
+
 def test_report_value_is_min_of_starts(wh3):
     T, _ = wh3
     rep = entropy.min_output_entropy(T, 2.0, CFG)

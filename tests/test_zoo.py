@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import permute_systems
+from conftest import (heisenberg_weyl_unitaries_ref, kraus_ref, permute_systems, phase_unitaries_ref, same_bytes,
+                      su2_generators_ref, weyl_unitaries_ref, wh_kraus_ref)
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import linalg, zoo
@@ -62,6 +63,39 @@ def test_builder_sizes_its_kraus_stack_first(spec, monkeypatch):
     [(count, d_out, d_in)] = seen
     # pinching counts its products before it drops the zero ones
     assert count >= len(T.kraus) and (d_out, d_in) == (T.dim_out, T.dim_in)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [zoo.Stretching(4, 0.3), zoo.Pinching(4, zoo.block_projectors(4, [1, 0, 3])),
+                                  zoo.ShiftsPinching(6, (1, 2, 5)), zoo.CoarseGraining(3, 2), zoo.CasimirIrreducible(5)],
+                         ids=lambda s: type(s).__name__ + str(getattr(s, "d", "")))
+def test_kraus_stack_matches_the_per_operator_reference(spec):
+    assert same_bytes(zoo.build(spec)[0].kraus, kraus_ref(spec))
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_operator_stacks_match_the_per_operator_references(d):
+    assert same_bytes(zoo.weyl_unitaries(d), weyl_unitaries_ref(d))
+    assert same_bytes(zoo.phase_unitaries(d), phase_unitaries_ref(d))
+    assert same_bytes(zoo.heisenberg_weyl_unitaries(d), heisenberg_weyl_unitaries_ref(d))
+    assert same_bytes(zoo.su2_generators(d), su2_generators_ref(d))
+    assert same_bytes(zoo._wh_kraus(d), wh_kraus_ref(d))
+
+
+@pytest.mark.parametrize("diag,pair", [((1, 1, 0), (0, 1)), ((1, 0, 0), (1, 1))], ids=["overlap", "not_idempotent"])
+def test_pinching_names_the_first_failing_pair(diag, pair):
+    # both resolve the identity: diag(1,1,0) + diag(0,1,0) + diag(0,-1,1), whose
+    # first product off zero is P0 P1; diag(1,0,0) + diag(0,2,1) + diag(0,-1,0),
+    # where P1 P1 != P1 comes first
+    P0 = np.diag(diag).astype(complex)
+    P1 = np.diag((0, 1, 0) if pair == (0, 1) else (0, 2, 1)).astype(complex)
+    projs = (P0, P1, np.eye(3) - P0 - P1)
+    with pytest.raises(SpecInvalid, match=f"projections {pair[0]},{pair[1]} are not orthogonal idempotents"):
+        zoo.build(zoo.Pinching(3, projs))
+
+
+def test_block_projectors_refuse_negative_sizes():
+    with pytest.raises(SpecInvalid):
+        zoo.block_projectors(3, [4, -1])
 
 
 def test_build_rejects_unknown_spec():
