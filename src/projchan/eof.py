@@ -110,42 +110,31 @@ def _qr_retract(W: np.ndarray) -> np.ndarray:
 
 
 def _ensemble_objective(E: np.ndarray, dA: int, dB: int):
-    """(value, grad) of the average entanglement entropy of the ensemble
-    W E, for an (s, k, r) stack W of isometries and the r x (dA dB)
-    subnormalized eigenvectors E, in the protocol of entropy._armijo_descent.
-    `value` takes eigenvalues only, since most trial points are rejected;
-    `grad`, called once per iteration, recomputes the members with their
-    eigenvectors. Both run BATCH_BLOCK starts at a time, which bounds their
-    temporaries."""
+    """fg of the average entanglement entropy of the ensemble W E, for an
+    (s, k, r) stack W of isometries and the r x (dA dB) subnormalized
+    eigenvectors E, in the protocol of entropy._armijo_descent: each start's
+    value and Euclidean gradient from one eigh of its members. It runs
+    BATCH_BLOCK starts at a time, which bounds its temporaries."""
 
-    def members(W, eig):
-        # every member of every start in W at once: C_j, its weight p_j, and
-        # eig of tau_j = C_j C_j+ / p_j where p_j >= 1e-14 (a lighter member
-        # is skipped)
-        C = (W @ E).reshape(*W.shape[:2], dA, dB)
-        tau = C @ C.conj().swapaxes(-1, -2)
-        p = np.real(np.trace(tau, axis1=-2, axis2=-1))
-        live = p >= 1e-14
-        tau /= np.where(live, p, 1.0)[..., None, None]
-        return C, p, live, eig(tau)
-
-    def value(W):
-        f = np.empty(len(W))
+    def fg(W):
+        f, G = np.empty(len(W)), np.empty(W.shape, dtype=complex)
         for i in range(0, len(W), BATCH_BLOCK):
-            _, p, live, mu = members(W[i:i + BATCH_BLOCK], np.linalg.eigvalsh)
+            # every member of every start in the block at once: C_j, its
+            # weight p_j, and eig of tau_j = C_j C_j+ / p_j where p_j >= 1e-14
+            # (a lighter member is skipped)
+            C = (W[i:i + BATCH_BLOCK] @ E).reshape(-1, W.shape[1], dA, dB)
+            tau = C @ C.conj().swapaxes(-1, -2)
+            p = np.real(np.trace(tau, axis1=-2, axis2=-1))
+            live = p >= 1e-14
+            tau /= np.where(live, p, 1.0)[..., None, None]
+            mu, V = np.linalg.eigh(tau)
             f[i:i + BATCH_BLOCK] = np.sum(np.where(live, p * _entropy_from_eigs(mu, 1.0), 0.0), axis=1)
-        return f
-
-    def grad(W):
-        G = np.empty(W.shape, dtype=complex)
-        for i in range(0, len(W), BATCH_BLOCK):
-            C, _, live, (mu, V) = members(W[i:i + BATCH_BLOCK], np.linalg.eigh)
             V[~live] = 0.0
             logs = (V * np.log2(np.clip(mu, 1e-18, None))[..., None, :]) @ V.conj().swapaxes(-1, -2)
             G[i:i + BATCH_BLOCK] = -(logs @ C).reshape(len(C), -1, dA * dB) @ dag(E)
-        return G
+        return f, G
 
-    return value, grad
+    return fg
 
 
 def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
@@ -164,15 +153,15 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     if k * dA * dB > DIM_CAP ** 2:
         raise DimensionOverflow(f"{k} ensemble members of {dA}x{dB} exceed the cap of {DIM_CAP ** 2} entries")
 
-    value, euclidean_grad = _ensemble_objective(E, dA, dB)
+    euclidean_fg = _ensemble_objective(E, dA, dB)
 
-    def grad(W):  # the Riemannian gradient: G - W herm(W+ G), tangent at W
-        G = euclidean_grad(W)
+    def fg(W):  # with the Riemannian gradient: G - W herm(W+ G), tangent at W
+        f, G = euclidean_fg(W)
         WG = W.conj().swapaxes(-1, -2) @ G
-        return G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2)
+        return f, G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2)
 
     W0 = _qr_retract(np.concatenate([complex_normal(split_seed(cfg.seed, i), 1, k, r) for i in range(cfg.starts)]))
-    values, Ws, reasons = _armijo_descent(value, grad, _qr_retract, W0, cfg.max_iters, cfg.tol, EOF_STEP_CAP)
+    values, Ws, reasons, _ = _armijo_descent(fg, _qr_retract, W0, cfg.max_iters, cfg.tol, EOF_STEP_CAP)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))

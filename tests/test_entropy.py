@@ -253,42 +253,77 @@ def test_characterize_reads_nu_inf_off_the_norm_search(spec):
     assert abs(rep.nu_values[math.inf] - rep.nu_values[2.0]) <= 1e-9
 
 
-def test_entropy_search_takes_eigenvectors_at_accepted_points_only(monkeypatch):
-    # Inside the descent, trial points are judged by eigvalsh; eigh sees
-    # exactly the outputs at the points the gradient is taken at, once each.
-    # At alpha = 2 the fixed point hands every start on casimir:d=4 to the
-    # descent.
-    T = offclass_channel("casimir:d=4")
-    grad_rows, eigh_inputs, trial_rows = [], [], []
-    descent, eigh, eigvalsh = entropy._armijo_descent, np.linalg.eigh, np.linalg.eigvalsh
+def _recording_eigh_in_descent(monkeypatch, module):
+    """Record, while `module._armijo_descent` runs, the stacks its `fg` is
+    given, the inputs of every np.linalg.eigh call and the number of
+    np.linalg.eigvalsh calls."""
+    seen = {"fg_rows": [], "eigh_inputs": [], "eigvalsh_calls": 0}
+    descent, eigh, eigvalsh = module._armijo_descent, np.linalg.eigh, np.linalg.eigvalsh
     inside = []
 
-    def recording_descent(value, grad, *rest, **kwargs):
-        def recording_grad(X):
-            grad_rows.append(X.copy())
-            return grad(X)
+    def recording_descent(fg, *rest, **kwargs):
+        def recording_fg(X):
+            seen["fg_rows"].append(X.copy())
+            return fg(X)
         inside.append(True)
         try:
-            return descent(value, recording_grad, *rest, **kwargs)
+            return descent(recording_fg, *rest, **kwargs)
         finally:
             inside.pop()
 
-    def recording(calls, fn):
-        def wrapped(a, *args, **kwargs):
-            if inside:
-                calls.append(np.array(a))
-            return fn(a, *args, **kwargs)
-        return wrapped
+    def recording_eigh(a, *args, **kwargs):
+        if inside:
+            seen["eigh_inputs"].append(np.array(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(entropy, "_armijo_descent", recording_descent)
-    monkeypatch.setattr(np.linalg, "eigh", recording(eigh_inputs, eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording(trial_rows, eigvalsh))
-    entropy.min_output_entropy(T, 2.0, entropy.OptConfig(starts=8, seed=7))
-    rows, seen = np.concatenate(grad_rows), np.concatenate(eigh_inputs)
-    assert len(grad_rows[0]) == 8
-    assert len(seen) == len(rows)
-    assert np.abs(seen - T.apply_pure(rows)).max() <= 1e-14
-    assert sum(map(len, trial_rows)) > len(rows)
+    def counting_eigvalsh(a, *args, **kwargs):
+        seen["eigvalsh_calls"] += bool(inside)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_armijo_descent", recording_descent)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return seen
+
+
+def _example9_members(W):
+    """tau_j = C_j C_j+ / p_j of every member of every isometry in W, as the
+    EoF search forms them from the example9 state (a member with p_j < 1e-14
+    is left undivided)."""
+    w, V = np.linalg.eigh(eof.example9_state().mat.mat)
+    E = (V[:, w > 1e-12] * np.sqrt(w[w > 1e-12])).T
+    C = (W @ E).reshape(*W.shape[:2], 4, 4)
+    tau = C @ C.conj().swapaxes(-1, -2)
+    p = np.real(np.trace(tau, axis1=-2, axis2=-1))
+    return tau / np.where(p >= 1e-14, p, 1.0)[..., None, None]
+
+
+@pytest.mark.parametrize("which", ["casimir:d=4", "example9"])
+def test_search_decomposes_each_point_once(monkeypatch, which):
+    # Inside the descent, eigh sees exactly the outputs at the points `fg` is
+    # given, once each, and eigvalsh is never called: the value and the
+    # gradient of a point come from one decomposition. At alpha = 2 the fixed
+    # point hands every start on casimir:d=4 to the descent.
+    if which == "example9":
+        seen = _recording_eigh_in_descent(monkeypatch, eof)
+        eof.eof_upper(eof.example9_state(), eof.EofConfig(starts=64))
+        rows = np.concatenate(seen["fg_rows"])
+        want = _example9_members(rows)
+    else:
+        T = offclass_channel(which)
+        seen = _recording_eigh_in_descent(monkeypatch, entropy)
+        entropy.min_output_entropy(T, 2.0, entropy.OptConfig(starts=8, seed=7))
+        rows = np.concatenate(seen["fg_rows"])
+        want = T.apply_pure(rows)
+        assert len(seen["fg_rows"][0]) == 8
+    decomposed = np.concatenate(seen["eigh_inputs"])
+    assert seen["eigvalsh_calls"] == 0
+    assert len(decomposed) == len(rows)
+    assert np.abs(decomposed - want).max() <= 1e-14
+    if which == "example9":
+        # before, the descent judged 1353 trial rows by eigvalsh and took
+        # eigh again at the 1216 rows its gradient was evaluated at
+        assert len(rows) < 1353 + 1216
 
 
 def _polish_one_start(T, psi, max_iters, tol):
@@ -444,23 +479,20 @@ def test_barzilai_borwein_steps_cut_the_iterations(spec, monkeypatch):
     # (test_convex_fixed_point_settles_class_channels_without_the_descent), so
     # the descent is measured on their product with casimir:d=4, off the
     # class, where the fixed point hands all 64 starts on. The doubled step
-    # takes 31-95 lockstep iterations (grad calls) there; Barzilai-Borwein
+    # takes 31-95 lockstep iterations there; Barzilai-Borwein
     # steps take 9-21, and the minima stay at nu = 1 + nu_2(casimir:d=4).
     T = ch.tensor_channels([zoo.build(zoo.parse_spec(spec))[0], offclass_channel("casimir:d=4")])
-    counts, descent = [], entropy._armijo_descent
+    iterations, descent = [], entropy._armijo_descent
 
-    def counting_descent(value, grad, *rest, **kwargs):
-        counts.append(0)
-
-        def counted_grad(X):
-            counts[-1] += 1
-            return grad(X)
-        return descent(value, counted_grad, *rest, **kwargs)
+    def counting_descent(*args, **kwargs):
+        out = descent(*args, **kwargs)
+        iterations.append(out[3])
+        return out
 
     monkeypatch.setattr(entropy, "_armijo_descent", counting_descent)
     cfg = entropy.OptConfig(starts=64, seed=4242)
     rep = entropy.min_output_entropy(T, 2.0, cfg)
-    assert counts[-1] <= 24
+    assert max(iterations[-1]) <= 24
     nu = 1.0 + min(OFFCLASS["min_output_entropy"]["casimir:d=4"]["2"])
     assert abs(rep.value - nu) <= 1e-12 and rep.per_start_converged.all()
 
@@ -762,24 +794,21 @@ def test_depolarized_class_channel_is_not_in_the_class(spec, eps, failing):
 
 
 def _sphere_rayleigh(A):
-    """(value, grad) of psi+ A psi on the unit sphere, in the protocol of entropy._armijo_descent."""
-    def value(X):
-        return np.real(np.sum(X.conj() * (X @ A.T), axis=1))
-
-    def grad(X):
+    """fg of psi+ A psi on the unit sphere, in the protocol of entropy._armijo_descent."""
+    def fg(X):
         g = 2.0 * X @ A.T
-        return g - np.real(np.sum(X.conj() * g, axis=1))[:, None] * X
-    return value, grad
+        f = np.real(np.sum(X.conj() * g, axis=1)) / 2
+        return f, g - 2 * f[:, None] * X
+    return fg
 
 
 def test_barzilai_borwein_descent_reaches_the_smallest_eigenvalue():
     rng = split_seed(11)
     G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     A = (G + G.conj().T) / 2
-    value, grad = _sphere_rayleigh(A)
     X0 = np.array([haar_state_vector(split_seed(11, i), 6) for i in range(8)])
-    f, _, reasons = entropy._armijo_descent(value, grad, entropy._sphere_retract, X0,
-                                            2000, 1e-12, entropy.ENTROPY_STEP_CAP)
+    f, _, reasons, _ = entropy._armijo_descent(_sphere_rayleigh(A), entropy._sphere_retract, X0,
+                                               2000, 1e-12, entropy.ENTROPY_STEP_CAP)
     assert np.abs(f - np.linalg.eigvalsh(A)[0]).max() <= 1e-12
     assert "max_iters" not in reasons
 
@@ -791,16 +820,13 @@ def test_vanishing_curvature_takes_the_doubled_step():
     x = np.zeros((1, 3))  # the last trial point; every trial is accepted
     trial_steps = []
 
-    def value(X):
-        return X @ c
-
-    def grad(X):
-        return np.tile(c, (len(X), 1))
+    def fg(X):
+        return X @ c, np.tile(c, (len(X), 1))
 
     def retract(X):
         trial_steps.append(float((x[0] - X[0]) @ c / (c @ c)))
         x[0] = X[0]
         return X
 
-    entropy._armijo_descent(value, grad, retract, x.copy(), 8, 1e-12, 100.0)
+    entropy._armijo_descent(fg, retract, x.copy(), 8, 1e-12, 100.0)
     assert np.allclose(trial_steps, [2, 4, 8, 16, 32, 64, 100, 100], rtol=1e-12)

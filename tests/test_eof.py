@@ -164,18 +164,16 @@ def test_converged_is_the_best_starts_flag():
 
 
 def _kernel(state):
-    """eof_upper's (E, value, grad, k), value and grad taken on one isometry."""
+    """eof_upper's (E, fg, k), fg taken on one isometry."""
     w, V = np.linalg.eigh(state.mat.mat)
     E = (V[:, w > 1e-12] * np.sqrt(w[w > 1e-12])).T
-    value, grad = eof._ensemble_objective(E, state.dimA, state.dimB)
+    fg = eof._ensemble_objective(E, state.dimA, state.dimB)
 
-    def value1(W):
-        return value(W[None])[0]
+    def fg1(W):
+        f, G = fg(W[None])
+        return f[0], G[0]
 
-    def grad1(W):
-        return grad(W[None])[0]
-
-    return E, value1, grad1, E.shape[0] ** 2
+    return E, fg1, E.shape[0] ** 2
 
 
 def _per_member_value_grad(W, E, dA, dB):
@@ -212,13 +210,12 @@ def _isometry(rng, k, r, zero_row=None):
 @pytest.mark.parametrize("which", ["example9", "rank3_2x3"])
 def test_batched_kernel_matches_per_member_loop(which):
     state = eof.example9_state() if which == "example9" else _rank3_state()
-    E, value, grad, k = _kernel(state)
+    E, fg, k = _kernel(state)
     r = E.shape[0]
     rng = split_seed(61, k)
     for zero_row in (None, None, 2):
         W = _isometry(rng, k, r, zero_row)
-        f = value(W)
-        G = grad(W)
+        f, G = fg(W)
         f_ref, G_ref = _per_member_value_grad(W, E, state.dimA, state.dimB)
         assert abs(f - f_ref) <= 1e-12
         assert np.abs(G - G_ref).max() <= 1e-12
@@ -230,14 +227,14 @@ def test_batched_kernel_matches_per_member_loop(which):
 def test_batched_gradient_matches_finite_difference(which):
     # df along D is 2 Re <D, G> in the ambient space of k x r matrices
     state = eof.example9_state() if which == "example9" else _rank3_state()
-    E, value, grad, k = _kernel(state)
+    E, fg, k = _kernel(state)
     rng = split_seed(62, k)
     W = _isometry(rng, k, E.shape[0])
     D = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
     D /= np.linalg.norm(D)
     h = 1e-5
-    fd = (value(W + h * D) - value(W - h * D)) / (2 * h)
-    assert abs(fd - 2 * np.real(np.vdot(D, grad(W)))) <= 1e-6
+    fd = (fg(W + h * D)[0] - fg(W - h * D)[0]) / (2 * h)
+    assert abs(fd - 2 * np.real(np.vdot(D, fg(W)[1]))) <= 1e-6
 
 
 def test_eof_example9_per_start_values_match_reference():
@@ -252,16 +249,16 @@ def test_eof_example9_per_start_values_match_reference():
 
 def _recording_search(monkeypatch, state, cfg):
     """Run eof_upper(state, cfg) and record what its descent was given and did:
-    the `value` and `grad` it was passed, its exit reasons and its `value` calls."""
-    seen = {"value_calls": 0}
+    the `fg` it was passed, its exit reasons and its `fg` calls."""
+    seen = {"fg_calls": 0}
     descent = eof._armijo_descent
 
-    def recording_descent(value, grad, *rest, **kwargs):
-        def counting_value(W):
-            seen["value_calls"] += 1
-            return value(W)
-        seen["value"], seen["grad"] = value, grad
-        out = descent(counting_value, grad, *rest, **kwargs)
+    def recording_descent(fg, *rest, **kwargs):
+        def counting_fg(W):
+            seen["fg_calls"] += 1
+            return fg(W)
+        seen["fg"] = fg
+        out = descent(counting_fg, *rest, **kwargs)
         seen["reasons"] = list(out[2])
         return out
 
@@ -276,10 +273,10 @@ def test_search_gradient_is_riemannian(monkeypatch, which):
     # a tangent direction D the retracted objective changes at 2 Re <D, G>
     state = eof.example9_state() if which == "example9" else _rank3_state()
     seen = _recording_search(monkeypatch, state, eof.EofConfig(starts=1, max_iters=1))
-    E, _, _, k = _kernel(state)
+    E, _, k = _kernel(state)
     rng = split_seed(63, k)
     W = _isometry(rng, k, E.shape[0])[None]
-    G = seen["grad"](W)
+    G = seen["fg"](W)[1]
     WG = W[0].conj().T @ G[0]
     assert np.abs(WG + WG.conj().T).max() <= 1e-12
     Z = rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape)
@@ -287,8 +284,8 @@ def test_search_gradient_is_riemannian(monkeypatch, which):
     D = Z - W @ ((WZ + WZ.conj().T) / 2)
     D /= np.linalg.norm(D)
     h = 1e-5
-    f = seen["value"]
-    fd = (f(eof._qr_retract(W + h * D))[0] - f(eof._qr_retract(W - h * D))[0]) / (2 * h)
+    fg = seen["fg"]
+    fd = (fg(eof._qr_retract(W + h * D))[0][0] - fg(eof._qr_retract(W - h * D))[0][0]) / (2 * h)
     assert abs(fd - 2 * np.real(np.vdot(D, G))) <= 1e-6
 
 
@@ -296,6 +293,6 @@ def test_example9_search_counts(monkeypatch):
     # the 64-start example9 search: every start stops on tol, the best at
     # E_F = 1, in few batched evaluations
     seen = _recording_search(monkeypatch, eof.example9_state(), eof.EofConfig(starts=64))
-    assert seen["value_calls"] <= 60
+    assert seen["fg_calls"] <= 60
     assert seen["reasons"] == ["tol"] * 64
     assert abs(seen["report"].value - 1.0) <= 1e-12
