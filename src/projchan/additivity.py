@@ -4,10 +4,19 @@ Covers gap estimation for the minimal output entropy of product channels, the
 trace-square bound tr[(M1 x ... x MN)(rho)^2] <= prod 1/m_i, and the
 subset-expansion identity for the output purity of product channels in the
 projective class, checked against direct evaluation.
+
+Every product map of the sampled checks goes through one leg-wise kernel,
+apply_product_map: each factor's superoperator acts on its own tensor leg by
+one GEMM, so neither a product channel nor a product superoperator is built.
+The trace-square suite, both sides of the purity expansion and
+capacity.chi_product_bound_check (T x T on pure inputs) call it. The entropy
+searches over a product channel still take its Kraus set from
+channels.tensor_channels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,22 +104,38 @@ def additivity_gap(channel_list, alpha: float, cfg: OptConfig | None = None) -> 
 
 
 def apply_product_map(maps, rho: np.ndarray) -> np.ndarray:
-    """(M1 x ... x MN)(rho) for LinearMaps acting on consecutive tensor
-    factors; rho is an (n, n) matrix or a (c, n, n) stack of them."""
-    dims = [M.dim for M in maps]
-    n = int(np.prod(dims))
+    """(S_1 x ... x S_N)(rho) for maps acting on consecutive tensor factors.
+
+    Each factor is a superoperator on row-major vec, a (d_out^2, d_in^2)
+    array, or a map that carries one as `.superop` (a LinearMap, or a
+    QuantumChannel, whose superop is built on access); rho is an (n, n)
+    matrix or a (c, n, n) stack, n = prod d_in. Leg-wise: one transpose puts
+    each factor's row index beside its column index, so that leg k is the
+    vec of factor k's input; from the last factor to the first, one GEMM
+    applies S_k to the trailing leg and the new leg moves to the front; one
+    transpose puts the output back in matrix form. For N = 2 this is
+    S_1 X S_2^T with X the input reshaped to (d_in_1^2, d_in_2^2)."""
+    S = [getattr(M, "superop", M) for M in maps]
+    d_in = [math.isqrt(s.shape[1]) for s in S]
+    d_out = [math.isqrt(s.shape[0]) for s in S]
+    if any(s.ndim != 2 or s.shape != (e * e, d * d) for s, d, e in zip(S, d_in, d_out)):
+        raise DimMismatch(f"superoperator shapes {[s.shape for s in S]} are not (d_out^2, d_in^2)")
+    n, N = math.prod(d_in), len(S)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (n, n):
-        raise DimMismatch(f"state shape {rho.shape} != ([c,] {n}, {n}) for dims {dims}")
-    batch = rho.shape[:-2]
-    b, N = len(batch), len(dims)
-    t = rho.reshape(batch + tuple(dims + dims))
-    for k, M in enumerate(maps):
-        d = dims[k]
-        Sk = M.superop.reshape(d, d, d, d)  # [a, b, i, j] = M(E_ij)[a, b]
-        t = np.tensordot(Sk, t, axes=([2, 3], [b + k, b + N + k]))
-        t = np.moveaxis(t, [0, 1], [b + k, b + N + k])
-    return t.reshape(batch + (n, n))
+        raise DimMismatch(f"state shape {rho.shape} != ([c,] {n}, {n}) for dims {d_in}")
+    c = len(rho) if rho.ndim == 3 else 1
+    # (c, i_1..i_N, j_1..j_N) -> (c, i_1, j_1, ..., i_N, j_N)
+    legs = [0] + [a for k in range(N) for a in (1 + k, 1 + N + k)]
+    t = rho.reshape([c] + d_in + d_in).transpose(legs)
+    for s, d in zip(S[::-1], d_in[::-1]):
+        t = t.reshape(-1, d * d)  # a copy after the first step; the step before is freed first
+        t = (t @ s.T).T
+    # t is now (e_1^2, ..., e_N^2, c) -> (c, a_1..a_N, b_1..b_N)
+    t = t.reshape([e for e in d_out for _ in range(2)] + [c])
+    m = math.prod(d_out)
+    out = t.transpose([2 * N] + list(range(0, 2 * N, 2)) + list(range(1, 2 * N, 2))).reshape(c, m, m)
+    return out if rho.ndim == 3 else out[0]
 
 
 def _trace_square_limit(maps) -> float:
@@ -179,6 +204,6 @@ def purity_expansion(channel_forms, rho: np.ndarray):
         total += term
     expansion = prefactor * total
 
-    out = apply_product_map([ch.LinearMap(T.dim_in, T.superop) for T, _ in channel_forms], rho)
+    out = apply_product_map([T for T, _ in channel_forms], rho)
     direct = float(np.trace(out @ out).real)
     return expansion, direct

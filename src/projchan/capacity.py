@@ -25,6 +25,7 @@ conjugate representation is conj(average(conj X)):
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -32,18 +33,20 @@ import numpy as np
 
 from . import channels as ch
 from . import linalg
+from .additivity import apply_product_map
 from .entropy import OptConfig, _entropy_from_eigs, min_output_entropy, renyi_entropy
-from .errors import DimMismatch, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
+from .errors import DimensionOverflow, DimMismatch, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from .linalg import dag
 from .sampling import complex_normal, flat_simplex, haar_unitaries, split_seed
 
 COVARIANCE_GATE = 1e-6
 COVARIANCE_SAMPLES = 64
 SU2_TOL = 1e-10  # Hermiticity and commutation-relation residual of SU2Euler generators
-# Trials per apply_pure and check_states call in chi_product_bound_check.
-# Peak memory, not speed, sets it: on the sampled-checks benchmark each
-# further trial per group added about 0.65 MiB (1.6%) of peak RSS, while 2
-# trials ran the check about 10% faster than 1 and 3 or 4 no faster than 2.
+# Trials per apply_product_map and check_states call in chi_product_bound_check.
+# Peak memory, not speed, sets it: on the sampled-checks benchmark (4 runs
+# each) peak RSS read 40.6, 41.2, 42.0 and 43.5 MiB at 1, 2, 4 and 8 trials,
+# about 0.4-0.55 MiB per further trial, while wall_s fell 7% from 1 to 2
+# trials and only 2-4% more at 4 or 8.
 CHI_GROUP = 2
 
 
@@ -98,20 +101,70 @@ class FiniteGroup:
         return np.mean(self.unitaries @ X @ dag(self.unitaries), axis=0)
 
 
+@functools.lru_cache(maxsize=8)
+def _fingerprint_matrix(d: int) -> tuple:
+    """The fixed F of _check_closure's fingerprint |tr(U F)|, read-only, and
+    its Frobenius norm: a seeded complex Gaussian, since with a real F U and
+    conj U share one fingerprint."""
+    F = np.random.default_rng(0).standard_normal((d, d, 2)) @ [1, 1j]
+    F.flags.writeable = False
+    return F, float(np.linalg.norm(F))
+
+
 def _check_closure(us: np.ndarray, tol: float = 1e-8) -> None:
-    """Every product A B of the (n, d, d) family is within `tol` of the member U of
-    largest overlap |tr(U+ A B)| (one that close has overlap near d), up to phase;
-    a block of left factors A at a time, in at most ADJOINT_BLOCK_ENTRIES entries."""
+    """Every product A B of the (n, d, d) family is within `tol` entrywise of
+    some member U up to phase, e^{it} U with e^{it} the phase of tr(U+ A B).
+
+    A product that close moves the phase-invariant fingerprint |tr(U F)|, for
+    one fixed F, by at most d tol |F|_F, so each product is compared only
+    with the members whose fingerprints lie that near its own, found with
+    searchsorted among the sorted member fingerprints. A monomial family (one
+    nonzero per row, as the Weyl, Heisenberg-Weyl and phase unitaries) keeps
+    each member as its (column, value) rows and composes them in O(d) per
+    product; any other family as dense products. Either way a block of left
+    factors at a time, its products within ADJOINT_BLOCK_ENTRIES / 16
+    entries (1 MiB): at d = 16 the Heisenberg-Weyl check took 33 ms in such
+    blocks against 60 ms in one block of ADJOINT_BLOCK_ENTRIES."""
     n, d = len(us), us.shape[-1]
-    flat = us.reshape(n, d * d)
-    block = max(1, linalg.ADJOINT_BLOCK_ENTRIES // (n * (d * d + n)))
+    F, F_norm = _fingerprint_matrix(d)
+    reach = 2 * d * tol * F_norm  # twice the bound, for the fingerprints' rounding
+    monomial = np.count_nonzero(us) == n * d  # a unitary has no zero row
+    if monomial:
+        cols = (us != 0).argmax(axis=2)  # row r of member v: members[v, r] in column cols[v, r]
+        members = us.sum(axis=2)  # each row's one nonzero
+        key = np.abs(np.sum(members * F[cols, np.arange(d)], axis=1))
+    else:
+        members = us.reshape(n, d * d)
+        key = np.abs(members @ F.T.reshape(-1))  # tr(U F) = vec(U) . vec(F^T)
+    order = np.argsort(key)
+    key = key[order]
+    block = max(1, linalg.ADJOINT_BLOCK_ENTRIES // (16 * n * members.shape[1]))
+    not_closed = SpecInvalid("unitary family is not closed under products (up to phase)")
     for i in range(0, n, block):
-        P = (us[i:i + block, None] @ us[None]).reshape(-1, d * d)
-        tr = P @ flat.conj().T  # tr(U_v+ P) for every product and member v
-        best = np.argmax(np.abs(tr), axis=1)
-        ph = np.exp(1j * np.angle(tr[np.arange(len(P)), best]))
-        if np.abs(P - ph[:, None] * flat[best]).max() > tol:
-            raise SpecInvalid("unitary family is not closed under products (up to phase)")
+        if monomial:  # (A B)[r] = A[r, a_r] B[a_r]: value A[r, a_r] B[a_r, b_(a_r)] in column b_(a_r)
+            a = cols[i:i + block]
+            pcols = cols.take(a, axis=1).reshape(-1, d)
+            prods = (members[i:i + block] * members.take(a, axis=1)).reshape(-1, d)
+            fp = np.abs(np.sum(prods * F[pcols, np.arange(d)], axis=1))
+        else:
+            prods = (us[i:i + block, None] @ us[None]).reshape(-1, d * d)
+            fp = np.abs(prods @ F.T.reshape(-1))
+        lo = np.searchsorted(key, fp - reach)
+        count = np.searchsorted(key, fp + reach, side="right") - lo
+        if not count.all():
+            raise not_closed
+        closed = np.zeros(len(fp), dtype=bool)
+        for k in range(count.max()):  # the k-th candidate of each product that has one
+            r = np.flatnonzero(count > k) if k else slice(None)
+            v = order[lo[r] + k]
+            P, U = prods[r], members[v]
+            U = U * np.exp(1j * np.angle(np.einsum("ij,ij->i", U.conj(), P)))[:, None]
+            hit = np.abs(np.subtract(P, U, out=U)).max(axis=1) <= tol
+            if monomial:
+                hit &= (pcols[r] == cols[v]).all(axis=1)
+            closed[r] |= hit
+        if not closed.all():
+            raise not_closed
 
 
 def _uniform_ft(k: np.ndarray, length: float) -> np.ndarray:
@@ -292,18 +345,27 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
     Over `trials` seeded random entangled ensembles on the doubled input
     space, returns max chi(T x T, ensemble) - 2 * capacity. Each trial draws
     its ensemble from its own generator; CHI_GROUP trials at a time share one
-    apply_pure call and one check_states call over their outputs and
+    apply_product_map call, which applies T.superop to each tensor leg of the
+    projectors psi psi+, and one check_states call over the outputs and
     averages. The pure inputs are checked from their vectors by
-    check_pure_states. Random ensembles sit far below the bound: over 200
-    trials at the default seed the best chi is 0.47 bits under 2C for
-    wh:d=3 and 1.04 bits under for weyl:d=3, so a pass does not show that an
-    optimized ensemble stays under it.
+    check_pure_states. A group whose input or output stack could hold more
+    than DIM_CAP**2 entries (trials draw up to d_in^4 members) is refused
+    with DimensionOverflow before anything is drawn. Random ensembles sit far
+    below the bound: over 200 trials at the default seed the best chi is
+    0.47 bits under 2C for wh:d=3 and 1.04 bits under for weyl:d=3, so a
+    pass does not show that an optimized ensemble stays under it.
     """
     if trials < 1:
         raise SpecInvalid(f"chi_product_bound_check needs trials >= 1, got {trials}")
-    cfg = cfg or OptConfig()
-    T2 = ch.tensor_channels([T, T])
     d2 = T.dim_in ** 2
+    entries = min(CHI_GROUP, trials) * d2 ** 2 * max(d2, T.dim_out ** 2) ** 2
+    if entries > linalg.DIM_CAP ** 2:
+        raise DimensionOverflow(
+            f"a group of {min(CHI_GROUP, trials)} trials of T x T on {d2}-dim inputs can hold {entries} "
+            f"state entries, over the cap of {linalg.DIM_CAP ** 2}"
+        )
+    cfg = cfg or OptConfig()
+    S = T.superop
     max_chi = -np.inf
     for first in range(0, trials, CHI_GROUP):
         probs, Psi = [], []
@@ -315,6 +377,7 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
         Psi = np.concatenate(Psi)
         Psi /= np.linalg.norm(Psi, axis=1, keepdims=True)
         ch.check_pure_states(Psi)
+        outputs = apply_product_map([S, S], Psi[:, :, None] * Psi[:, None].conj())
         starts = np.cumsum([0] + [len(p) for p in probs[:-1]])
-        max_chi = max(max_chi, float(_chi(np.concatenate(probs), T2.apply_pure(Psi), starts).max()))
+        max_chi = max(max_chi, float(_chi(np.concatenate(probs), outputs, starts).max()))
     return float(max_chi - 2.0 * capacity)

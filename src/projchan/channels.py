@@ -177,15 +177,6 @@ class QuantumChannel:
         psi -> [A_1 psi, ..., A_k psi], one (c, d_in) row per stack member."""
         return Y.reshape(len(Y), -1) @ self._kcol.conj()
 
-    def apply_pure(self, Psi: np.ndarray) -> np.ndarray:
-        """T(psi_i psi_i+) for the rows psi_i of Psi, as a (c, d_out, d_out)
-        stack, computed BATCH_BLOCK rows at a time."""
-        Psi = np.asarray(Psi, dtype=complex).reshape(-1, self.dim_in)
-        out = np.empty((len(Psi), self.dim_out, self.dim_out), dtype=complex)
-        for i in range(0, len(Psi), linalg.BATCH_BLOCK):
-            out[i:i + linalg.BATCH_BLOCK] = self.pure_outputs(Psi[i:i + linalg.BATCH_BLOCK])[1]
-        return out
-
 
 def _kraus_sum(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
     """sum_k L_k X R_k for stacks left = [L_1; ...; L_k] of shape (k*p, q) and

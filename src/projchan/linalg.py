@@ -14,16 +14,16 @@ import numpy as np
 
 from .errors import BadDims, NotPositiveSemidefinite
 
-# Largest matrix dimension tensor_channels() will produce.
+# Largest matrix dimension tensor_channels() will produce; DIM_CAP**2 also caps
+# the entries of a Kraus stack and of a sampled check's stack of states.
 DIM_CAP = 4096
 
 # Eigenvalues of states in [-NEG_EIG_TOL, 0) are treated as roundoff and
 # clamped to zero; anything below is a genuine positivity failure.
 NEG_EIG_TOL = 1e-10
 
-# Members per call of a kernel batched over a stack of samples
-# (QuantumChannel.apply_pure, the EoF objective): larger blocks raised peak
-# memory without running faster.
+# Members per call of a kernel batched over a stack of samples (the EoF
+# objective): larger blocks raised peak memory without running faster.
 BATCH_BLOCK = 16
 
 # Most entries (16 MiB) one stacked product holds: Kraus images in a channel's

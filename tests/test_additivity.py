@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from conftest import max_entangled, trace_square_bound
 from projchan import additivity as add
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
-from projchan.errors import NotProjectiveClass, SpecInvalid
+from projchan.errors import DimMismatch, NotProjectiveClass, SpecInvalid
 from projchan.sampling import haar_state_vector, random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
@@ -217,6 +218,53 @@ def test_apply_product_map_matches_kron_action():
     rho = random_density(split_seed(35), 6)
     out = add.apply_product_map([M1, M2], rho)
     assert linalg.herm_norm_inf(out - rho.reshape(2, 3, 2, 3).transpose(2, 3, 0, 1).reshape(6, 6)) < 1e-14
+
+
+def _kron_superop_reference(superops, rho):
+    """(S_1 x ... x S_N)(rho) by one Kronecker product of the superoperators,
+    which acts on the vec of the input regrouped as (i_1, j_1, ..., i_N, j_N)."""
+    N = len(superops)
+    d_in = [math.isqrt(S.shape[1]) for S in superops]
+    d_out = [math.isqrt(S.shape[0]) for S in superops]
+    legs = [a for k in range(N) for a in (k, N + k)]
+    K = functools.reduce(np.kron, superops)
+    out = []
+    for x in rho.reshape(-1, math.prod(d_in), math.prod(d_in)):
+        y = K @ x.reshape(d_in + d_in).transpose(legs).reshape(-1)
+        out.append(y.reshape([e for e in d_out for _ in (0, 1)]).transpose(np.argsort(legs)))
+    m = math.prod(d_out)
+    return np.reshape(out, rho.shape[:-2] + (m, m))
+
+
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["matrix", "stack"])
+@pytest.mark.parametrize("dims", [[(3, 3)], [(2, 3)], [(2, 2), (3, 3)], [(2, 3), (3, 2)], [(2, 2), (2, 3), (3, 1)]],
+                         ids=["1sq", "1rect", "2sq", "2rect", "3rect"])
+def test_apply_product_map_matches_kron_of_superops(dims, shape):
+    # factors (d_in, d_out); the superoperators are arbitrary complex matrices
+    rng = split_seed(36, len(dims))
+    superops = [rng.normal(size=(e * e, d * d)) + 1j * rng.normal(size=(e * e, d * d)) for d, e in dims]
+    n = math.prod(d for d, _ in dims)
+    rho = rng.normal(size=shape + (n, n)) + 1j * rng.normal(size=shape + (n, n))
+    want = _kron_superop_reference(superops, rho)
+    out = add.apply_product_map(superops, rho)
+    assert out.shape == want.shape
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_apply_product_map_depends_on_factor_order():
+    # negative control: the kernel must put each factor on its own leg
+    maps = [zoo.weyl_m_map(3), zoo.transpose_map(3)]
+    rho = random_density(split_seed(37), 9)
+    forward, swapped = add.apply_product_map(maps, rho), add.apply_product_map(maps[::-1], rho)
+    assert linalg.herm_norm_inf(forward - _kron_superop_reference([M.superop for M in maps], rho)) <= 1e-14
+    assert linalg.herm_norm_inf(forward - swapped) > 0.01
+
+
+def test_apply_product_map_refuses_bad_shapes():
+    with pytest.raises(DimMismatch):
+        add.apply_product_map([np.eye(6, dtype=complex)], np.eye(2))  # 6 is not d^2
+    with pytest.raises(DimMismatch):
+        add.apply_product_map([zoo.transpose_map(2), zoo.transpose_map(3)], np.eye(5))
 
 
 @pytest.mark.parametrize("other", ["same", "rebuilt", "different"])

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from conftest import haar_unitary, identity_channel
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
-from projchan.errors import NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
+from projchan.errors import DimensionOverflow, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from projchan.linalg import dag
 from projchan.sampling import flat_simplex, haar_state_vector, split_seed
 
@@ -73,6 +75,61 @@ def test_finite_group_closure_is_up_to_phase(monkeypatch, budget):
         cap.FiniteGroup((np.eye(2), X, Z))
     with pytest.raises(SpecInvalid, match="group element 2 is not unitary"):
         cap.FiniteGroup((np.eye(2), X, 1.1 * Z))
+
+
+def _closed_by_all_pairs(us, tol=1e-8):
+    """Reference verdict: every product A B against the member U of largest
+    overlap |tr(U+ A B)|, within tol entrywise after phase alignment."""
+    for A in us:
+        for B in us:
+            P = A @ B
+            overlaps = np.array([np.vdot(U, P) for U in us])
+            k = np.argmax(np.abs(overlaps))
+            if np.abs(P - overlaps[k] / abs(overlaps[k]) * us[k]).max() > tol:
+                return False
+    return True
+
+
+# Heisenberg-Weyl is closed up to phase, and each element is a product of
+# two others, so without any one of them it is not; a dense change of basis
+# (V HW V+) keeps both verdicts and takes the dense-product path.
+_V3 = haar_unitary(split_seed(39), 3)
+_CLOSURE_FAMILIES = {
+    "hw3": zoo.heisenberg_weyl_unitaries(3),
+    "hw3_less_one": np.delete(zoo.heisenberg_weyl_unitaries(3), 4, axis=0),
+    "hw4_less_identity": zoo.heisenberg_weyl_unitaries(4)[1:],
+    "shifts4": zoo.weyl_unitaries(4),
+    "phases4": zoo.phase_unitaries(4),
+    "phases4_and_a_shift": np.concatenate([zoo.phase_unitaries(4), zoo.weyl_unitaries(4)[:1]]),
+    "hw2_kron_id2": np.kron(zoo.heisenberg_weyl_unitaries(2), np.eye(2)),
+    "hw3_dense": _V3 @ zoo.heisenberg_weyl_unitaries(3) @ dag(_V3),
+    "hw3_dense_less_one": np.delete(_V3 @ zoo.heisenberg_weyl_unitaries(3) @ dag(_V3), 7, axis=0),
+    "rotation": np.array([np.eye(2), [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSURE_FAMILIES))
+@pytest.mark.parametrize("fingerprint", ["fixed", "zero"])
+def test_finite_group_closure_matches_the_all_pairs_rule(monkeypatch, fingerprint, name):
+    # A zero fingerprint matrix makes every member a candidate for every
+    # product, so the entrywise comparison alone gives the verdict.
+    if fingerprint == "zero":
+        monkeypatch.setattr(cap, "_fingerprint_matrix", lambda d: (np.zeros((d, d)), 0.0))
+    us = _CLOSURE_FAMILIES[name]
+    if _closed_by_all_pairs(us):
+        cap.FiniteGroup(us)
+    else:
+        with pytest.raises(SpecInvalid, match="not closed"):
+            cap.FiniteGroup(us)
+
+
+def test_finite_group_closure_check_is_fast_at_d16():
+    # n = 256 members: comparing every product with every member (n^3 d^2)
+    # took 1.2 s; the fingerprint lookup on monomial rows takes about 0.04 s
+    us = zoo.heisenberg_weyl_unitaries(16)
+    start = time.perf_counter()
+    cap.FiniteGroup(us)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_orbit_average_weyl_phases_exact():
@@ -372,6 +429,35 @@ def test_chi_product_bound_matches_per_state_reference(spec, trials):
 def test_chi_product_bound_refuses_empty_run(wh3, trials):
     with pytest.raises(SpecInvalid):
         cap.chi_product_bound_check(wh3[0], LOG2_3 - 1.0, trials, CFG)
+
+
+def test_chi_product_bound_refuses_an_oversize_group(monkeypatch):
+    # wh:d=8: two trials may draw 2 * 8^4 inputs whose outputs on T x T hold
+    # 2 * 8^4 * 8^4 = 2 DIM_CAP^2 entries (0.5 GiB); refused before any draw
+    T, _ = zoo.build(zoo.WernerHolevo(8))
+    draws = []
+    monkeypatch.setattr(cap, "split_seed", lambda *args: draws.append(args))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionOverflow):
+            cap.chi_product_bound_check(T, 1.0, cap.CHI_GROUP, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws == []
+    assert peak < 1 << 20
+
+
+def test_chi_product_bound_cap_counts_the_group(monkeypatch, wh3):
+    # wh:d=3: a trial draws at most 81 inputs of 81 entries each, so a group
+    # of 2 trials can hold 13122 entries: over 114^2, within 115^2
+    T, _ = wh3
+    monkeypatch.setattr(linalg, "DIM_CAP", 114)
+    with pytest.raises(DimensionOverflow):
+        cap.chi_product_bound_check(T, LOG2_3 - 1.0, 2, CFG)
+    cap.chi_product_bound_check(T, LOG2_3 - 1.0, 1, CFG)
+    monkeypatch.setattr(linalg, "DIM_CAP", 115)
+    cap.chi_product_bound_check(T, LOG2_3 - 1.0, 2, CFG)
 
 
 def test_chi_product_bound_can_fail(wh3):

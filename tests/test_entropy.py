@@ -314,7 +314,7 @@ def test_search_decomposes_each_point_once(monkeypatch, which):
         seen = _recording_eigh_in_descent(monkeypatch, entropy)
         entropy.min_output_entropy(T, 2.0, entropy.OptConfig(starts=8, seed=7))
         rows = np.concatenate(seen["fg_rows"])
-        want = T.apply_pure(rows)
+        want = T.apply_raw(rows[:, :, None] * rows[:, None].conj())
         assert len(seen["fg_rows"][0]) == 8
     decomposed = np.concatenate(seen["eigh_inputs"])
     assert seen["eigvalsh_calls"] == 0
@@ -519,7 +519,7 @@ def test_alpha_half_on_the_product_reaches_nu_from_most_starts():
 def _start_values(T, alpha, cfg):
     """S_alpha of the outputs at the start points of a search with `cfg`."""
     Psi0 = entropy._stack_starts(T.dim_in, cfg)
-    return entropy._entropy_from_eigs(np.linalg.eigvalsh(T.apply_pure(Psi0)), alpha)
+    return entropy._entropy_from_eigs(np.linalg.eigvalsh(T.apply_raw(Psi0[:, :, None] * Psi0[:, None].conj())), alpha)
 
 
 @pytest.mark.parametrize("alpha, starts, seed", [(0.5, 256, 4242), (0.25, 64, 4242), (0.25, 64, 7)])
