@@ -12,8 +12,9 @@ COVARIANCE_SAMPLES draws from the caller's seed.
 Each twirl spec's `average` is the exact group average, the Hilbert-Schmidt
 projection onto the commutant of the representation; the average over the
 conjugate representation is conj(average(conj X)):
-  * FiniteGroup: the sum over an explicit unitary family (closed under
-    products up to global phase).
+  * FiniteGroup: the uniform average over an explicit unitary family, whose
+    closure is not checked: the covariance gate on every member and the
+    orbit-average gate check all that the capacity formula reads.
   * SU2Euler: the Haar integral in z-y-z Euler angles on
     [0,4pi] x [0,pi] x [0,2pi] with weight sin(x2)/(16 pi^2), as three
     one-angle passes. In the eigenbasis of the pass's generator each pass
@@ -25,7 +26,6 @@ conjugate representation is conj(average(conj X)):
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -83,6 +83,8 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class FiniteGroup:
+    """Uniform average over an explicit unitary family."""
+
     unitaries: np.ndarray  # (n, d, d)
 
     def __post_init__(self):
@@ -91,7 +93,6 @@ class FiniteGroup:
         bad = np.flatnonzero(np.abs(dag(us) @ us - np.eye(us.shape[-1])).max(axis=(1, 2)) > 1e-10)
         if len(bad):
             raise SpecInvalid(f"group element {bad[0]} is not unitary within 1e-10")
-        _check_closure(us)
 
     def elements(self, count: int, seed: int) -> np.ndarray:
         """Every element; a finite group needs no sampling."""
@@ -99,72 +100,6 @@ class FiniteGroup:
 
     def average(self, X: np.ndarray) -> np.ndarray:
         return np.mean(self.unitaries @ X @ dag(self.unitaries), axis=0)
-
-
-@functools.lru_cache(maxsize=8)
-def _fingerprint_matrix(d: int) -> tuple:
-    """The fixed F of _check_closure's fingerprint |tr(U F)|, read-only, and
-    its Frobenius norm: a seeded complex Gaussian, since with a real F U and
-    conj U share one fingerprint."""
-    F = np.random.default_rng(0).standard_normal((d, d, 2)) @ [1, 1j]
-    F.flags.writeable = False
-    return F, float(np.linalg.norm(F))
-
-
-def _check_closure(us: np.ndarray, tol: float = 1e-8) -> None:
-    """Every product A B of the (n, d, d) family is within `tol` entrywise of
-    some member U up to phase, e^{it} U with e^{it} the phase of tr(U+ A B).
-
-    A product that close moves the phase-invariant fingerprint |tr(U F)|, for
-    one fixed F, by at most d tol |F|_F, so each product is compared only
-    with the members whose fingerprints lie that near its own, found with
-    searchsorted among the sorted member fingerprints. A monomial family (one
-    nonzero per row, as the Weyl, Heisenberg-Weyl and phase unitaries) keeps
-    each member as its (column, value) rows and composes them in O(d) per
-    product; any other family as dense products. Either way a block of left
-    factors at a time, its products within ADJOINT_BLOCK_ENTRIES / 16
-    entries (1 MiB): at d = 16 the Heisenberg-Weyl check took 33 ms in such
-    blocks against 60 ms in one block of ADJOINT_BLOCK_ENTRIES."""
-    n, d = len(us), us.shape[-1]
-    F, F_norm = _fingerprint_matrix(d)
-    reach = 2 * d * tol * F_norm  # twice the bound, for the fingerprints' rounding
-    monomial = np.count_nonzero(us) == n * d  # a unitary has no zero row
-    if monomial:
-        cols = (us != 0).argmax(axis=2)  # row r of member v: members[v, r] in column cols[v, r]
-        members = us.sum(axis=2)  # each row's one nonzero
-        key = np.abs(np.sum(members * F[cols, np.arange(d)], axis=1))
-    else:
-        members = us.reshape(n, d * d)
-        key = np.abs(members @ F.T.reshape(-1))  # tr(U F) = vec(U) . vec(F^T)
-    order = np.argsort(key)
-    key = key[order]
-    block = max(1, linalg.ADJOINT_BLOCK_ENTRIES // (16 * n * members.shape[1]))
-    not_closed = SpecInvalid("unitary family is not closed under products (up to phase)")
-    for i in range(0, n, block):
-        if monomial:  # (A B)[r] = A[r, a_r] B[a_r]: value A[r, a_r] B[a_r, b_(a_r)] in column b_(a_r)
-            a = cols[i:i + block]
-            pcols = cols.take(a, axis=1).reshape(-1, d)
-            prods = (members[i:i + block] * members.take(a, axis=1)).reshape(-1, d)
-            fp = np.abs(np.sum(prods * F[pcols, np.arange(d)], axis=1))
-        else:
-            prods = (us[i:i + block, None] @ us[None]).reshape(-1, d * d)
-            fp = np.abs(prods @ F.T.reshape(-1))
-        lo = np.searchsorted(key, fp - reach)
-        count = np.searchsorted(key, fp + reach, side="right") - lo
-        if not count.all():
-            raise not_closed
-        closed = np.zeros(len(fp), dtype=bool)
-        for k in range(count.max()):  # the k-th candidate of each product that has one
-            r = np.flatnonzero(count > k) if k else slice(None)
-            v = order[lo[r] + k]
-            P, U = prods[r], members[v]
-            U = U * np.exp(1j * np.angle(np.einsum("ij,ij->i", U.conj(), P)))[:, None]
-            hit = np.abs(np.subtract(P, U, out=U)).max(axis=1) <= tol
-            if monomial:
-                hit &= (pcols[r] == cols[v]).all(axis=1)
-            closed[r] |= hit
-        if not closed.all():
-            raise not_closed
 
 
 def _uniform_ft(k: np.ndarray, length: float) -> np.ndarray:

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import channels as ch
 from . import linalg
-from .errors import BadAlpha, DimMismatch, SpecInvalid
+from .errors import BadAlpha, DimensionOverflow, DimMismatch, SpecInvalid
 from .linalg import DIM_CAP
 from .sampling import haar_state_vector, split_seed
 
@@ -410,11 +410,15 @@ def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarr
     """The (starts, d) stack of unit start vectors: the warm starts, then the
     seeded random starts. `drawn` maps a start index to its random row, to
     share rows between the stacks of one seed; rows missing from it are drawn
-    and added."""
+    and added. A stack of more than DIM_CAP**2 entries is refused before any
+    row is drawn."""
     for wv in cfg.warm_starts:
         if len(wv) != d:
             raise DimMismatch(f"warm start length {len(wv)} != channel input dim {d}")
     first = len(cfg.warm_starts)
+    if (first + cfg.starts) * d > linalg.DIM_CAP ** 2:
+        raise DimensionOverflow(f"{first + cfg.starts} starts of length {d} exceed the cap of "
+                                f"{linalg.DIM_CAP ** 2} entries")
     drawn = {} if drawn is None else drawn
     for i in range(first, first + cfg.starts):
         if i not in drawn:

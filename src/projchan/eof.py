@@ -36,8 +36,8 @@ class BipartiteState:
     mat: ch.DensityMatrix
 
     def __post_init__(self):
-        if self.mat.dim != self.dimA * self.dimB:
-            raise BadDims(f"joint dim {self.mat.dim} != {self.dimA} * {self.dimB}")
+        if min(self.dimA, self.dimB) < 1 or self.mat.dim != self.dimA * self.dimB:
+            raise BadDims(f"joint dim {self.mat.dim} != {self.dimA} * {self.dimB} with both factors >= 1")
 
 
 @dataclass
@@ -150,8 +150,9 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
     if cfg.starts < 1 or k < r:
         raise SpecInvalid(f"EoF search needs starts >= 1 and ensemble size k >= rank {r} "
                           f"(starts = {cfg.starts}, k = {k})")
-    if k * dA * dB > DIM_CAP ** 2:
-        raise DimensionOverflow(f"{k} ensemble members of {dA}x{dB} exceed the cap of {DIM_CAP ** 2} entries")
+    if k * max(dA * dB, cfg.starts * r) > DIM_CAP ** 2:
+        raise DimensionOverflow(f"{k} ensemble members of {dA}x{dB}, or {cfg.starts} starts of {k}x{r} isometries, "
+                                f"exceed the cap of {DIM_CAP ** 2} entries")
 
     euclidean_fg = _ensemble_objective(E, dA, dB)
 

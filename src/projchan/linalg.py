@@ -27,7 +27,7 @@ NEG_EIG_TOL = 1e-10
 BATCH_BLOCK = 16
 
 # Most entries (16 MiB) one stacked product holds: Kraus images in a channel's
-# applies and the fixed point's T+ calls, group products in FiniteGroup's closure check.
+# applies and the fixed point's T+ calls.
 ADJOINT_BLOCK_ENTRIES = 1 << 20
 
 

@@ -416,6 +416,8 @@ def auto_group(spec, form: ch.ProjectiveForm | None):
 
 def dephasing(d: int) -> Diagonal:
     """Complete dephasing in the computational basis."""
+    if d < 1:
+        raise SpecInvalid(f"dephasing needs d >= 1, got {d}")
     ch.require_stack_fits(d, d, d)
     return Diagonal(d, tuple(tuple(row) for row in np.eye(d)))
 
@@ -425,11 +427,19 @@ def dephasing(d: int) -> Diagonal:
 # ---------------------------------------------------------------------------
 
 
+# The parameters each spec head takes.
+_SPEC_KEYS = {"wh": {"d"}, "stretch": {"d", "lambda"}, "weyl": {"d"}, "pinch": {"d", "blocks"}, "casimir": {"d"},
+              "casimir-reducible": set(), "shiftpinch": {"d", "K"}, "coarse": {"n", "D"}, "diag": {"d", "file"}}
+
+
 def parse_spec(text: str):
-    """Parse a channel spec string, e.g. 'wh:d=3' or 'shiftpinch:d=4,K=1,2'."""
+    """Parse a channel spec string, e.g. 'wh:d=3' or 'shiftpinch:d=4,K=1,2'.
+    A repeated key or one the family does not take is a ParseError."""
     text = text.strip()
     head, _, rest = text.partition(":")
     head = head.lower()
+    if head not in _SPEC_KEYS:
+        raise ParseError(f"unknown channel spec {text!r}")
     params: dict[str, list[str]] = {}
     if rest:
         key = None
@@ -437,6 +447,10 @@ def parse_spec(text: str):
             if "=" in token:
                 key, _, val = token.partition("=")
                 key = key.strip()
+                if key in params:
+                    raise ParseError(f"parameter {key!r} repeated in {text!r}")
+                if key not in _SPEC_KEYS[head]:
+                    raise ParseError(f"{head} takes no parameter {key!r} (in {text!r})")
                 params[key] = [val.strip()]
             elif key is not None:
                 params[key].append(token.strip())
@@ -449,10 +463,8 @@ def parse_spec(text: str):
         except ValueError as exc:
             raise ParseError(f"parameter {name!r} in {text!r}: {exc}") from exc
 
-    def one(name, cast=int, default=None):
+    def one(name, cast=int):
         if name not in params:
-            if default is not None:
-                return default
             raise ParseError(f"spec {text!r} is missing parameter {name!r}")
         if len(params[name]) != 1:
             raise ParseError(f"parameter {name!r} expects a single value")
@@ -476,11 +488,9 @@ def parse_spec(text: str):
         return ShiftsPinching(one("d"), tuple(number("K", k) for k in params.get("K", [])))
     if head == "coarse":
         return CoarseGraining(one("n"), one("D"))
-    if head == "diag":
-        if "file" in params:
-            return _diagonal_from_file(params["file"][0])
-        return dephasing(one("d"))
-    raise ParseError(f"unknown channel spec {text!r}")
+    if "file" in params:  # head == "diag"
+        return _diagonal_from_file(params["file"][0])
+    return dephasing(one("d"))
 
 
 def _diagonal_from_file(path: str) -> Diagonal:

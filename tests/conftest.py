@@ -52,6 +52,20 @@ def haar_unitary(rng, d):
     return Q * (ph / np.abs(ph))
 
 
+def _closed_by_all_pairs(us, tol=1e-8):
+    """Reference verdict on a (n, d, d) unitary family: every product A B
+    against the member U of largest overlap |tr(U+ A B)|, within tol
+    entrywise after phase alignment (no alignment where every overlap is 0)."""
+    for A in us:
+        for B in us:
+            P = A @ B
+            overlaps = np.array([np.vdot(U, P) for U in us])
+            k = np.argmax(np.abs(overlaps))
+            if np.abs(P - np.exp(1j * np.angle(overlaps[k])) * us[k]).max() > tol:
+                return False
+    return True
+
+
 def random_channel(d_in, d_out, k, seed):
     """The k d_out x d_in blocks of a random (k d_out) x d_in isometry as Kraus
     operators (k is raised to ceil(d_in / d_out) so that the isometry exists),

@@ -1,11 +1,10 @@
 import math
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, identity_channel
+from conftest import _closed_by_all_pairs, haar_unitary, identity_channel
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
@@ -59,77 +58,46 @@ def test_chi_entropy_bounds(wh3):
         assert -1e-12 <= chi <= LOG2_3 + 1e-12
 
 
-def test_finite_group_requires_closure():
-    # a lone rotation is not closed under products
-    U = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
-    with pytest.raises(SpecInvalid):
-        cap.FiniteGroup((np.eye(2, dtype=complex), U))
-
-
 @pytest.mark.parametrize("budget", [linalg.ADJOINT_BLOCK_ENTRIES, 1], ids=["one_block", "per_factor"])
 def test_finite_group_closure_is_up_to_phase(monkeypatch, budget):
+    # {I, X, XZ, Z} is closed only up to phase (X Z = -i Y, Z X = i Y); the
+    # phases drop out of the twirl, so it averages to the full Pauli twirl and
+    # gives wh:d=2 its capacity of 1 bit, with the capacity search's adjoint
+    # Kraus images taken in one block or one per factor
     monkeypatch.setattr(linalg, "ADJOINT_BLOCK_ENTRIES", budget)
     X, Z = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
-    cap.FiniteGroup((np.eye(2), X, X @ Z, Z))  # X Z = -i Y and Z X = i Y: closed up to phase
-    with pytest.raises(SpecInvalid, match="not closed"):
-        cap.FiniteGroup((np.eye(2), X, Z))
+    group = cap.FiniteGroup((np.eye(2), X, X @ Z, Z))
+    A = split_seed(43).standard_normal((2, 2, 2)) @ [1, 1j]
+    assert np.abs(group.average(A) - np.trace(A) / 2 * np.eye(2)).max() <= 1e-15
+    spec = zoo.WernerHolevo(2)
+    T, form = zoo.build(spec)
+    rho0, _, conjugate = zoo.auto_group(spec, form)
+    rep = cap.capacity_weakcov(T, rho0, group, conjugate, CFG)
+    assert abs(rep.capacity - 1.0) <= 1e-12
     with pytest.raises(SpecInvalid, match="group element 2 is not unitary"):
         cap.FiniteGroup((np.eye(2), X, 1.1 * Z))
 
 
-def _closed_by_all_pairs(us, tol=1e-8):
-    """Reference verdict: every product A B against the member U of largest
-    overlap |tr(U+ A B)|, within tol entrywise after phase alignment."""
-    for A in us:
-        for B in us:
-            P = A @ B
-            overlaps = np.array([np.vdot(U, P) for U in us])
-            k = np.argmax(np.abs(overlaps))
-            if np.abs(P - overlaps[k] / abs(overlaps[k]) * us[k]).max() > tol:
-                return False
-    return True
+def test_capacity_of_a_non_closed_covariance_family_is_the_closed_form(wh3):
+    # W^a D_ab with random diagonal unitaries D_ab is no group, yet each
+    # member is a covariance of wh:d=3 and the orbit of |0><0| averages to
+    # I/3, which is all the capacity formula reads
+    T, form = wh3
+    rho0, _, conjugate = zoo.auto_group(zoo.WernerHolevo(3), form)
+    phases = np.exp(2j * np.pi * split_seed(41).uniform(size=(9, 3)))
+    us = zoo.heisenberg_weyl_unitaries(3) * phases[:, None, :]
+    assert not _closed_by_all_pairs(us)
+    rep = cap.capacity_weakcov(T, rho0, cap.FiniteGroup(us), conjugate, CFG)
+    assert abs(rep.capacity - math.log2(3 / 2)) <= 1e-12
 
 
-# Heisenberg-Weyl is closed up to phase, and each element is a product of
-# two others, so without any one of them it is not; a dense change of basis
-# (V HW V+) keeps both verdicts and takes the dense-product path.
-_V3 = haar_unitary(split_seed(39), 3)
-_CLOSURE_FAMILIES = {
-    "hw3": zoo.heisenberg_weyl_unitaries(3),
-    "hw3_less_one": np.delete(zoo.heisenberg_weyl_unitaries(3), 4, axis=0),
-    "hw4_less_identity": zoo.heisenberg_weyl_unitaries(4)[1:],
-    "shifts4": zoo.weyl_unitaries(4),
-    "phases4": zoo.phase_unitaries(4),
-    "phases4_and_a_shift": np.concatenate([zoo.phase_unitaries(4), zoo.weyl_unitaries(4)[:1]]),
-    "hw2_kron_id2": np.kron(zoo.heisenberg_weyl_unitaries(2), np.eye(2)),
-    "hw3_dense": _V3 @ zoo.heisenberg_weyl_unitaries(3) @ dag(_V3),
-    "hw3_dense_less_one": np.delete(_V3 @ zoo.heisenberg_weyl_unitaries(3) @ dag(_V3), 7, axis=0),
-    "rotation": np.array([np.eye(2), [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]], dtype=complex),
-}
-
-
-@pytest.mark.parametrize("name", list(_CLOSURE_FAMILIES))
-@pytest.mark.parametrize("fingerprint", ["fixed", "zero"])
-def test_finite_group_closure_matches_the_all_pairs_rule(monkeypatch, fingerprint, name):
-    # A zero fingerprint matrix makes every member a candidate for every
-    # product, so the entrywise comparison alone gives the verdict.
-    if fingerprint == "zero":
-        monkeypatch.setattr(cap, "_fingerprint_matrix", lambda d: (np.zeros((d, d)), 0.0))
-    us = _CLOSURE_FAMILIES[name]
-    if _closed_by_all_pairs(us):
-        cap.FiniteGroup(us)
-    else:
-        with pytest.raises(SpecInvalid, match="not closed"):
-            cap.FiniteGroup(us)
-
-
-def test_finite_group_closure_check_is_fast_at_d16():
-    # n = 256 members: comparing every product with every member (n^3 d^2)
-    # took 1.2 s; the fingerprint lookup on monomial rows takes about 0.04 s
-    us = zoo.heisenberg_weyl_unitaries(16)
-    start = time.perf_counter()
-    cap.FiniteGroup(us)
-    assert time.perf_counter() - start < 0.5
+def test_heisenberg_weyl_less_one_element_fails_the_orbit_average_gate(wh3):
+    T, form = wh3
+    rho0, _, conjugate = zoo.auto_group(zoo.WernerHolevo(3), form)
+    for i in range(9):
+        group = cap.FiniteGroup(np.delete(zoo.heisenberg_weyl_unitaries(3), i, axis=0))
+        with pytest.raises(NotWeaklyCovariant, match="orbit average residual"):
+            cap.capacity_weakcov(T, rho0, group, conjugate, CFG)
 
 
 def test_orbit_average_weyl_phases_exact():

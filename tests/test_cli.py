@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from projchan import channels as ch
-from projchan import cli, eof, zoo
+from projchan import cli, entropy, eof, linalg, zoo
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -252,6 +252,14 @@ _MALFORMED = {
     "state_nan_entry": (json.dumps({"dimA": 1, "dimB": 2, "mat": {"re": [[math.nan, 0], [0, 0.5]],
                                                                   "im": [[0, 0], [0, 0]]}}),
                         ["eof", "--state", "{path}", "--starts", "1"]),
+    "state_negative_dims": (json.dumps({"dimA": -2, "dimB": -2, "mat": {"re": (np.eye(4) / 4).tolist(),
+                                                                        "im": np.zeros((4, 4)).tolist()}}),
+                            ["eof", "--state", "{path}", "--starts", "1"]),
+    "spec_diag_negative_d": (None, ["validate", "--spec", "diag:d=-1"]),
+    "spec_repeated_key": (None, ["validate", "--spec", "wh:d=3,d=5"]),
+    "spec_repeated_list_key": (None, ["validate", "--spec", "shiftpinch:d=4,K=1,2,K=3"]),
+    "spec_unknown_key": (None, ["validate", "--spec", "wh:d=3,foo=1"]),
+    "spec_key_on_a_family_without_keys": (None, ["validate", "--spec", "casimir-reducible:d=7"]),
 }
 
 
@@ -262,6 +270,20 @@ def test_malformed_input_exit2(case, tmp_path):
     if content is not None:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert cli.main([a.replace("{path}", str(path)) for a in argv]) == 2
+
+
+@pytest.mark.parametrize("module, cap, argv", [
+    (linalg, 6, ["minent", "--spec", "wh:d=3", "--starts", "13"]),  # 13 x 3 > 6^2 entries
+    (eof, 16, ["eof", "--state", "example9", "--starts", "5"]),  # 5 x 16 x 4 > 16^2 entries
+], ids=["minent", "eof"])
+def test_oversize_start_stack_is_refused_before_drawing(monkeypatch, module, cap, argv):
+    def draw(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(entropy, "haar_state_vector", draw)
+    monkeypatch.setattr(eof, "complex_normal", draw)
+    monkeypatch.setattr(module, "DIM_CAP", cap)
+    assert cli.main(argv) == 2
 
 
 def test_python_dash_m_runs_the_cli():

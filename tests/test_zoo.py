@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (heisenberg_weyl_unitaries_ref, kraus_ref, permute_systems, phase_unitaries_ref, same_bytes,
-                      su2_generators_ref, weyl_unitaries_ref, wh_kraus_ref)
+from conftest import (_closed_by_all_pairs, heisenberg_weyl_unitaries_ref, kraus_ref, permute_systems,
+                      phase_unitaries_ref, same_bytes, su2_generators_ref, weyl_unitaries_ref, wh_kraus_ref)
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import linalg, zoo
@@ -53,6 +53,19 @@ def test_auto_group_witness(spec):
     assert np.array_equal(rho0.mat, want)
     assert isinstance(group, (cap.FiniteGroup, cap.SU2Euler, cap.BlockUnitaryHaar))
     assert isinstance(conjugate, bool)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+@pytest.mark.parametrize("family", ["wh:d={d}", "stretch:d={d},lambda=0.5", "weyl:d={d}", "pinch:d={d},blocks=1+{e}",
+                                    "diag:d={d}"])
+def test_auto_group_finite_groups_are_closed(family, d):
+    # FiniteGroup takes any unitary family; the zoo's are groups up to phase.
+    # Without its identity no family of two or more members is closed.
+    spec = zoo.parse_spec(family.format(d=d, e=d - 1))
+    _, group, _ = zoo.auto_group(spec, zoo.build(spec)[1])
+    us = group.unitaries
+    assert _closed_by_all_pairs(us)
+    assert not _closed_by_all_pairs(np.delete(us, np.argmax(np.abs(np.trace(us, axis1=1, axis2=2))), axis=0))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__ + str(getattr(s, "d", "")))
