@@ -1,5 +1,7 @@
-"""Channel representation, validation, conversion, tensoring, and extraction of
-the projective form T(rho) = (I - m M(rho)) / (d - m).
+"""Channel representation, validation, conversion, tensoring, and the
+projective form T(rho) = (I - m M(rho)) / (d - m): M derived from T and the
+integer m (projective_form), with m read off a norm-achieving input
+(extract_projective_form).
 
 Conventions fixed here:
   * Kraus action T(rho) = sum_k A_k rho A_k+, with sum_k A_k+ A_k = I.
@@ -209,17 +211,6 @@ class LinearMap:
         d = self.dim
         return (self.superop @ np.asarray(X, dtype=complex).reshape(-1)).reshape(d, d)
 
-    @classmethod
-    def from_apply(cls, fn, d: int, m: int | None = None) -> "LinearMap":
-        """The map of `fn`, which acts on each member of a (d, d, d) stack:
-        one call per row i, on the matrix units E_i0, ..., E_i(d-1)."""
-        S = np.empty((d * d, d, d), dtype=complex)
-        for i in range(d):
-            units = np.zeros((d, d, d), dtype=complex)
-            units[:, i] = np.eye(d)  # units[j] = E_ij
-            S[:, i] = fn(units).reshape(d, d * d).T
-        return cls(d, S.reshape(d * d, d * d), m)
-
 
 @dataclass
 class ProjectiveForm:
@@ -331,27 +322,17 @@ def tensor_channels(channels) -> QuantumChannel:
     return QuantumChannel(din, dout, kraus, name=name)
 
 
-def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm_value: float) -> ProjectiveForm:
-    """Recover (M, m, rho0) from a norm-achieving input with projection output.
-
-    The maximal output norm of a class member is 1/m0 for integer m0; the map
-    M(X) = m0/(d-m0) * (tr X / m0 * I - T(X)) is trace preserving and sends
-    rho0 to a rank-(d-m0) projection over d-m0. M is made from T, so T equals
-    (I tr - m M) / (d - m) up to rounding and only the witness is checked.
-    """
+def projective_form(T: QuantumChannel, m: int, rho0: DensityMatrix) -> ProjectiveForm:
+    """The form of T with integer m and witness rho0. M = (tr(.) I - (d - m) T) / m
+    is fixed by T and m, so T equals (I tr - m M) / (d - m) up to rounding and
+    only the witness is checked: NotProjectiveClass unless m M(rho0) is a
+    rank-m projection within RECON_TOL."""
     d = T.dim_in
-    inv = 1.0 / norm_value
-    m0 = int(round(inv))
-    if abs(inv - m0) > INTEGER_M_TOL or m0 < 1:
-        raise NotProjectiveClass(f"1/norm = {inv!r} is not near an integer")
-    if m0 >= d:
-        raise NotProjectiveClass(f"m0 = {m0} leaves no projective part (m = d - m0 = {d - m0})")
-    m = d - m0
-    S = T.superop  # made M's in place: (TR - m0 S_T) / m, TR that of X -> tr X * I
-    S *= -m0
+    S = T.superop  # made M's in place: (TR - (d - m) S_T) / m, TR that of X -> tr X * I
+    S *= -(d - m)
     S += linalg.trace_superop(d)
     S /= m
-    form = ProjectiveForm(LinearMap(d, S, m=m), argmax_state)
+    form = ProjectiveForm(LinearMap(d, S, m=m), rho0)
     idem, tr_err = witness_defects(form)
     if idem > RECON_TOL or tr_err > RECON_TOL:
         raise NotProjectiveClass(
@@ -360,25 +341,28 @@ def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm
     return form
 
 
+def extract_projective_form(T: QuantumChannel, argmax_state: DensityMatrix, norm_value: float) -> ProjectiveForm:
+    """Recover (M, m, rho0) from a norm-achieving input with projection output.
+
+    The maximal output norm of a class member is 1/m0 for integer m0, and
+    m = d - m0; the form is projective_form(T, m, argmax_state).
+    """
+    d = T.dim_in
+    inv = 1.0 / norm_value
+    m0 = int(round(inv))
+    if abs(inv - m0) > INTEGER_M_TOL or m0 < 1:
+        raise NotProjectiveClass(f"1/norm = {inv!r} is not near an integer")
+    if m0 >= d:
+        raise NotProjectiveClass(f"m0 = {m0} leaves no projective part (m = d - m0 = {d - m0})")
+    return projective_form(T, d - m0, argmax_state)
+
+
 def witness_defects(form: ProjectiveForm) -> tuple[float, float]:
     """How far P = m M(rho0) is from a rank-m projection: (||P^2 - P||_inf,
     |tr P - m|). Callers hold each defect to their own tolerances."""
     P = form.projector
     idem = linalg.herm_norm_inf(P @ P - P)
     return idem, abs(np.trace(P).real - form.m)
-
-
-def reconstruction_residual(T: QuantumChannel, form: ProjectiveForm) -> float:
-    """max |S_T - (TR - m S_M) / (d - m)| over the superoperators of T, of
-    X -> tr X * I and of M, taken as max |((d - m) S_T - TR) / m + S_M| * m / (d - m)
-    in S_T's buffer, so that no second superoperator-sized temporary is held."""
-    d, m = form.d, form.m
-    R = T.superop
-    R *= d - m
-    R -= linalg.trace_superop(d)
-    R /= m
-    R += form.M.superop
-    return linalg.herm_norm_inf(R) * m / (d - m)
 
 
 def stinespring(T: QuantumChannel) -> Isometry:
@@ -419,13 +403,18 @@ def read_json(path: str) -> dict:
 
 
 def int_field(obj: dict, key: str, where: str) -> int:
-    """obj[key] as an int; ParseError if it is missing or not a number."""
+    """obj[key] as an int; ParseError if it is missing, a bool, a float with a
+    fractional part or not a number."""
     if key not in obj:
         raise ParseError(f"{where}: missing '{key}' field")
+    value = obj[key]
+    bad = ParseError(f"{where}: '{key}' must be an integer, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise bad
     try:
-        return int(obj[key])
+        return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: '{key}' must be an integer, got {obj[key]!r}") from exc
+        raise bad from exc
 
 
 def matrix_to_json(A: np.ndarray) -> dict:
@@ -448,6 +437,8 @@ def matrix_from_json(obj, field_name: str = "matrix", ndim: int = 2) -> np.ndarr
         raise ParseError(f"{field_name}: ragged or non-numeric entries ({exc})") from exc
     if re.shape != im.shape or re.ndim != ndim:
         raise ParseError(f"{field_name}: 're' shape {re.shape} and 'im' shape {im.shape} must be equal {ndim}-d")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParseError(f"{field_name}: non-finite entry")
     return re + 1j * im
 
 

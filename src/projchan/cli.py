@@ -48,6 +48,11 @@ alpha accepts any nonnegative float or 'inf'.
 """
 
 
+# The maps M of `additivity --check-lemma3`, each that of a zoo family.
+LEMMA3_MAPS = {"transpose3": "wh:d=3", "weylM3": "weyl:d=3", "pinchM3": "pinch:d=3,blocks=2+1",
+               "coarseM22": "coarse:n=2,D=2"}
+
+
 class UsageError(Exception):
     pass
 
@@ -154,11 +159,16 @@ def run(argv) -> int:
     from . import eof as eofmod
     from . import reporting
     from . import zoo
+    from .errors import SpecInvalid
 
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.command:
         raise UsageError("missing subcommand")
+    if args.seed < 0:
+        raise SpecInvalid(f"--seed must be a non-negative integer, got {args.seed}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise SpecInvalid(f"--tol must be finite and non-negative, got {args.tol!r}")
 
     raw_spec = getattr(args, "spec", None)
     if args.command == "additivity":
@@ -224,12 +234,7 @@ def run(argv) -> int:
             rep = addmod.additivity_gap([built[s] for s in args.spec], alpha, _opt_config(args, entropy))
             report = rep.to_dict()
         if args.check_lemma3:
-            maps = {
-                "transpose3": zoo.transpose_map(3),
-                "weylM3": zoo.weyl_m_map(3),
-                "pinchM3": zoo.pinching_m_map(zoo.block_projectors(3, [2, 1])),
-                "coarseM22": zoo.coarse_m_map(2, 2),
-            }
+            maps = {name: zoo.build(zoo.parse_spec(spec))[1].M for name, spec in LEMMA3_MAPS.items()}
             names = list(maps)
             suite = {}
             for i, a in enumerate(names):

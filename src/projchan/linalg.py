@@ -1,6 +1,5 @@
 """Dense complex matrix kernel: the eigenvalue clamp for states, partial
-trace, and the superoperators of the transpose (the flip operator) and of
-X -> tr X * I.
+trace, and the superoperator of X -> tr X * I.
 
 Storage is row-major; composite systems are ordered left to right, so the
 matrix index of a basis vector |i1,...,iN> is i1*prod(d2..dN) + ... + iN.
@@ -68,12 +67,6 @@ def partial_trace(X: np.ndarray, dims, keep) -> np.ndarray:
     spec = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     return np.einsum(spec, t).reshape(dk, dk)
-
-
-def flip(d: int) -> np.ndarray:
-    """Flip (swap) operator on C^d x C^d: F|i,j> = |j,i>; also the
-    transpose X -> X^T as a superoperator on row-major vec."""
-    return np.eye(d * d).reshape(d, d, d, d).swapaxes(2, 3).reshape(d * d, d * d)
 
 
 def trace_superop(d: int) -> np.ndarray:

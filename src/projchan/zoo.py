@@ -1,8 +1,10 @@
 """The channel families under study, each declared once.
 
-Every family is a spec dataclass whose `_build` returns a QuantumChannel plus,
-where the family admits one, the ProjectiveForm witness (M, rho0) with
-m * M(rho0) a rank-m projection; `build` validates both. Where the family is
+Every family is a spec dataclass whose `_build` returns a QuantumChannel T
+plus, where the family is in the projective class, its integer m and witness
+input rho0 (else None, None). `build` validates T and derives the map M of
+T = (I tr - m M) / (d - m) from T and m by channels.projective_form, which
+checks that m M(rho0) is a rank-m projection. Where the family is
 weakly covariant under a known group, its `_group` returns the twirl spec of
 the input representation pi and the flag `conjugate` that `auto_group` hands
 to the capacity formula. The flag is set where the output representation is
@@ -20,7 +22,7 @@ import numpy as np
 from . import channels as ch
 from . import linalg
 from .capacity import BlockUnitaryHaar, FiniteGroup, SU2Euler
-from .errors import ParseError, SpecInvalid
+from .errors import NotProjectiveClass, ParseError, SpecInvalid
 from .linalg import dag
 
 
@@ -85,32 +87,6 @@ def _wh_kraus(d: int) -> np.ndarray:
 
 def _flat_state(d: int) -> ch.DensityMatrix:
     return ch.DensityMatrix(d, np.full((d, d), 1.0 / d, dtype=complex))
-
-
-def transpose_map(d: int) -> ch.LinearMap:
-    """X -> X^T as a superoperator (equals the flip operator), m = 1."""
-    return ch.LinearMap(d, linalg.flip(d).astype(complex), m=1)
-
-
-def weyl_m_map(d: int) -> ch.LinearMap:
-    W = weyl_unitaries(d)
-    return ch.LinearMap.from_apply(lambda X: sum(Wi @ X.swapaxes(-1, -2) @ dag(Wi) for Wi in W) / d, d, m=1)
-
-
-def pinching_m_map(projections) -> ch.LinearMap:
-    projections = np.asarray(projections, dtype=complex)
-    d = projections.shape[-1]
-    return ch.LinearMap.from_apply(lambda X: sum(P @ X.swapaxes(-1, -2) @ P for P in projections), d, m=1)
-
-
-def coarse_m_map(n: int, D: int) -> ch.LinearMap:
-    d = n * D
-
-    def M_fn(X):
-        Xn = np.trace(X.reshape(-1, n, D, n, D), axis1=2, axis2=4)
-        return np.kron(Xn.swapaxes(-1, -2), np.eye(D)) / D
-
-    return ch.LinearMap.from_apply(M_fn, d, m=D)
 
 
 def block_projectors(d: int, sizes) -> np.ndarray:
@@ -186,8 +162,7 @@ class WernerHolevo:
         d = self.d
         _require_d2(d, "Werner-Holevo")
         ch.require_stack_fits(d * (d - 1) // 2, d, d)
-        T = ch.QuantumChannel(d, d, _wh_kraus(d), name=f"wh:d={d}")
-        return T, ch.ProjectiveForm(transpose_map(d), _zero_state(d))
+        return ch.QuantumChannel(d, d, _wh_kraus(d), name=f"wh:d={d}"), 1, _zero_state(d)
 
     def _group(self):
         return FiniteGroup(heisenberg_weyl_unitaries(self.d)), True
@@ -215,9 +190,7 @@ class Stretching:
         replacement = np.sqrt((1 - lam) / (d - 1)) * (comp[:, None, :, None] * np.eye(d)[None, :, None, :])
         kraus = np.concatenate([np.sqrt(lam) * _wh_kraus(d), replacement.reshape(-1, d, d)])
         T = ch.QuantumChannel(d, d, kraus, name=f"stretch:d={d},lambda={lam}")
-        M = ch.LinearMap.from_apply(lambda X: lam * X.swapaxes(-1, -2) + (1 - lam) * omega
-                                    * np.trace(X, axis1=-2, axis2=-1)[..., None, None], d, m=1)
-        return T, ch.ProjectiveForm(M, ch.DensityMatrix(d, omega.T.copy()))
+        return T, 1, ch.DensityMatrix(d, omega.T.copy())
 
     def _group(self):
         # only a single optimal input exists; any nontrivial group fails the gate
@@ -234,8 +207,7 @@ class WeylShift:
         ch.require_stack_fits(d * d * (d - 1) // 2, d, d)
         kraus = weyl_unitaries(d)[:, None] @ _wh_kraus(d)[None]
         kraus /= np.sqrt(d)
-        T = ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"weyl:d={d}")
-        return T, ch.ProjectiveForm(weyl_m_map(d), _flat_state(d))
+        return ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"weyl:d={d}"), 1, _flat_state(d)
 
     def _group(self):
         return FiniteGroup(phase_unitaries(self.d)), True
@@ -268,8 +240,7 @@ class Pinching:
         j_star = int(np.argmax(np.diag(projs[0]).real))
         v = projs[0] @ np.eye(d)[:, j_star]
         v = v / np.linalg.norm(v)
-        rho0 = ch.DensityMatrix(d, linalg.projector_from_vector(v).T.copy())
-        return T, ch.ProjectiveForm(pinching_m_map(projs), rho0)
+        return T, 1, ch.DensityMatrix(d, linalg.projector_from_vector(v).T.copy())
 
     def _group(self):
         return FiniteGroup(weyl_unitaries(self.d)), False
@@ -284,7 +255,7 @@ class CasimirIrreducible:
         ch.require_stack_fits(3, d, d)
         lam_pi = (d - 1) * (d + 1) / 4
         kraus = su2_generators(d) / np.sqrt(lam_pi)
-        return ch.QuantumChannel(d, d, kraus, name=f"casimir:d={d}"), None
+        return ch.QuantumChannel(d, d, kraus, name=f"casimir:d={d}"), None, None
 
     def _group(self):
         return SU2Euler(tuple(su2_generators(self.d))), False
@@ -295,9 +266,7 @@ class CasimirReducibleExample:
     def _build(self):
         ch.require_stack_fits(4, 4, 4)
         kraus = np.concatenate([casimir_reducible_generators(), np.eye(4, dtype=complex)[None] / 2])
-        T = ch.QuantumChannel(4, 4, kraus, name="casimir-reducible")
-        M = ch.LinearMap(4, linalg.trace_superop(4) / 2 - T.superop, m=2)
-        return T, ch.ProjectiveForm(M, casimir_reducible_rho0())
+        return ch.QuantumChannel(4, 4, kraus, name="casimir-reducible"), 2, casimir_reducible_rho0()
 
     def _group(self):
         return SU2Euler(tuple(casimir_reducible_complementary_generators())), False
@@ -321,15 +290,7 @@ class ShiftsPinching:
         kraus = np.zeros((d, len(rest), d, d), dtype=complex)  # |i - k><i| for i, then k not in K
         kraus[i, r, (i - rest) % d, i] = 1.0 / np.sqrt(d - len(K))
         T = ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"shiftpinch:d={d},K={','.join(map(str, K))}")
-        W = weyl_unitaries(d)
-
-        def M_fn(X):
-            out = np.zeros(X.shape, dtype=complex)
-            for k in K:
-                out[..., range(d), range(d)] += np.diagonal(dag(W[k - 1]) @ X @ W[k - 1], axis1=-2, axis2=-1)
-            return out / len(K)
-
-        return T, ch.ProjectiveForm(ch.LinearMap.from_apply(M_fn, d, m=len(K)), _zero_state(d))
+        return T, len(K), _zero_state(d)
 
 
 @dataclass(frozen=True)
@@ -347,8 +308,7 @@ class CoarseGraining:
         e, f = np.arange(D)[:, None], np.arange(D)
         E[e, f, f, e] = 1.0 / np.sqrt(D)
         kraus = np.kron(_wh_kraus(n)[:, None], E.reshape(1, D * D, D, D))
-        T = ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"coarse:n={n},D={D}")
-        return T, ch.ProjectiveForm(coarse_m_map(n, D), _flat_state(d))
+        return ch.QuantumChannel(d, d, kraus.reshape(-1, d, d), name=f"coarse:n={n},D={D}"), D, _flat_state(d)
 
     def _group(self):
         return BlockUnitaryHaar(self.n, self.D), True
@@ -372,7 +332,7 @@ class Diagonal:
         ch.require_stack_fits(len(col), d, d)
         kraus = np.zeros((len(col), d, d), dtype=complex)
         kraus[:, np.arange(d), np.arange(d)] = col
-        return ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}"), None
+        return ch.QuantumChannel(d, d, kraus, name=f"diag:d={d}"), None, None
 
     def _group(self):
         return FiniteGroup(weyl_unitaries(self.d)), False
@@ -386,21 +346,19 @@ def build(spec):
     return _finish(*make())
 
 
-def _finish(T: ch.QuantumChannel, form: ch.ProjectiveForm | None):
+def _finish(T: ch.QuantumChannel, m: int | None, rho0: ch.DensityMatrix | None):
     report = ch.validate(T)
     if not report.valid:
         raise SpecInvalid(
             f"built channel fails validation: tp residual {report.tp_residual:.3e}, "
             f"min choi eig {report.min_choi_eigenvalue:.3e}"
         )
-    if form is not None:
-        resid = ch.reconstruction_residual(T, form)
-        if resid > 1e-9:
-            raise SpecInvalid(f"projective form reconstruction residual {resid:.3e}")
-        idem, tr_err = ch.witness_defects(form)
-        if idem > 1e-8 or tr_err > 1e-8:
-            raise SpecInvalid("witness m*M(rho0) is not a rank-m projection")
-    return T, form
+    if m is None:
+        return T, None
+    try:
+        return T, ch.projective_form(T, m, rho0)
+    except NotProjectiveClass as exc:
+        raise SpecInvalid("witness m*M(rho0) is not a rank-m projection") from exc
 
 
 def auto_group(spec, form: ch.ProjectiveForm | None):
@@ -489,7 +447,9 @@ def parse_spec(text: str):
     if head == "coarse":
         return CoarseGraining(one("n"), one("D"))
     if "file" in params:  # head == "diag"
-        return _diagonal_from_file(params["file"][0])
+        if "d" in params:
+            raise ParseError(f"diag takes 'file' or 'd', not both (in {text!r})")
+        return _diagonal_from_file(one("file", str))
     return dephasing(one("d"))
 
 

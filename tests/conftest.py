@@ -207,6 +207,90 @@ def kraus_ref(spec):
     return np.array(kraus)
 
 
+def flip(d):
+    """Flip (swap) operator on C^d x C^d: F|i,j> = |j,i>; also the
+    transpose X -> X^T as a superoperator on row-major vec."""
+    return np.eye(d * d).reshape(d, d, d, d).swapaxes(2, 3).reshape(d * d, d * d)
+
+
+# The paper's maps M of T = (I tr - m M) / (d - m), each built from its formula
+# one matrix unit at a time and never from a channel: the references for the
+# maps that the zoo derives from T.
+
+
+def _map_ref(fn, d, m):
+    """The LinearMap of fn, its superoperator filled one matrix unit E_ij at a time."""
+    S = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            E = np.zeros((d, d), dtype=complex)
+            E[i, j] = 1.0
+            S[:, i * d + j] = fn(E).reshape(-1)
+    return ch.LinearMap(d, S, m=m)
+
+
+def transpose_m_ref(d):
+    """Werner-Holevo: M(X) = X^T, m = 1."""
+    return _map_ref(lambda X: X.T, d, 1)
+
+
+def weyl_m_ref(d):
+    """Weyl shifts: M(X) = sum_i W_i X^T W_i+ / d, m = 1."""
+    W = weyl_unitaries_ref(d)
+    return _map_ref(lambda X: sum(Wi @ X.T @ Wi.conj().T for Wi in W) / d, d, 1)
+
+
+def pinching_m_ref(projections):
+    """Pinching: M(X) = sum_i P_i X^T P_i, m = 1."""
+    P = [np.asarray(Pi, dtype=complex) for Pi in projections]
+    return _map_ref(lambda X: sum(Pi @ X.T @ Pi for Pi in P), len(P[0]), 1)
+
+
+def coarse_m_ref(n, D):
+    """Coarse graining: M(X) = (tr_D X)^T (x) I_D / D, m = D."""
+    def M(X):
+        Xn = np.array([[sum(X[a * D + e, b * D + e] for e in range(D)) for b in range(n)] for a in range(n)])
+        return np.kron(Xn.T, np.eye(D)) / D
+
+    return _map_ref(M, n * D, D)
+
+
+def stretch_m_ref(d, lam, omega):
+    """Stretching: M(X) = lam X^T + (1 - lam) omega tr X, m = 1."""
+    return _map_ref(lambda X: lam * X.T + (1 - lam) * np.trace(X) * omega, d, 1)
+
+
+def shiftpinch_m_ref(d, K):
+    """Shifts and pinching: M(X) = sum_{k in K} diag(W_k+ X W_k) / |K|, m = |K|."""
+    W = weyl_unitaries_ref(d)
+    return _map_ref(lambda X: sum(np.diag(np.diag(W[k - 1].conj().T @ X @ W[k - 1])) for k in K) / len(K),
+                    d, len(K))
+
+
+def m_ref(spec):
+    """The paper's M of a zoo spec, or None for a family printed without one
+    (casimir-reducible, and the families outside the class)."""
+    if isinstance(spec, zoo.WernerHolevo):
+        return transpose_m_ref(spec.d)
+    if isinstance(spec, zoo.WeylShift):
+        return weyl_m_ref(spec.d)
+    if isinstance(spec, zoo.Pinching):
+        return pinching_m_ref(spec.projections)
+    if isinstance(spec, zoo.CoarseGraining):
+        return coarse_m_ref(spec.n, spec.D)
+    if isinstance(spec, zoo.Stretching):
+        omega = linalg.projector_from_vector(np.eye(spec.d)[:, 0]) if spec.omega is None else spec.omega
+        return stretch_m_ref(spec.d, float(spec.lam), np.asarray(omega, dtype=complex))
+    if isinstance(spec, zoo.ShiftsPinching):
+        return shiftpinch_m_ref(spec.d, sorted(set(spec.K)))
+    return None
+
+
+def m_mismatch(M, ref):
+    """max |S_M - S_ref| over the two superoperators; inf where the m differ."""
+    return linalg.herm_norm_inf(M.superop - ref.superop) if M.m == ref.m else np.inf
+
+
 def same_bytes(a, b) -> bool:
     """Equal shape, dtype and bytes."""
     a, b = np.asarray(a), np.asarray(b)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import max_entangled
+from conftest import m_mismatch, m_ref, max_entangled
 from projchan import additivity as add
 from projchan import capacity as cap
 from projchan import channels as ch
@@ -64,10 +64,15 @@ def test_criterion_02_characterization():
     for spec, want_m in cases:
         T, _ = zoo.build(spec)
         rep = entropy.characterize(T, grid, CFG64)
-        resid = ch.reconstruction_residual(T, rep.projective_form) if rep.projective_form else np.inf
-        good = rep.all_three and rep.projective_form.m == want_m and resid <= 1e-8
+        form, ref = rep.projective_form, m_ref(spec)
+        good = rep.all_three and form is not None and form.m == want_m
+        detail = f"{T.name}: three={rep.all_three} m={form.m if form else None}"
+        if good and ref is not None:  # casimir-reducible is printed without an M
+            mismatch = m_mismatch(form.M, ref)
+            good = mismatch <= 1e-12
+            detail += f" |M - M_paper|={mismatch:.1e}"
         ok = ok and good
-        details.append(f"{T.name}: three={rep.all_three} m={rep.projective_form.m if rep.projective_form else None}")
+        details.append(detail)
     _report(2, ok, "; ".join(details))
 
 
@@ -132,12 +137,7 @@ def test_criterion_05_alpha5_violation():
 
 
 def test_criterion_06_trace_square_bound():
-    maps = {
-        "transpose": zoo.transpose_map(3),
-        "weylM": zoo.weyl_m_map(3),
-        "pinchM": zoo.pinching_m_map(zoo.block_projectors(3, [2, 1])),
-        "coarseM": zoo.coarse_m_map(2, 2),
-    }
+    maps = {name: zoo.build(zoo.parse_spec(spec))[1].M for name, spec in cli.LEMMA3_MAPS.items()}
     names = list(maps)
     violations = 0
     worst = -np.inf

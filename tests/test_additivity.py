@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import max_entangled, trace_square_bound
+from conftest import (coarse_m_ref, max_entangled, pinching_m_ref, trace_square_bound, transpose_m_ref,
+                      weyl_m_ref)
 from projchan import additivity as add
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
@@ -63,7 +64,7 @@ def test_transfer_regime_small_beta(wh3):
 
 
 def test_trace_square_bound_single_transpose():
-    M = zoo.transpose_map(3)
+    M = transpose_m_ref(3)
     rho = random_density(split_seed(30), 3)
     lhs, bound, holds = trace_square_bound([M], rho)
     assert holds and bound == 1.0
@@ -71,7 +72,7 @@ def test_trace_square_bound_single_transpose():
 
 
 def test_trace_square_bound_coarse():
-    M = zoo.coarse_m_map(2, 2)
+    M = coarse_m_ref(2, 2)
     rng = split_seed(31)
     for _ in range(20):
         rho = random_density(rng, 4)
@@ -81,7 +82,7 @@ def test_trace_square_bound_coarse():
 
 def test_trace_square_equality_case(wh3):
     # (theta x theta)(Omega) has purity exactly 1 = bound
-    M = zoo.transpose_map(3)
+    M = transpose_m_ref(3)
     lhs, bound, holds = trace_square_bound([M, M], max_entangled(3))
     assert holds
     assert abs(lhs - 1.0) < 1e-12 and bound == 1.0
@@ -95,10 +96,10 @@ def test_trace_square_needs_m():
 
 def test_trace_square_randomized_pairs():
     maps = {
-        "transpose": zoo.transpose_map(3),
-        "weylM": zoo.weyl_m_map(3),
-        "pinchM": zoo.pinching_m_map(zoo.block_projectors(3, [2, 1])),
-        "coarseM": zoo.coarse_m_map(2, 2),
+        "transpose": transpose_m_ref(3),
+        "weylM": weyl_m_ref(3),
+        "pinchM": pinching_m_ref(zoo.block_projectors(3, [2, 1])),
+        "coarseM": coarse_m_ref(2, 2),
     }
     names = list(maps)
     for i, a in enumerate(names):
@@ -121,33 +122,33 @@ def _trace_square_suite_reference(maps, count, seed=12648430):
 
 @pytest.mark.parametrize("count", [1, linalg.BATCH_BLOCK + 1, 300])
 def test_trace_square_suite_matches_per_state_reference(count):
-    for maps in ([zoo.weyl_m_map(3), zoo.coarse_m_map(2, 2)],
-                 [zoo.transpose_map(3), zoo.pinching_m_map(zoo.block_projectors(3, [2, 1]))]):
+    for maps in ([weyl_m_ref(3), coarse_m_ref(2, 2)],
+                 [transpose_m_ref(3), pinching_m_ref(zoo.block_projectors(3, [2, 1]))]):
         assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
 
 
 @pytest.mark.parametrize("count", [add.TRACE_SQUARE_BLOCK, add.TRACE_SQUARE_BLOCK + 1])
 def test_trace_square_suite_block_boundaries_match_reference(count):
-    maps = [zoo.weyl_m_map(3), zoo.coarse_m_map(2, 2)]
+    maps = [weyl_m_ref(3), coarse_m_ref(2, 2)]
     assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
 
 
 def test_trace_square_suite_needs_m():
-    M = ch.LinearMap(3, zoo.transpose_map(3).superop, None)
+    M = ch.LinearMap(3, transpose_m_ref(3).superop, None)
     with pytest.raises(NotProjectiveClass):
         add.trace_square_suite([M], 5)
     with pytest.raises(NotProjectiveClass):
-        add.trace_square_suite([zoo.transpose_map(3), M], 5)
+        add.trace_square_suite([transpose_m_ref(3), M], 5)
 
 
 @pytest.mark.parametrize("count", [0, -5])
 def test_trace_square_suite_refuses_empty_run(count):
     with pytest.raises(SpecInvalid):
-        add.trace_square_suite([zoo.transpose_map(3)], count)
+        add.trace_square_suite([transpose_m_ref(3)], count)
 
 
 def test_apply_product_map_over_a_stack():
-    maps = [zoo.weyl_m_map(3), zoo.coarse_m_map(2, 2)]
+    maps = [weyl_m_ref(3), coarse_m_ref(2, 2)]
     rhos = np.stack([random_density(split_seed(9, i), 12) for i in range(5)])
     out = add.apply_product_map(maps, rhos)
     for rho, omega in zip(rhos, out):
@@ -213,8 +214,8 @@ def test_pair_purity_bound_consequence(wh3):
 
 
 def test_apply_product_map_matches_kron_action():
-    M1 = zoo.transpose_map(2)
-    M2 = zoo.transpose_map(3)
+    M1 = transpose_m_ref(2)
+    M2 = transpose_m_ref(3)
     rho = random_density(split_seed(35), 6)
     out = add.apply_product_map([M1, M2], rho)
     assert linalg.herm_norm_inf(out - rho.reshape(2, 3, 2, 3).transpose(2, 3, 0, 1).reshape(6, 6)) < 1e-14
@@ -253,7 +254,7 @@ def test_apply_product_map_matches_kron_of_superops(dims, shape):
 
 def test_apply_product_map_depends_on_factor_order():
     # negative control: the kernel must put each factor on its own leg
-    maps = [zoo.weyl_m_map(3), zoo.transpose_map(3)]
+    maps = [weyl_m_ref(3), transpose_m_ref(3)]
     rho = random_density(split_seed(37), 9)
     forward, swapped = add.apply_product_map(maps, rho), add.apply_product_map(maps[::-1], rho)
     assert linalg.herm_norm_inf(forward - _kron_superop_reference([M.superop for M in maps], rho)) <= 1e-14
@@ -264,7 +265,7 @@ def test_apply_product_map_refuses_bad_shapes():
     with pytest.raises(DimMismatch):
         add.apply_product_map([np.eye(6, dtype=complex)], np.eye(2))  # 6 is not d^2
     with pytest.raises(DimMismatch):
-        add.apply_product_map([zoo.transpose_map(2), zoo.transpose_map(3)], np.eye(5))
+        add.apply_product_map([transpose_m_ref(2), transpose_m_ref(3)], np.eye(5))
 
 
 @pytest.mark.parametrize("other", ["same", "rebuilt", "different"])

@@ -260,6 +260,22 @@ _MALFORMED = {
     "spec_repeated_list_key": (None, ["validate", "--spec", "shiftpinch:d=4,K=1,2,K=3"]),
     "spec_unknown_key": (None, ["validate", "--spec", "wh:d=3,foo=1"]),
     "spec_key_on_a_family_without_keys": (None, ["validate", "--spec", "casimir-reducible:d=7"]),
+    "spec_diag_file_and_d": (json.dumps({"dim": 2, "diagonals": [{"re": [1, 0], "im": [0, 0]},
+                                                                {"re": [0, 1], "im": [0, 0]}]}),
+                             ["validate", "--spec", "diag:file={path},d=5"]),
+    "spec_diag_file_extra_value": (json.dumps({"dim": 2, "diagonals": [{"re": [1, 0], "im": [0, 0]},
+                                                                      {"re": [0, 1], "im": [0, 0]}]}),
+                                   ["validate", "--spec", "diag:file={path},junk"]),
+    "seed_negative": (None, ["minent", "--spec", "wh:d=3", "--starts", "2", "--seed", "-1"]),
+    "tol_nan": (None, ["minent", "--spec", "wh:d=3", "--starts", "2", "--tol", "nan"]),
+    "tol_negative": (None, ["minent", "--spec", "wh:d=3", "--starts", "2", "--tol", "-1"]),
+    "channel_kraus_nan": (json.dumps({"dim": 2, "kraus": [{"re": [[math.nan, 0.0], [0.0, 1.0]],
+                                                           "im": [[0.0, 0.0], [0.0, 0.0]]}]}),
+                          ["validate", "--file", "{path}"]),
+    "channel_dim_fractional": (json.dumps({"dim": 2.7, "kraus": _KRAUS_ID2}), ["validate", "--file", "{path}"]),
+    "state_dim_bool": (json.dumps({"dimA": True, "dimB": 2, "mat": {"re": (np.eye(2) / 2).tolist(),
+                                                                    "im": np.zeros((2, 2)).tolist()}}),
+                       ["eof", "--state", "{path}", "--starts", "1"]),
 }
 
 
@@ -368,6 +384,37 @@ def test_additivity_check_lemma3(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["trace_square_violations"] == 0
     assert len(rep["trace_square_max_excess"]) == 10  # all pairs from the four maps
+
+
+_ROOT = pathlib.Path(__file__).parents[1]
+# a quoted spec literal: a family that takes parameters with its ':' part, or casimir-reducible
+_SPEC_LITERAL = re.compile(r'"((?:%s):[^"\s{}]+|casimir-reducible)"'
+                          % "|".join(head for head, keys in zoo._SPEC_KEYS.items() if keys))
+
+
+def _spec_strings() -> dict:
+    """The spec strings that each source passes: the benchmark's workloads and
+    the scripts (their quoted spec literals, read as text), the goldens'
+    --spec arguments and the --check-lemma3 maps."""
+    texts = {"perfbench": [_ROOT / "perfbench" / "workloads.py"], "scripts": sorted((_ROOT / "scripts").glob("*.py"))}
+    found = {source: {spec for path in paths for spec in _SPEC_LITERAL.findall(path.read_text())}
+             for source, paths in texts.items()}
+    found["golden"] = {b for argv in GOLDEN_CASES.values() for a, b in zip(argv, argv[1:]) if a == "--spec"}
+    found["lemma3"] = set(cli.LEMMA3_MAPS.values())
+    return found
+
+
+_SPECS = _spec_strings()
+
+
+def test_every_spec_source_names_a_spec():
+    assert all(_SPECS.values()), _SPECS
+
+
+@pytest.mark.parametrize("spec", sorted(set().union(*_SPECS.values())))
+def test_every_named_spec_parses_and_builds(spec):
+    T, _ = zoo.build(zoo.parse_spec(spec))
+    assert ch.validate(T).valid
 
 
 def _golden_snapshot() -> dict:

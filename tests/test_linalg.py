@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import max_entangled, permute_systems, random_hermitian
+from conftest import flip, max_entangled, permute_systems, random_hermitian
 from projchan import linalg
 from projchan.errors import BadDims, NotPositiveSemidefinite
 from projchan.sampling import split_seed
@@ -64,18 +64,18 @@ def test_partial_transpose_omega_gives_flip():
     # Omega^{T_2} = F / d
     for d in (2, 3):
         om = max_entangled(d)
-        assert np.allclose(_transpose_second(om, d), linalg.flip(d) / d, atol=1e-14)
+        assert np.allclose(_transpose_second(om, d), flip(d) / d, atol=1e-14)
 
 
 def test_flip_permutation_d2():
-    F = linalg.flip(2)
+    F = flip(2)
     expect = np.eye(4)[[0, 2, 1, 3]]
     assert np.array_equal(F, expect)
 
 
 def test_flip_trace_and_square():
     for d in (2, 3, 4):
-        F = linalg.flip(d)
+        F = flip(d)
         assert abs(np.trace(F) - d) < 1e-14
         assert np.allclose(F @ F, np.eye(d * d))
         w = np.linalg.eigvalsh(F)
@@ -85,7 +85,7 @@ def test_flip_trace_and_square():
 def test_flip_transpose_identity():
     # partial transpose of the flip is d * Omega
     for d in (2, 3, 4):
-        pt = _transpose_second(linalg.flip(d), d)
+        pt = _transpose_second(flip(d), d)
         assert np.allclose(pt, d * max_entangled(d), atol=1e-14)
 
 
@@ -94,13 +94,13 @@ def test_flip_transpose_identity():
 def test_flip_swap_trace_identity(d, seed):
     # tr[(A x A) F] = tr[A^2]
     A = random_hermitian(np.random.default_rng(seed), d)
-    lhs = np.trace(np.kron(A, A) @ linalg.flip(d))
+    lhs = np.trace(np.kron(A, A) @ flip(d))
     assert abs(lhs - np.trace(A @ A)) < 1e-12 * max(1.0, abs(np.trace(A @ A)))
 
 
 def test_flip_swap_trace_identity_d3():
     A = random_hermitian(split_seed(77), 3)
-    lhs = np.trace(np.kron(A, A) @ linalg.flip(3))
+    lhs = np.trace(np.kron(A, A) @ flip(3))
     assert abs(lhs - np.trace(A @ A)) < 1e-12
 
 
