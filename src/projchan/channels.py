@@ -403,18 +403,15 @@ def read_json(path: str) -> dict:
 
 
 def int_field(obj: dict, key: str, where: str) -> int:
-    """obj[key] as an int; ParseError if it is missing, a bool, a float with a
-    fractional part or not a number."""
+    """obj[key] as an int; ParseError if it is missing or is not a JSON
+    integer. A float with no fractional part counts as one; a bool, a string
+    or any other float does not."""
     if key not in obj:
         raise ParseError(f"{where}: missing '{key}' field")
     value = obj[key]
-    bad = ParseError(f"{where}: '{key}' must be an integer, got {value!r}")
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise bad
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise bad from exc
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ParseError(f"{where}: '{key}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def matrix_to_json(A: np.ndarray) -> dict:

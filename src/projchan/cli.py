@@ -18,6 +18,7 @@ if _threads:
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 import time
@@ -235,12 +236,10 @@ def run(argv) -> int:
             report = rep.to_dict()
         if args.check_lemma3:
             maps = {name: zoo.build(zoo.parse_spec(spec))[1].M for name, spec in LEMMA3_MAPS.items()}
-            names = list(maps)
-            suite = {}
-            for i, a in enumerate(names):
-                for b in names[i:]:
-                    suite[f"{a}|{b}"] = addmod.trace_square_suite(
-                        [maps[a], maps[b]], args.check_lemma3, seed=args.seed)
+            pairs = list(itertools.combinations_with_replacement(maps, 2))
+            excess = addmod.trace_square_suite([[maps[a], maps[b]] for a, b in pairs],
+                                               args.check_lemma3, seed=args.seed)
+            suite = {f"{a}|{b}": e for (a, b), e in zip(pairs, excess)}
             report["trace_square_max_excess"] = suite
             report["trace_square_violations"] = int(sum(v > 1e-9 for v in suite.values()))
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from conftest import (coarse_m_ref, max_entangled, pinching_m_ref, trace_square_
                       weyl_m_ref)
 from projchan import additivity as add
 from projchan import channels as ch
-from projchan import entropy, linalg, zoo
+from projchan import cli, entropy, linalg, zoo
 from projchan.errors import DimMismatch, NotProjectiveClass, SpecInvalid
 from projchan.sampling import haar_state_vector, random_density, split_seed
 
@@ -101,11 +102,10 @@ def test_trace_square_randomized_pairs():
         "pinchM": pinching_m_ref(zoo.block_projectors(3, [2, 1])),
         "coarseM": coarse_m_ref(2, 2),
     }
-    names = list(maps)
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            excess = add.trace_square_suite([maps[a], maps[b]], 300)
-            assert excess <= 1e-9, f"{a}|{b} violated: {excess}"
+    pairs = list(itertools.combinations_with_replacement(maps, 2))
+    excess = add.trace_square_suite([[maps[a], maps[b]] for a, b in pairs], 300)
+    for (a, b), value in zip(pairs, excess):
+        assert value <= 1e-9, f"{a}|{b} violated: {value}"
 
 
 def _trace_square_suite_reference(maps, count, seed=12648430):
@@ -124,27 +124,67 @@ def _trace_square_suite_reference(maps, count, seed=12648430):
 def test_trace_square_suite_matches_per_state_reference(count):
     for maps in ([weyl_m_ref(3), coarse_m_ref(2, 2)],
                  [transpose_m_ref(3), pinching_m_ref(zoo.block_projectors(3, [2, 1]))]):
-        assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
+        [excess] = add.trace_square_suite([maps], count)
+        assert abs(excess - _trace_square_suite_reference(maps, count)) <= 1e-12
 
 
 @pytest.mark.parametrize("count", [add.TRACE_SQUARE_BLOCK, add.TRACE_SQUARE_BLOCK + 1])
 def test_trace_square_suite_block_boundaries_match_reference(count):
     maps = [weyl_m_ref(3), coarse_m_ref(2, 2)]
-    assert abs(add.trace_square_suite(maps, count) - _trace_square_suite_reference(maps, count)) <= 1e-12
+    [excess] = add.trace_square_suite([maps], count)
+    assert abs(excess - _trace_square_suite_reference(maps, count)) <= 1e-12
 
 
-def test_trace_square_suite_needs_m():
+def _lemma3_pairs():
+    maps = {name: zoo.build(zoo.parse_spec(spec))[1].M for name, spec in cli.LEMMA3_MAPS.items()}
+    return [[maps[a], maps[b]] for a, b in itertools.combinations_with_replacement(maps, 2)]
+
+
+@pytest.mark.parametrize("count", [1, add.TRACE_SQUARE_BLOCK, add.TRACE_SQUARE_BLOCK + 1])
+def test_trace_square_suite_groups_pairs_without_changing_them(count):
+    # the ten pairs fall in three dimensions (4 x 4 = 16, 3 x 4 = 12, 3 x 3 = 9),
+    # so one call draws three state sets where ten one-pair calls draw ten
+    pairs = _lemma3_pairs()
+    assert sorted({math.prod(M.dim for M in maps) for maps in pairs}) == [9, 12, 16]
+    grouped = add.trace_square_suite(pairs, count, seed=7)
+    assert len(grouped) == len(pairs)
+    for maps, excess in zip(pairs, grouped):
+        assert excess == add.trace_square_suite([maps], count, seed=7)[0]
+        assert abs(excess - _trace_square_suite_reference(maps, count, seed=7)) <= 1e-12
+
+
+def test_trace_square_suite_keeps_each_products_bound_and_worst():
+    # transposition has m = 1; declared as m = 10 its pair with transposition
+    # has the bound 1/10, which random states exceed (m = 2 would still read
+    # about -0.236: they sit far below the true bound)
+    wrong = ch.LinearMap(3, transpose_m_ref(3).superop, 10)
+    good = [[transpose_m_ref(3), transpose_m_ref(3)], [weyl_m_ref(3), transpose_m_ref(3)],
+            [weyl_m_ref(3), weyl_m_ref(3)]]
+    products = good[:2] + [[wrong, transpose_m_ref(3)]] + good[2:]
+    excess = add.trace_square_suite(products, 100)
+    assert excess[2] > 0.1
+    assert excess[:2] + excess[3:] == [add.trace_square_suite([maps], 100)[0] for maps in good]
+    assert max(excess[:2] + excess[3:]) < 0
+
+
+def test_trace_square_suite_needs_m(monkeypatch):
+    draws = []
+    draw = add.random_densities
+    monkeypatch.setattr(add, "random_densities", lambda *a: draws.append(a) or draw(*a))
     M = ch.LinearMap(3, transpose_m_ref(3).superop, None)
     with pytest.raises(NotProjectiveClass):
-        add.trace_square_suite([M], 5)
+        add.trace_square_suite([[M]], 5)
+    # refused before the products that come first are drawn for
     with pytest.raises(NotProjectiveClass):
-        add.trace_square_suite([transpose_m_ref(3), M], 5)
+        add.trace_square_suite([[coarse_m_ref(2, 2)], [transpose_m_ref(3), transpose_m_ref(3)],
+                                [transpose_m_ref(3), M]], 5)
+    assert draws == []
 
 
 @pytest.mark.parametrize("count", [0, -5])
 def test_trace_square_suite_refuses_empty_run(count):
     with pytest.raises(SpecInvalid):
-        add.trace_square_suite([transpose_m_ref(3)], count)
+        add.trace_square_suite([[transpose_m_ref(3)]], count)
 
 
 def test_apply_product_map_over_a_stack():

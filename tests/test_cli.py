@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from projchan import additivity as add
 from projchan import channels as ch
 from projchan import cli, entropy, eof, linalg, zoo
 
@@ -202,6 +203,12 @@ def test_validate_file_non_tp_exit2(tmp_path):
     assert cli.main(["validate", "--file", str(bad)]) == 2
 
 
+def test_validate_file_accepts_a_whole_float_dim(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"dim": 2.0, "kraus": _KRAUS_ID2}))
+    assert cli.main(["validate", "--file", str(good)]) == 0
+
+
 def test_load_channel_missing_im_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2, "kraus": [{"re": [[1.0, 0.0], [0.0, 1.0]]}]}))
@@ -276,6 +283,17 @@ _MALFORMED = {
     "state_dim_bool": (json.dumps({"dimA": True, "dimB": 2, "mat": {"re": (np.eye(2) / 2).tolist(),
                                                                     "im": np.zeros((2, 2)).tolist()}}),
                        ["eof", "--state", "{path}", "--starts", "1"]),
+    # int(" 2 ") parses, but the wire format's dimensions are JSON integers
+    "channel_dim_string": (json.dumps({"dim": " 2 ", "kraus": _KRAUS_ID2}), ["validate", "--file", "{path}"]),
+    "state_dimA_string": (json.dumps({"dimA": " 1 ", "dimB": 2, "mat": {"re": (np.eye(2) / 2).tolist(),
+                                                                        "im": np.zeros((2, 2)).tolist()}}),
+                          ["eof", "--state", "{path}", "--starts", "1"]),
+    "state_dimB_string": (json.dumps({"dimA": 1, "dimB": "2", "mat": {"re": (np.eye(2) / 2).tolist(),
+                                                                     "im": np.zeros((2, 2)).tolist()}}),
+                          ["eof", "--state", "{path}", "--starts", "1"]),
+    "diag_dim_string": (json.dumps({"dim": "2", "diagonals": [{"re": [1, 0], "im": [0, 0]},
+                                                              {"re": [0, 1], "im": [0, 0]}]}),
+                        ["validate", "--spec", "diag:file={path}"]),
 }
 
 
@@ -384,6 +402,15 @@ def test_additivity_check_lemma3(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["trace_square_violations"] == 0
     assert len(rep["trace_square_max_excess"]) == 10  # all pairs from the four maps
+    # one grouped suite call reports what one call per pair reports; the
+    # report's keys are sorted
+    maps = {name: zoo.build(zoo.parse_spec(spec))[1].M for name, spec in cli.LEMMA3_MAPS.items()}
+    names = list(maps)
+    expected = {}
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            [expected[f"{a}|{b}"]] = add.trace_square_suite([[maps[a], maps[b]]], 50)
+    assert list(rep["trace_square_max_excess"].items()) == sorted(expected.items())
 
 
 _ROOT = pathlib.Path(__file__).parents[1]
