@@ -29,10 +29,18 @@ sphere:
     and far more slowly than the descent;
   * all starts advance in lockstep as one (starts, d) stack, each with its
     own seed, step size and exit reason as if run alone; one batched output
-    evaluation, one eigendecomposition per output, gives the value and the
-    gradient of every start still backtracking, and an accepted start keeps
-    the gradient. Per-start values agree across batch sizes to 1e-12, not
-    bit for bit (GEMM row blocking);
+    evaluation gives the value and the gradient of every start still
+    backtracking, and an accepted start keeps the gradient. Per-start
+    values agree across batch sizes to 1e-12, not bit for bit (GEMM row
+    blocking);
+  * an output evaluation, in the descent and in the fixed point alike, is
+    one eigendecomposition per output, except at an integer alpha = n >= 2.
+    There S_n = log2(tr sigma^n) / (1 - n) is a polynomial in the output,
+    and the value, the gradient n sigma^(n-1) / ((1 - n) ln2 tr sigma^n)
+    and the fixed point's weight factor come from matrix powers of the
+    output, each product rescaled to unit trace; they agree with the
+    spectral formulas to 1e-12 relative. The only eigendecomposition left
+    there is the fixed point's of T+(W), on the input side;
   * at alpha = infinity, and for the maximal output norm, the objective is
     the largest output eigenvalue, and the search is the minorize-maximize
     fixed point alone, psi <- top eigenvector of T+(v v+) for v the top
@@ -139,7 +147,9 @@ def _clip_spectrum(w: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
-    """S_alpha in bits of each spectrum along the last axis of w."""
+    """S_alpha in bits of each spectrum along the last axis of w. Above alpha
+    = 1 the top eigenvalue is factored out of tr sigma^alpha, so that w^alpha
+    cannot underflow at a large alpha."""
     w = _clip_spectrum(w, alpha)
     if alpha == 1.0:
         return -np.sum(np.where(w > EIG_FLOOR, w * np.log2(np.maximum(w, EIG_FLOOR)), 0.0), axis=-1)
@@ -147,21 +157,97 @@ def _entropy_from_eigs(w: np.ndarray, alpha: float) -> np.ndarray:
         return -np.log2(np.maximum(w.max(axis=-1), EIG_FLOOR))
     if alpha == 0.0:
         return np.log2(np.maximum(np.sum(w > RANK_CUTOFF, axis=-1), 1))
+    if alpha > 1.0:
+        top = w.max(axis=-1)
+        return (alpha * np.log2(top) + np.log2(np.sum((w / top[..., None]) ** alpha, axis=-1))) / (1.0 - alpha)
     return np.log2(np.sum(w ** alpha, axis=-1)) / (1.0 - alpha)
 
 
 def _entropy_gradient_matrices(w: np.ndarray, V: np.ndarray, alpha: float) -> np.ndarray:
     """dS_alpha/dsigma on each output eigendecomposition of a (c, d) / (c, d, d)
     stack, 0 < alpha < inf; below alpha = 1 it is the gradient on the output's
-    support, where eigenvalues cut to 0 take no part."""
+    support, where eigenvalues cut to 0 take no part. Above alpha = 1 the top
+    eigenvalue is factored out, as in `_entropy_from_eigs`."""
     w = _clip_spectrum(w, alpha)
     if alpha == 1.0:
         dw = -(np.log2(np.clip(w, EIG_FLOOR, None)) + 1.0 / LN2)
-    else:
+    elif alpha < 1.0:
         t = np.sum(w ** alpha, axis=1)
         pw = np.power(w, alpha - 1.0, out=np.zeros_like(w), where=w > 0.0)  # 0 off the support
         dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * pw
+    else:
+        top = w.max(axis=1, keepdims=True)
+        u = w / top
+        t = top[:, 0] * np.sum(u ** alpha, axis=1)  # tr sigma^alpha / top^(alpha - 1)
+        dw = (alpha / ((1.0 - alpha) * LN2 * t))[:, None] * u ** (alpha - 1.0)
     return (V * dw[:, None, :]) @ V.conj().transpose(0, 2, 1)
+
+
+def _integer_order(alpha: float) -> int:
+    """n where alpha is an integer n >= 2, else 0. There S_alpha =
+    log2(tr sigma^n) / (1 - n) is a polynomial in the output."""
+    return int(alpha) if 2.0 <= alpha < math.inf and alpha.is_integer() else 0
+
+
+def _unit_trace(A: np.ndarray, log_scale: np.ndarray):
+    """The Hermitian part of each member of a (c, d, d) stack divided by its
+    trace, and log_scale plus log2 of that trace."""
+    t = np.real(np.trace(A, axis1=1, axis2=2))
+    return (A + A.conj().transpose(0, 2, 1)) / (2.0 * t)[:, None, None], log_scale + np.log2(t)
+
+
+def _power(sigma: np.ndarray, k: int):
+    """(sigma^k / s, log2 s) for each member of a (c, d, d) PSD stack, k >= 1,
+    by repeated squaring; s = 1 at k = 1. Every product is rescaled to unit
+    trace, so no entry underflows however large k is, and made Hermitian, so
+    that squaring cannot double the phase of a roundoff eigenvalue."""
+    P = log_p = None
+    B, log_b = sigma, np.zeros(len(sigma))
+    while True:
+        if k & 1:
+            P, log_p = (B, log_b) if P is None else _unit_trace(P @ B, log_p + log_b)
+        k >>= 1
+        if not k:
+            return P, log_p
+        B, log_b = _unit_trace(B @ B, 2.0 * log_b)
+
+
+def _integer_powers(sigma: np.ndarray, n: int):
+    """S_n in bits of each member of a (c, d, d) stack of outputs, for an
+    integer n >= 2, from matrix powers alone: no eigendecomposition. Returns
+    (S_n, P, t, H). H = sigma^((n - 1) // 2) / s (None at n = 2), P =
+    sigma^(n - 1) / s^2, which is H H for odd n and H sigma H for even n, and
+    t = tr(P sigma) = tr sigma^n / s^2, for one positive s per member."""
+    if n == 2:
+        H, P, log_s = None, sigma, 0.0
+    else:
+        H, log_s = _power(sigma, (n - 1) // 2)
+        P = H @ H if n % 2 else H @ sigma @ H
+    t = np.real(np.sum(P * sigma.transpose(0, 2, 1), axis=(1, 2)))
+    return (2.0 * log_s + np.log2(t)) / (1.0 - n), P, t, H
+
+
+def _power_factor(Z: np.ndarray, H: np.ndarray | None, n: int) -> np.ndarray:
+    """U with U U+ = P = sigma^(n - 1) / s^2 of `_integer_powers`, for the
+    outputs sigma = Z^T conj(Z) of the Kraus images Z: H for odd n, H Z^T
+    for even n (Z^T at n = 2)."""
+    if n % 2:
+        return H
+    Zt = Z.transpose(0, 2, 1)
+    return Zt if H is None else H @ Zt
+
+
+def _entropy_and_gradient(sigma: np.ndarray, alpha: float):
+    """S_alpha in bits and dS_alpha/dsigma at each member of a (c, d, d) stack
+    of outputs, 0 < alpha < inf. At an integer alpha = n >= 2 both come from
+    P = sigma^(n - 1): the gradient is n P / ((1 - n) ln2 tr sigma^n).
+    Elsewhere they come from one eigendecomposition of each output."""
+    n = _integer_order(alpha)
+    if n:
+        f, P, t, _ = _integer_powers(sigma, n)
+        return f, (n / ((1.0 - n) * LN2 * t))[:, None, None] * P
+    w, V = np.linalg.eigh(sigma)
+    return _entropy_from_eigs(w, alpha), _entropy_gradient_matrices(w, V, alpha)
 
 
 REASONS = np.array(["max_iters", "stationary", "armijo", "tol"], dtype=object)
@@ -252,6 +338,19 @@ def _sphere_retract(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
+def _sphere_objective(T: ch.QuantumChannel, alpha: float):
+    """fg(Psi): S_alpha(T(psi psi+)) and its Wirtinger gradient projected onto
+    the sphere tangent at each row of Psi, from one evaluation of the
+    outputs (`_entropy_and_gradient`), 0 < alpha < inf."""
+    def fg(Psi):
+        Z, sigma = T.pure_outputs(Psi)
+        f, G = _entropy_and_gradient(sigma, alpha)
+        # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
+        g = 2.0 * T.kraus_adjoint(Z @ G.conj())
+        return f, g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi
+    return fg
+
+
 def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
     """Entropy minimization (alpha > 0) from every row of Psi0 at once. For
     finite alpha the fixed point takes at most FIXED_POINT_ITERS steps
@@ -264,14 +363,7 @@ def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_it
     Psi0 = np.asarray(Psi0, dtype=complex)  # a real stack would drop its trial points' imaginary parts
     if math.isinf(alpha):
         return _fixed_point(T, alpha, Psi0, max_iters, tol)
-
-    def fg(Psi):  # S_alpha and its projected gradient at each row, from one eigh of the outputs
-        Z, sigma = T.pure_outputs(Psi)
-        w, V = np.linalg.eigh(sigma)
-        # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
-        g = 2.0 * T.kraus_adjoint(Z @ _entropy_gradient_matrices(w, V, alpha).conj())
-        return _entropy_from_eigs(w, alpha), g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi
-
+    fg = _sphere_objective(T, alpha)
     lead = min(max_iters, FIXED_POINT_ITERS if alpha < 1.0 else
                VON_NEUMANN_FIXED_POINT_ITERS if alpha == 1.0 else CONVEX_FIXED_POINT_ITERS)
     f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
@@ -337,6 +429,15 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     gains at most `tol`, and keeps the best point it visited. A stall is not
     a first-order test: the caller checks the gradient.
 
+    Each visited point's outputs are evaluated once, for the value and the
+    next weight. At an integer alpha = n >= 2 that takes no
+    eigendecomposition: W = sigma^(n - 1) up to a positive factor, with the
+    factor U = sigma^((n - 1)/2) for odd n and sigma^((n - 2)/2) Z^T for even
+    n, where sigma = Z^T conj(Z) from the Kraus images Z (`_power_factor`).
+    Elsewhere one eigh of each output gives w and V; above alpha = 1 the
+    weight is divided by the top eigenvalue, which moves no eigenvector of
+    T+(W) and keeps a large alpha from underflowing it.
+
     At alpha = inf the plain steps stop after CONVEX_FIXED_POINT_ITERS; off
     the class their rate nears 1, so the rows still gaining go on in SQUAREM
     cycles (Varadhan & Roland, Scand. J. Stat. 35, 2008): from x0 two steps
@@ -349,60 +450,76 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     flags), a flag False where the row was still gaining at the cap.
     """
     adjoint = _factored_adjoint(T)
+    n = _integer_order(alpha)
 
-    def visit(X):  # S_alpha and the output eigendecomposition at each live row's point X
-        w, V = np.linalg.eigh(T.pure_outputs(X)[1])
-        f = _entropy_from_eigs(w, alpha)
+    def visit(X):  # S_alpha at each live row's point X, and the arrays its weight factor is built from
+        Z, sigma = T.pure_outputs(X)
+        if n:
+            f, _, _, H = _integer_powers(sigma, n)
+            base = (_power_factor(Z, H, n),)
+        else:
+            w, V = np.linalg.eigh(sigma)
+            f, base = _entropy_from_eigs(w, alpha), (w, V)
         better = f < f_best[live]
         f_best[live[better]], Psi_best[live[better]] = f[better], X[better]
-        return f, w, V
+        return f, base
 
-    def weight_factor(w, V, eps):  # U with W = U U+
+    def weight_factor(base, eps):  # U with W = U U+
+        if n:
+            return base[0]
+        w, V = base
         if math.isinf(alpha):
             return V[:, :, -1:]
         w = np.clip(w, 0.0, None)
         if alpha == 1.0:
             return V * np.sqrt(np.clip(np.log((1.0 + eps) / (w + eps)), 0.0, None))[:, None, :]
+        if alpha > 1.0:  # W's scale moves no eigenvector; the top eigenvalue keeps it from underflowing
+            w = w / w[:, -1:]
         return V * ((w + eps) ** (0.5 * (alpha - 1.0)))[:, None, :]
 
-    def step(w, V, eps):  # each row's next point, from its output eigendecomposition, and visit(it)
-        X = np.linalg.eigh(adjoint(weight_factor(w, V, eps[:, None])))[1][:, :, pick]
+    def step(base, eps):  # each row's next point, from what its weight factor is built from, and visit(it)
+        X = np.linalg.eigh(adjoint(weight_factor(base, eps[:, None])))[1][:, :, pick]
         return (X,) + visit(X)
 
     def aligned(X, Psi):  # each row of X in the phase of that row of Psi
         return X * np.exp(-1j * np.angle(np.sum(Psi.conj() * X, axis=1)))[:, None]
 
+    def rows(base, idx):
+        return tuple(a[idx] for a in base)
+
     live, f_best, Psi_best = np.arange(len(Psi0)), np.full(len(Psi0), np.inf), np.array(Psi0)
     Psi = Psi_best.copy()
-    f, w, V = visit(Psi)
+    f, base = visit(Psi)
     eps = np.full(len(f), SMOOTHING_START if alpha <= 1.0 else SMOOTHING_FLOOR)
     pick = 0 if alpha <= 1.0 else -1  # bottom eigenvector to minimize the majorizer, top to maximize the minorizer
     lead = min(max_iters, CONVEX_FIXED_POINT_ITERS) if math.isinf(alpha) else max_iters
     for _ in range(lead):
         if not len(live):
             break
-        Psi, f2, w, V = step(w, V, eps)
+        Psi, f2, base = step(base, eps)
         gained = f2 < f - tol
         keep = gained | (eps > SMOOTHING_FLOOR)
         eps = np.where(eps > SMOOTHING_JUMP, eps / 4.0, SMOOTHING_FLOOR)
         eps[~gained] = SMOOTHING_FLOOR
-        live, Psi, f, w, V, eps = (a[keep] for a in (live, Psi, f2, w, V, eps))
+        live, Psi, f, eps, base = live[keep], Psi[keep], f2[keep], eps[keep], rows(base, keep)
     for _ in range((max_iters - lead) // 3):  # SQUAREM cycles of three steps each
         if not len(live):
             break
-        X1, _, w1, V1 = step(w, V, eps)
+        X1, _, base1 = step(base, eps)
         X1 = aligned(X1, Psi)
-        X2, f2, w2, V2 = step(w1, V1, eps)
+        X2, f2, base2 = step(base1, eps)
         X2 = aligned(X2, X1)
         r, v = X1 - Psi, X2 - 2.0 * X1 + Psi
         vn = np.linalg.norm(v, axis=1)  # 0 where a row is at a fixed point; a = -1 there, so y = x2
         a = np.minimum(-np.linalg.norm(r, axis=1) / np.where(vn > 0.0, vn, np.inf), -1.0)[:, None]
         Y = _sphere_retract(Psi - 2.0 * a * r + a * a * v)
-        X3, f3, w3, V3 = step(*visit(Y)[1:], eps)
+        X3, f3, base3 = step(visit(Y)[1], eps)
         back = f3 > f2
-        X3[back], f3[back], w3[back], V3[back] = X2[back], f2[back], w2[back], V2[back]
+        X3[back], f3[back] = X2[back], f2[back]
+        for b3, b2 in zip(base3, base2):
+            b3[back] = b2[back]
         keep = f3 < f - tol
-        live, Psi, f, w, V, eps = (z[keep] for z in (live, X3, f3, w3, V3, eps))
+        live, Psi, f, eps, base = live[keep], X3[keep], f3[keep], eps[keep], rows(base3, keep)
     return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
 
 

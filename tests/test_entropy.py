@@ -11,7 +11,7 @@ from conftest import identity_channel, offclass_channel, random_channel
 from projchan import channels as ch
 from projchan import entropy, eof, linalg, zoo
 from projchan.errors import BadAlpha, DimMismatch, ProjchanError
-from projchan.sampling import haar_state_vector, random_density, split_seed
+from projchan.sampling import complex_normal, haar_state_vector, random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 GRID = [0.0, 0.5, 1.0, 2.0, 5.0, math.inf]
@@ -302,8 +302,9 @@ def _example9_members(W):
 def test_search_decomposes_each_point_once(monkeypatch, which):
     # Inside the descent, eigh sees exactly the outputs at the points `fg` is
     # given, once each, and eigvalsh is never called: the value and the
-    # gradient of a point come from one decomposition. At alpha = 2 the fixed
-    # point hands every start on casimir:d=4 to the descent.
+    # gradient of a point come from one decomposition. At alpha = 1.5 the
+    # fixed point hands every start on casimir:d=4 to the descent. (At an
+    # integer alpha >= 2 the descent decomposes no output at all.)
     if which == "example9":
         seen = _recording_eigh_in_descent(monkeypatch, eof)
         eof.eof_upper(eof.example9_state(), eof.EofConfig(starts=64))
@@ -312,7 +313,7 @@ def test_search_decomposes_each_point_once(monkeypatch, which):
     else:
         T = offclass_channel(which)
         seen = _recording_eigh_in_descent(monkeypatch, entropy)
-        entropy.min_output_entropy(T, 2.0, entropy.OptConfig(starts=8, seed=7))
+        entropy.min_output_entropy(T, 1.5, entropy.OptConfig(starts=8, seed=7))
         rows = np.concatenate(seen["fg_rows"])
         want = T.apply_raw(rows[:, :, None] * rows[:, None].conj())
         assert len(seen["fg_rows"][0]) == 8
@@ -324,6 +325,136 @@ def test_search_decomposes_each_point_once(monkeypatch, which):
         # before, the descent judged 1353 trial rows by eigvalsh and took
         # eigh again at the 1216 rows its gradient was evaluated at
         assert len(rows) < 1353 + 1216
+
+
+def _unit_trace_states(d, rank, count, seed):
+    """`count` random d x d states of rank `rank` (Wishart, unit trace)."""
+    G = complex_normal(np.random.default_rng(seed), count, d, rank)
+    S = G @ G.conj().transpose(0, 2, 1)
+    return S / np.real(np.trace(S, axis1=1, axis2=2))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["random", "pure", "rank-deficient"])
+def test_integer_alpha_powers_match_the_spectrum(n, kind):
+    # At an integer alpha = n >= 2 the value and the gradient matrix come
+    # from sigma^(n - 1) alone. They agree with the eigendecomposition's to
+    # 1e-12 relative (the value relative to max(|S|, 1), since S is 0 on a
+    # pure state), for d = 2 to 9.
+    for d in range(2, 10):
+        rank = {"random": d, "pure": 1, "rank-deficient": max(1, d // 2)}[kind]
+        sigma = _unit_trace_states(d, rank, 8, seed=100 * n + d)
+        f, G = entropy._entropy_and_gradient(sigma, float(n))
+        w, V = np.linalg.eigh(sigma)
+        f_ref = entropy._entropy_from_eigs(w, float(n))
+        G_ref = entropy._entropy_gradient_matrices(w, V, float(n))
+        assert np.abs(f - f_ref).max() <= 1e-12 * max(np.abs(f_ref).max(), 1.0), d
+        assert (np.abs(G - G_ref) <= 1e-12 * np.abs(G_ref).max(axis=(1, 2), keepdims=True)).all(), d
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_factor_spans_the_fixed_point_weight(n):
+    # The fixed point's weight factor at alpha = n: U U+ = P, and P is
+    # sigma^(n - 1) up to a positive factor per output, for both parities (U
+    # = H for odd n, H Z^T for even n). The channel has k = 3 Kraus
+    # operators on 4 dims, so Z^T is not square.
+    T = offclass_channel("4,4,3,0")
+    Z, sigma = T.pure_outputs(entropy._stack_starts(4, entropy.OptConfig(starts=8, seed=3)))
+    _, P, _, H = entropy._integer_powers(sigma, n)
+    U = entropy._power_factor(Z, H, n)
+    assert np.abs(U @ U.conj().transpose(0, 2, 1) - P).max() <= 1e-12 * np.abs(P).max()
+    power = np.linalg.matrix_power(sigma, n - 1)
+    scale = np.real(np.trace(power, axis1=1, axis2=2) / np.trace(P, axis1=1, axis2=2))
+    assert (scale > 0).all()
+    assert np.abs(scale[:, None, None] * P - power).max() <= 1e-12 * np.abs(power).max()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_integer_alpha_sphere_gradient_matches_finite_differences(n):
+    # The descent's projected gradient on wh:d=3 x wh:d=3, for both parities
+    # of P (H H at n = 3, H sigma H at n = 4): along random sphere tangents
+    # its directional derivative matches a central difference of S_n. With
+    # sigma^n in place of sigma^(n - 1) in the gradient this fails.
+    fg = entropy._sphere_objective(_wh_pair(), float(n))
+    Psi = entropy._stack_starts(9, entropy.OptConfig(starts=6, seed=29))
+    rng = np.random.default_rng(29)
+    D = rng.normal(size=Psi.shape) + 1j * rng.normal(size=Psi.shape)
+    D -= np.real(np.sum(Psi.conj() * D, axis=1))[:, None] * Psi
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    g = fg(Psi)[1]
+    h = 1e-5
+    fd = (fg(entropy._sphere_retract(Psi + h * D))[0] - fg(entropy._sphere_retract(Psi - h * D))[0]) / (2 * h)
+    slope = np.real(np.sum(g.conj() * D, axis=1))
+    assert np.abs(slope).max() > 1e-2
+    assert np.abs(fd - slope).max() <= 1e-7 * np.abs(slope).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integer_alpha_search_decomposes_no_output(monkeypatch, n):
+    # At alpha = n neither the descent's `fg` nor the fixed point's `visit`
+    # decomposes an output: every eigh the search makes is of a T+(W) the
+    # fixed point formed on the input side, and eigvalsh is never called. On
+    # casimir:d=4 the fixed point hands starts on, so the descent runs too.
+    T = offclass_channel("casimir:d=4")
+    formed, fg_rows = [], []
+    factored, objective, eigh = entropy._factored_adjoint, entropy._sphere_objective, np.linalg.eigh
+
+    def recording_adjoint(T):
+        adjoint = factored(T)
+        return lambda U: formed.append(adjoint(U)) or formed[-1]
+
+    def recording_objective(T, alpha):
+        fg = objective(T, alpha)
+        return lambda Psi: fg_rows.append(len(Psi)) or fg(Psi)
+
+    def input_side_eigh(a, *args, **kwargs):
+        assert any(a is b for b in formed), "eigh of an output"
+        return eigh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh in the search")
+
+    monkeypatch.setattr(entropy, "_factored_adjoint", recording_adjoint)
+    monkeypatch.setattr(entropy, "_sphere_objective", recording_objective)
+    monkeypatch.setattr(np.linalg, "eigh", input_side_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    entropy.min_output_entropy(T, float(n), entropy.OptConfig(starts=8, seed=7))
+    assert formed and sum(fg_rows) > 8
+
+
+@pytest.mark.parametrize("alpha", [2.0, 5.0])
+def test_two_copy_search_values_match_the_output_spectra(alpha):
+    # The joint wh:d=3 x wh:d=3 search at the benchmark's two integer alphas,
+    # 32 starts: each start's reported value is S_alpha of the output at its
+    # end point, recomputed from that output's eigvalsh, to 1e-12.
+    TT = _wh_pair()
+    rep = entropy.min_output_entropy(TT, alpha, entropy.OptConfig(starts=32, seed=5))
+    Psi = rep.per_start_args
+    w = np.clip(np.linalg.eigvalsh(TT.apply_raw(Psi[:, :, None] * Psi[:, None].conj())), 0.0, None)
+    want = np.log2(np.sum(w ** alpha, axis=1)) / (1.0 - alpha)
+    assert np.abs(np.array(rep.per_start_values) - want).max() <= 1e-12
+
+
+def test_large_alpha_does_not_underflow(wh3):
+    # w^alpha underflows to 0 above alpha of about 1075, which made nu
+    # infinite. With the top eigenvalue factored out of the spectrum, and
+    # each matrix power rescaled to unit trace, nu stays 1 on wh:d=3 at
+    # integer (power) and non-integer (spectrum) alpha alike.
+    T, _ = wh3
+    w = np.array([[0.5, 0.5, 0.0]])
+    for alpha in (1100.0, 2000.5):
+        assert abs(entropy._entropy_from_eigs(w, alpha)[0] - 1.0) <= 1e-12
+        assert np.isfinite(entropy._entropy_gradient_matrices(w, np.eye(3)[None], alpha)).all()
+    f, G = entropy._entropy_and_gradient(np.diag([0.5, 0.5, 0.0])[None].astype(complex), 5000.0)
+    assert abs(f[0] - 1.0) <= 1e-12 and np.isfinite(G).all()
+    # about 1000 squarings: without the Hermitian part of each product, the
+    # phase of a roundoff eigenvalue doubles on each and the trace goes NaN
+    sigma = _unit_trace_states(9, 9, 4, seed=29)
+    f, G = entropy._entropy_and_gradient(sigma, 1e300)
+    assert np.abs(f + np.log2(np.linalg.eigvalsh(sigma)[:, -1])).max() <= 1e-12 and np.isfinite(G).all()
+    rep = entropy.characterize(T, [1.0, 1100.0, 5000.0, 1100.5], CFG)
+    assert all(abs(v - 1.0) <= 1e-9 for v in rep.nu_values.values()), rep.nu_values
+    assert rep.constant_nu
 
 
 def _polish_one_start(T, psi, max_iters, tol):
