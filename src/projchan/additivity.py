@@ -87,10 +87,10 @@ def additivity_gap(channel_list, alpha: float, cfg: OptConfig | None = None) -> 
         return AdditivityReport(alpha, [rep.value], rep.value, 0.0, rep.arg_state, rep)
     joint_channel = ch.tensor_channels(channel_list)
     dims = [T.dim_in for T in channel_list]
+    tops = {id(rep): np.linalg.eigh(rep.arg_state.mat)[1][:, -1] for rep in runs.values()}  # one per distinct run
     product_vec = np.array([1.0 + 0j])
     for rep in singles:
-        w, V = np.linalg.eigh(rep.arg_state.mat)
-        product_vec = np.kron(product_vec, V[:, -1])
+        product_vec = np.kron(product_vec, tops[id(rep)])
     warm = [product_vec, _ghz_vector(dims)]
     joint = min_output_entropy(joint_channel, alpha, cfg.with_warm_starts(warm))
     total = float(sum(r.value for r in singles))

@@ -38,7 +38,9 @@ STATE_TOL = 1e-10
 
 @dataclass
 class DensityMatrix:
-    """Hermitian, PSD (after roundoff clamping), unit-trace matrix."""
+    """Hermitian, PSD (after roundoff clamping), unit-trace matrix. It keeps
+    the clamped spectrum that its validation computed; `mat` is not to be
+    changed in place."""
 
     dim: int
     mat: np.ndarray
@@ -47,16 +49,26 @@ class DensityMatrix:
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.shape != (self.dim, self.dim):
             raise BadDims(f"state shape {self.mat.shape} != ({self.dim}, {self.dim})")
-        check_states(self.mat[None])
+        self._eigenvalues = check_states(self.mat[None])[0]
 
     @classmethod
     def from_vector(cls, psi: np.ndarray) -> "DensityMatrix":
+        """psi psi+ / <psi|psi>, validated from the vector by check_pure_states,
+        which gives check_states' verdict with no decomposition; the spectrum
+        is taken on first use."""
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         psi = psi / np.linalg.norm(psi)
-        return cls(len(psi), np.outer(psi, psi.conj()))
+        check_pure_states(psi[None])
+        rho = cls.__new__(cls)  # __post_init__'s check_states is what check_pure_states stood in for
+        rho.dim, rho.mat, rho._eigenvalues = len(psi), np.outer(psi, psi.conj()), None
+        return rho
 
     def eigenvalues(self) -> np.ndarray:
-        return linalg.clamp_state_eigenvalues(np.linalg.eigvalsh(self.mat))
+        """The clamped eigenvalues of the Hermitian part, ascending, as
+        check_states returns them; shared, not to be changed in place."""
+        if self._eigenvalues is None:
+            self._eigenvalues = check_states(self.mat[None])[0]
+        return self._eigenvalues
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
@@ -170,9 +182,13 @@ class QuantumChannel:
         `adjoint`, the same for T+ (Kraus operators A_k+) on a (c, d_out) Psi.
         With `rank` r, each run of r rows is one input sum_i psi_i psi_i+, and
         its images stack to one (r k, d) member."""
-        kcol, d = (self._kcol_dag, self.dim_in) if adjoint else (self._kcol, self.dim_out)
-        Z = (Psi @ kcol.T).reshape(len(Psi) // rank, rank * len(self.kraus), d)
+        Z = self.kraus_images(Psi, adjoint, rank)
         return Z, Z.transpose(0, 2, 1) @ Z.conj()
+
+    def kraus_images(self, Psi: np.ndarray, adjoint: bool = False, rank: int = 1) -> np.ndarray:
+        """The Kraus images of `pure_outputs` alone, without the outputs."""
+        kcol, d = (self._kcol_dag, self.dim_in) if adjoint else (self._kcol, self.dim_out)
+        return (Psi @ kcol.T).reshape(len(Psi) // rank, rank * len(self.kraus), d)
 
     def kraus_adjoint(self, Y: np.ndarray) -> np.ndarray:
         """sum_k A_k+ y_ik for a (c, k, d_out) stack Y: the adjoint of the map

@@ -67,7 +67,7 @@ from . import channels as ch
 from . import linalg
 from .errors import BadAlpha, DimensionOverflow, DimMismatch, SpecInvalid
 from .linalg import DIM_CAP
-from .sampling import haar_state_vector, split_seed
+from .sampling import haar_state_vectors
 
 LN2 = math.log(2.0)
 VON_NEUMANN_WINDOW = 1e-6   # |alpha - 1| below this is treated as alpha = 1
@@ -107,6 +107,7 @@ class OptReport:
     best_start: int
     per_start_args: np.ndarray       # (starts, d_in): the point each start ended at
     per_start_converged: np.ndarray  # (starts,): False where a start hit the iteration cap
+    per_start_spectra: np.ndarray | None  # (starts, d_out): end-point output eigenvalues; None at an integer alpha
 
     @cached_property
     def arg_state(self) -> ch.DensityMatrix:
@@ -237,24 +238,36 @@ def _power_factor(Z: np.ndarray, H: np.ndarray | None, n: int) -> np.ndarray:
     return Zt if H is None else H @ Zt
 
 
-def _entropy_and_gradient(sigma: np.ndarray, alpha: float):
-    """S_alpha in bits and dS_alpha/dsigma at each member of a (c, d, d) stack
-    of outputs, 0 < alpha < inf. At an integer alpha = n >= 2 both come from
-    P = sigma^(n - 1): the gradient is n P / ((1 - n) ln2 tr sigma^n).
-    Elsewhere they come from one eigendecomposition of each output."""
+def _evaluate(sigma: np.ndarray, alpha: float, spectra=None):
+    """S_alpha in bits of each member of a (c, d, d) stack of outputs, 0 <
+    alpha <= inf, and the parts its gradient and the fixed point's weight are
+    built from: at an integer alpha = n >= 2 (P, t, H) of `_integer_powers`,
+    with no eigendecomposition; elsewhere (w, V), the eigendecomposition of
+    each output, or `spectra` where it is already known."""
     n = _integer_order(alpha)
     if n:
-        f, P, t, _ = _integer_powers(sigma, n)
-        return f, (n / ((1.0 - n) * LN2 * t))[:, None, None] * P
-    w, V = np.linalg.eigh(sigma)
-    return _entropy_from_eigs(w, alpha), _entropy_gradient_matrices(w, V, alpha)
+        f, P, t, H = _integer_powers(sigma, n)
+        return f, (P, t, H)
+    w, V = np.linalg.eigh(sigma) if spectra is None else spectra
+    return _entropy_from_eigs(w, alpha), (w, V)
+
+
+def _gradient_matrix(parts, alpha: float) -> np.ndarray:
+    """dS_alpha/dsigma from the parts `_evaluate` returned, 0 < alpha < inf:
+    n P / ((1 - n) ln2 tr sigma^n) at an integer alpha = n >= 2, else the
+    spectral formula."""
+    n = _integer_order(alpha)
+    if n:
+        P, t = parts[:2]
+        return (n / ((1.0 - n) * LN2 * t))[:, None, None] * P
+    return _entropy_gradient_matrices(*parts[:2], alpha)
 
 
 REASONS = np.array(["max_iters", "stationary", "armijo", "tol"], dtype=object)
 MAX_ITERS, STATIONARY, ARMIJO, TOL = range(len(REASONS))  # their codes in the loop
 
 
-def _armijo_descent(fg, retract, x0, max_iters: int, tol: float, t_max: float):
+def _armijo_descent(fg, retract, x0, first, max_iters: int, tol: float, t_max: float):
     """Steepest descent on a manifold with Armijo backtracking (halving, from
     a first trial step capped at `t_max`), run in lockstep over an (s, ...)
     stack x0 of starts.
@@ -264,22 +277,26 @@ def _armijo_descent(fg, retract, x0, max_iters: int, tol: float, t_max: float):
     clipped below at 1e-12. On the first iteration and where
     |Re<s,y>| <= 1e-30, it is the start's last accepted step doubled.
 
-    `fg(X)` returns the objective of each member of a stack X and the stacked
-    directions of a smooth objective, from one evaluation. It is called on x0
-    and on every trial point, and an accepted start keeps its direction for
-    the next iteration: with Barzilai-Borwein steps most trial points are
-    accepted (1236 of 1389 on the `eof` benchmark workload, 623 of 1054 on
-    `two-copy`, seed 5). `retract` maps a stack X - t G back onto the
-    manifold. Each start keeps its own step t and stops on its own
-    reason: "stationary" (the direction vanishes), "armijo" (no step down to
-    1e-18 decreases f enough), "tol" (the last step improved f by less than
-    `tol`) or "max_iters". One `fg` call evaluates the trial points of every
-    start still backtracking. Returns (f, x, reasons, iterations), each per
-    start; a start's iterations count the lockstep iterations it took part in.
+    `fg(X)` returns the objective of each member of a stack X, the stacked
+    directions of a smooth objective and any further per-member arrays, from
+    one evaluation. `first` is what it returns at x0, which the caller has
+    already evaluated, and the descent updates its arrays in place; it calls
+    `fg` on every trial point alone, and
+    an accepted start keeps its direction and further arrays: with
+    Barzilai-Borwein steps most trial points are accepted (1236 of 1389 on
+    the `eof` benchmark workload, 623 of 1054 on `two-copy`, seed 5).
+    `retract` maps a stack X - t G back onto the manifold. Each start keeps
+    its own step t and stops on its own reason: "stationary" (the direction
+    vanishes), "armijo" (no step down to 1e-18 decreases f enough), "tol"
+    (the last step improved f by less than `tol`) or "max_iters". One `fg`
+    call evaluates the trial points of every start still backtracking.
+    Returns (f, x, reasons, iterations, *further), each per start, the
+    further arrays those of the end points; a start's iterations count the
+    lockstep iterations it took part in.
     """
     x = np.array(x0)
-    f, g = fg(x)
-    f_end, x_end = f.copy(), x.copy()
+    f, g, *kept = first  # its arrays, which accepted rows overwrite
+    ends = [f.copy(), x.copy()] + [a.copy() for a in kept]  # f, x and the further arrays of each stopped start
     reasons = np.full(len(x), MAX_ITERS, dtype=np.int8)
     iterations = np.full(len(x), max_iters)
     live = np.arange(len(x))  # start index of each row of the active stack
@@ -304,13 +321,17 @@ def _armijo_descent(fg, retract, x0, max_iters: int, tol: float, t_max: float):
         while len(pending):
             tp = t[pending]
             cand = retract(x[pending] - tp.reshape(bcast) * g[pending])
-            fc, gc = fg(cand)
+            fc, *rest = fg(cand)
             ok = fc <= f[pending] - 1e-4 * tp * gn2[pending]
             if ok.all():  # the common round: every pending start accepts
-                improvement[pending], x[pending], f[pending], g[pending] = f[pending] - fc, cand, fc, gc
+                improvement[pending] = f[pending] - fc
+                for a, c in zip((x, f, g, *kept), (cand, fc, *rest)):
+                    a[pending] = c
                 break
             acc = pending[ok]
-            improvement[acc], x[acc], f[acc], g[acc] = f[acc] - fc[ok], cand[ok], fc[ok], gc[ok]
+            improvement[acc] = f[acc] - fc[ok]
+            for a, c in zip((x, f, g, *kept), (cand, fc, *rest)):
+                a[acc] = c[ok]
             pending = pending[~ok]
             t[pending] *= 0.5
             pending = pending[t[pending] > 1e-18]  # the others stop on "armijo"
@@ -318,13 +339,15 @@ def _armijo_descent(fg, retract, x0, max_iters: int, tol: float, t_max: float):
         if done.any():
             code = np.select([gn2 < 1e-30, t <= 1e-18], [STATIONARY, ARMIJO], TOL)
             reasons[live[done]], iterations[live[done]] = code[done], it
-            f_end[live[done]], x_end[live[done]] = f[done], x[done]
+            for e, a in zip(ends, (f, x, *kept)):
+                e[live[done]] = a[done]
             keep = ~done
-            live, x, f, g, t, x_prev, g_prev = (a[keep] for a in (live, x, f, g, t, x_prev, g_prev))
+            live, x, f, g, t, x_prev, g_prev, *kept = (a[keep] for a in (live, x, f, g, t, x_prev, g_prev, *kept))
             if not len(live):
                 break
-    f_end[live], x_end[live] = f, x
-    return f_end, x_end, REASONS[reasons], iterations
+    for e, a in zip(ends, (f, x, *kept)):
+        e[live] = a
+    return ends[0], ends[1], REASONS[reasons], iterations, *ends[2:]
 
 
 def _best_start(values, pick_min: bool) -> int:
@@ -338,45 +361,95 @@ def _sphere_retract(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=-1, keepdims=True)
 
 
+def _sphere_gradient(T: ch.QuantumChannel, Psi: np.ndarray, Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The Wirtinger gradient of S_alpha(T(psi psi+)) projected onto the
+    sphere tangent at each row of Psi, from the row's Kraus images Z and the
+    gradient matrix G = dS_alpha/dsigma at its output."""
+    # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
+    g = 2.0 * T.kraus_adjoint(Z @ G.conj())
+    return g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi
+
+
 def _sphere_objective(T: ch.QuantumChannel, alpha: float):
-    """fg(Psi): S_alpha(T(psi psi+)) and its Wirtinger gradient projected onto
-    the sphere tangent at each row of Psi, from one evaluation of the
-    outputs (`_entropy_and_gradient`), 0 < alpha < inf."""
+    """fg(Psi): S_alpha(T(psi psi+)) and its projected gradient at each row
+    of Psi, from one evaluation of the outputs (`_evaluate`), 0 < alpha <
+    inf, and off the integer orders the output spectra too, which the
+    descent carries to each start's end point."""
+    spectral = not _integer_order(alpha)
+
     def fg(Psi):
         Z, sigma = T.pure_outputs(Psi)
-        f, G = _entropy_and_gradient(sigma, alpha)
-        # 2 sum_k A_k+ G A_k psi, with G A_k psi read off the Kraus images
-        g = 2.0 * T.kraus_adjoint(Z @ G.conj())
-        return f, g - np.real(np.sum(Psi.conj() * g, axis=1))[:, None] * Psi
+        f, parts = _evaluate(sigma, alpha)
+        g = _sphere_gradient(T, Psi, Z, _gradient_matrix(parts, alpha))
+        return (f, g, parts[0]) if spectral else (f, g)
     return fg
 
 
-def _descend_starts(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
-    """Entropy minimization (alpha > 0) from every row of Psi0 at once. For
-    finite alpha the fixed point takes at most FIXED_POINT_ITERS steps
-    (VON_NEUMANN_FIXED_POINT_ITERS at alpha = 1, CONVEX_FIXED_POINT_ITERS
-    above), and the Armijo/BB descent continues, with the iterations left,
-    from the best point of each row it left unconverged or with a projected
-    gradient norm above STATIONARY_GRAD. At alpha = inf the fixed point, with
-    its extrapolated cycles, runs alone and takes every iteration. Returns
-    per-start (values, end points, converged flags)."""
-    Psi0 = np.asarray(Psi0, dtype=complex)  # a real stack would drop its trial points' imaginary parts
+class _Outputs:
+    """A stack of unit input rows X with its outputs sigma under T, and each
+    output's eigendecomposition `spectra`, taken on first use: the searches
+    that start from one stack read one evaluation of it. Rows of X equal to
+    the row at the same position of `known` take their outputs from it, and
+    their spectra too where `known` has taken them."""
+
+    def __init__(self, T: ch.QuantumChannel, X: np.ndarray, known: _Outputs | None = None):
+        self.X = np.asarray(X, dtype=complex)  # a real stack would drop its trial points' imaginary parts
+        lent = np.zeros(len(self.X), dtype=bool)
+        if known is not None:
+            n = min(len(self.X), len(known.X))
+            lent[:n] = (self.X[:n] == known.X[:n]).all(axis=1)
+        if not lent.any():
+            self.sigma = T.pure_outputs(self.X)[1]
+            return
+
+        def merged(fresh, old):  # the fresh rows where X is new, old's rows where it is lent
+            out = np.empty((len(lent),) + fresh.shape[1:], dtype=fresh.dtype)
+            out[~lent], out[lent] = fresh, old[:n][lent[:n]]
+            return out
+        sigma = T.pure_outputs(self.X[~lent])[1]
+        self.sigma = merged(sigma, known.sigma)
+        if "spectra" in vars(known):
+            self.spectra = tuple(map(merged, np.linalg.eigh(sigma), known.spectra))
+
+    @cached_property
+    def spectra(self):
+        return np.linalg.eigh(self.sigma)
+
+
+def _descend_starts(T: ch.QuantumChannel, alpha: float, start: _Outputs, max_iters: int, tol: float):
+    """Entropy minimization (alpha > 0) from every row of the evaluated start
+    stack at once. For finite alpha the fixed point takes at most
+    FIXED_POINT_ITERS steps (VON_NEUMANN_FIXED_POINT_ITERS at alpha = 1,
+    CONVEX_FIXED_POINT_ITERS above), and the Armijo/BB descent continues,
+    with the iterations left, from the best point of each row it left
+    unconverged or with a projected gradient norm above STATIONARY_GRAD. The
+    fixed point hands on its evaluation of each best point: the gradient
+    test and the descent's first value and gradient are read off it and the
+    point's Kraus images, taken again (kept, they would hold k d_out entries
+    per start through the search), with no output formed or decomposed
+    again. At alpha = inf the fixed point, with its extrapolated cycles,
+    runs alone and takes every iteration. Returns per-start (values, end
+    points, converged flags, output spectra at the end points); the spectra
+    are None at an integer alpha, where the search takes none."""
     if math.isinf(alpha):
-        return _fixed_point(T, alpha, Psi0, max_iters, tol)
-    fg = _sphere_objective(T, alpha)
+        f, Psi, converged, (w, _) = _fixed_point(T, alpha, start, max_iters, tol)
+        return f, Psi, converged, w
     lead = min(max_iters, FIXED_POINT_ITERS if alpha < 1.0 else
                VON_NEUMANN_FIXED_POINT_ITERS if alpha == 1.0 else CONVEX_FIXED_POINT_ITERS)
-    f, Psi, converged = _fixed_point(T, alpha, Psi0, lead, tol)
-    settled = np.flatnonzero(converged)
-    if len(settled):
-        # a step that gains little can also be a stall short of a minimum
-        converged[settled] = np.linalg.norm(fg(Psi[settled])[1], axis=1) <= STATIONARY_GRAD
+    f, Psi, converged, parts = _fixed_point(T, alpha, start, lead, tol)
+    g = _sphere_gradient(T, Psi, T.kraus_images(Psi), _gradient_matrix(parts, alpha))
+    # a step that gains little can also be a stall short of a minimum
+    converged &= np.linalg.norm(g, axis=1) <= STATIONARY_GRAD
+    spectra = None if _integer_order(alpha) else parts[0]
     rest = np.flatnonzero(~converged)
     if len(rest) and max_iters > lead:
-        f[rest], Psi[rest], reasons, _ = _armijo_descent(fg, _sphere_retract, Psi[rest],
-                                                         max_iters - lead, tol, ENTROPY_STEP_CAP)
+        first = (f[rest], g[rest]) + (() if spectra is None else (spectra[rest],))
+        f[rest], Psi[rest], reasons, _, *end_spectra = _armijo_descent(
+            _sphere_objective(T, alpha), _sphere_retract, Psi[rest], first, max_iters - lead, tol, ENTROPY_STEP_CAP)
+        if end_spectra:
+            spectra[rest] = end_spectra[0]
         converged[rest] = reasons != "max_iters"
-    return f, Psi, converged
+    return f, Psi, converged, spectra
 
 
 def _factored_adjoint(T: ch.QuantumChannel):
@@ -408,9 +481,9 @@ def _factored_adjoint(T: ch.QuantumChannel):
     return blocked
 
 
-def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters: int, tol: float):
+def _fixed_point(T: ch.QuantumChannel, alpha: float, start: _Outputs, max_iters: int, tol: float):
     """Majorize-minimize fixed point for S_alpha(T(psi psi+)), alpha > 0, from
-    every unit row of Psi0, in lockstep.
+    every unit row of the evaluated start stack, in lockstep.
 
     tr sigma^alpha (alpha < 1) and S_1 are concave in sigma, so their tangent
     at the current output sigma = V diag(w) V+ bounds them from above, and the
@@ -430,7 +503,9 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     a first-order test: the caller checks the gradient.
 
     Each visited point's outputs are evaluated once, for the value and the
-    next weight. At an integer alpha = n >= 2 that takes no
+    next weight (the start stack's evaluation is read, not made again), and
+    each row keeps the evaluation of its best point for the caller. At an
+    integer alpha = n >= 2 that takes no
     eigendecomposition: W = sigma^(n - 1) up to a positive factor, with the
     factor U = sigma^((n - 1)/2) for odd n and sigma^((n - 2)/2) Z^T for even
     n, where sigma = Z^T conj(Z) from the Kraus images Z (`_power_factor`).
@@ -447,27 +522,37 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
     starts from, so that differences see no arbitrary eigenvector phase.
     Every step counts against `max_iters`, and a row stops once a cycle
     gains at most `tol`. Returns per-row (S_alpha, best points, converged
-    flags), a flag False where the row was still gaining at the cap.
+    flags, gradient parts), a flag False where the row was still gaining at
+    the cap, and the parts of each best point's evaluation that its gradient
+    is built from: the output's eigendecomposition (w, V), or at an integer
+    alpha its power P and tr(P sigma).
     """
     adjoint = _factored_adjoint(T)
     n = _integer_order(alpha)
+    best = []  # S_alpha, point and gradient parts of each row's best point
 
-    def visit(X):  # S_alpha at each live row's point X, and the arrays its weight factor is built from
-        Z, sigma = T.pure_outputs(X)
-        if n:
-            f, _, _, H = _integer_powers(sigma, n)
-            base = (_power_factor(Z, H, n),)
+    def evaluate(X, Z, sigma, spectra=None):  # S_alpha at each live row's point X, and (X, *weight parts)
+        f, parts = _evaluate(sigma, alpha, spectra)
+        kept = (f, X) + parts[:2]  # (w, V), or (P, t) at an integer alpha
+        if not best:
+            best.extend(np.array(a) for a in kept)
         else:
-            w, V = np.linalg.eigh(sigma)
-            f, base = _entropy_from_eigs(w, alpha), (w, V)
-        better = f < f_best[live]
-        f_best[live[better]], Psi_best[live[better]] = f[better], X[better]
-        return f, base
+            better = f < best[0][live]
+            if better.all():  # the common visit: every live row gains
+                for b, a in zip(best, kept):
+                    b[live] = a
+            elif better.any():
+                for b, a in zip(best, kept):
+                    b[live[better]] = a[better]
+        return f, ((X, _power_factor(Z, parts[2], n)) if n else (X,) + parts)
 
-    def weight_factor(base, eps):  # U with W = U U+
+    def visit(X):
+        return evaluate(X, *T.pure_outputs(X))
+
+    def weight_factor(ev, eps):  # U with W = U U+
         if n:
-            return base[0]
-        w, V = base
+            return ev[1]
+        w, V = ev[1:]
         if math.isinf(alpha):
             return V[:, :, -1:]
         w = np.clip(w, 0.0, None)
@@ -477,50 +562,50 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, Psi0: np.ndarray, max_iters
             w = w / w[:, -1:]
         return V * ((w + eps) ** (0.5 * (alpha - 1.0)))[:, None, :]
 
-    def step(base, eps):  # each row's next point, from what its weight factor is built from, and visit(it)
-        X = np.linalg.eigh(adjoint(weight_factor(base, eps[:, None])))[1][:, :, pick]
-        return (X,) + visit(X)
+    def step(ev, eps):  # each row's next point, from the evaluation of its current one, and visit(it)
+        return visit(np.linalg.eigh(adjoint(weight_factor(ev, eps[:, None])))[1][:, :, pick])
 
     def aligned(X, Psi):  # each row of X in the phase of that row of Psi
         return X * np.exp(-1j * np.angle(np.sum(Psi.conj() * X, axis=1)))[:, None]
 
-    def rows(base, idx):
-        return tuple(a[idx] for a in base)
+    def rows(ev, idx):
+        return tuple(a[idx] for a in ev)
 
-    live, f_best, Psi_best = np.arange(len(Psi0)), np.full(len(Psi0), np.inf), np.array(Psi0)
-    Psi = Psi_best.copy()
-    f, base = visit(Psi)
+    live = np.arange(len(start.X))
+    images = T.kraus_images(start.X) if n and not n % 2 else None  # an even order's weight factor takes them
+    f, ev = evaluate(start.X, images, start.sigma, None if n else start.spectra)
+    del images  # held from here on by the weight factor alone, while its rows are live
     eps = np.full(len(f), SMOOTHING_START if alpha <= 1.0 else SMOOTHING_FLOOR)
     pick = 0 if alpha <= 1.0 else -1  # bottom eigenvector to minimize the majorizer, top to maximize the minorizer
     lead = min(max_iters, CONVEX_FIXED_POINT_ITERS) if math.isinf(alpha) else max_iters
     for _ in range(lead):
         if not len(live):
             break
-        Psi, f2, base = step(base, eps)
+        f2, ev = step(ev, eps)
         gained = f2 < f - tol
         keep = gained | (eps > SMOOTHING_FLOOR)
         eps = np.where(eps > SMOOTHING_JUMP, eps / 4.0, SMOOTHING_FLOOR)
         eps[~gained] = SMOOTHING_FLOOR
-        live, Psi, f, eps, base = live[keep], Psi[keep], f2[keep], eps[keep], rows(base, keep)
+        live, f, eps, ev = live[keep], f2[keep], eps[keep], rows(ev, keep)
     for _ in range((max_iters - lead) // 3):  # SQUAREM cycles of three steps each
         if not len(live):
             break
-        X1, _, base1 = step(base, eps)
-        X1 = aligned(X1, Psi)
-        X2, f2, base2 = step(base1, eps)
-        X2 = aligned(X2, X1)
+        Psi = ev[0]
+        _, ev1 = step(ev, eps)
+        X1 = aligned(ev1[0], Psi)
+        f2, ev2 = step(ev1, eps)
+        X2 = aligned(ev2[0], X1)
         r, v = X1 - Psi, X2 - 2.0 * X1 + Psi
         vn = np.linalg.norm(v, axis=1)  # 0 where a row is at a fixed point; a = -1 there, so y = x2
         a = np.minimum(-np.linalg.norm(r, axis=1) / np.where(vn > 0.0, vn, np.inf), -1.0)[:, None]
-        Y = _sphere_retract(Psi - 2.0 * a * r + a * a * v)
-        X3, f3, base3 = step(visit(Y)[1], eps)
+        f3, ev3 = step(visit(_sphere_retract(Psi - 2.0 * a * r + a * a * v))[1], eps)
         back = f3 > f2
-        X3[back], f3[back] = X2[back], f2[back]
-        for b3, b2 in zip(base3, base2):
+        for b3, b2 in zip((f3,) + ev3, (f2, X2) + ev2[1:]):
             b3[back] = b2[back]
         keep = f3 < f - tol
-        live, Psi, f, eps, base = live[keep], X3[keep], f3[keep], eps[keep], rows(base3, keep)
-    return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live)
+        live, f, eps, ev = live[keep], f3[keep], eps[keep], rows(ev3, keep)
+    f_best, Psi_best, *parts = best
+    return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live), tuple(parts)
 
 
 def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarray:
@@ -537,9 +622,8 @@ def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarr
         raise DimensionOverflow(f"{first + cfg.starts} starts of length {d} exceed the cap of "
                                 f"{linalg.DIM_CAP ** 2} entries")
     drawn = {} if drawn is None else drawn
-    for i in range(first, first + cfg.starts):
-        if i not in drawn:
-            drawn[i] = haar_state_vector(split_seed(cfg.seed, i), d)
+    missing = [i for i in range(first, first + cfg.starts) if i not in drawn]
+    drawn.update(zip(missing, haar_state_vectors(cfg.seed, missing, d)))
     rows = [np.asarray(wv, dtype=complex) / np.linalg.norm(wv) for wv in cfg.warm_starts]
     rows += [drawn[i] for i in range(first, first + cfg.starts)]
     if not rows:
@@ -547,7 +631,8 @@ def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarr
     return np.array(rows)
 
 
-def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, pick_min: bool) -> OptReport:
+def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, spectra: np.ndarray | None,
+            pick_min: bool) -> OptReport:
     values = [float(v) for v in values]
     best = _best_start(values, pick_min)
     return OptReport(
@@ -559,47 +644,50 @@ def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, pic
         best_start=best,
         per_start_args=args,
         per_start_converged=converged,
+        per_start_spectra=spectra,
     )
 
 
-def _rank_report(T: ch.QuantumChannel, Psi0: np.ndarray, cfg: OptConfig, surrogate: OptReport) -> OptReport:
-    """alpha = 0 from the alpha = 1/2 run `surrogate` from the starts Psi0.
+def _rank_report(start: _Outputs, cfg: OptConfig, surrogate: OptReport) -> OptReport:
+    """alpha = 0 from the alpha = 1/2 run `surrogate` from the start stack.
 
     S_0 is piecewise constant, so the smooth alpha = 1/2 surrogate is
     descended instead (same minimizer set when nu is alpha-independent), and
     each start takes the lower rank entropy of its start and end points; both
-    are upper bounds.
+    are upper bounds. The ranks are read off the output spectra that the
+    start stack and the surrogate's search already hold.
     """
-    ends = surrogate.per_start_args
-    f0 = _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(Psi0)[1]), 0.0)
-    f1 = _entropy_from_eigs(np.linalg.eigvalsh(T.pure_outputs(ends)[1]), 0.0)
+    w0, w1 = start.spectra[0], surrogate.per_start_spectra
+    f0, f1 = _entropy_from_eigs(w0, 0.0), _entropy_from_eigs(w1, 0.0)
     moved = f1 < f0
-    return _report(cfg, np.where(moved, f1, f0), np.where(moved[:, None], ends, Psi0),
-                   np.where(moved, surrogate.per_start_converged, True), pick_min=True)
+    return _report(cfg, np.where(moved, f1, f0), np.where(moved[:, None], surrogate.per_start_args, start.X),
+                   np.where(moved, surrogate.per_start_converged, True), np.where(moved[:, None], w1, w0),
+                   pick_min=True)
 
 
 def min_output_entropy(T: ch.QuantumChannel, alpha: float, cfg: OptConfig | None = None, *,
-                       Psi0: np.ndarray | None = None) -> OptReport:
+                       start: _Outputs | None = None) -> OptReport:
     """Upper-bound estimate of the minimal output alpha-entropy over pure
-    inputs. `Psi0`, when given, is the start stack of `cfg`, already drawn."""
+    inputs. `start`, when given, is the start stack of `cfg`, already drawn
+    and evaluated."""
     cfg = cfg or OptConfig()
     alpha = _normalize_alpha(alpha)
-    Psi0 = _stack_starts(T.dim_in, cfg) if Psi0 is None else Psi0
+    start = _Outputs(T, _stack_starts(T.dim_in, cfg)) if start is None else start
     descended = 0.5 if alpha == 0.0 else alpha  # alpha = 0 reads the rank off the 1/2 run
-    report = _report(cfg, *_descend_starts(T, descended, Psi0, cfg.max_iters, cfg.tol), pick_min=True)
-    return _rank_report(T, Psi0, cfg, report) if alpha == 0.0 else report
+    report = _report(cfg, *_descend_starts(T, descended, start, cfg.max_iters, cfg.tol), pick_min=True)
+    return _rank_report(start, cfg, report) if alpha == 0.0 else report
 
 
 def max_output_norm(T: ch.QuantumChannel, cfg: OptConfig | None = None, *,
-                    Psi0: np.ndarray | None = None) -> OptReport:
+                    start: _Outputs | None = None) -> OptReport:
     """Lower-bound estimate of sup_rho ||T(rho)||_inf over pure inputs: 2^(-f)
     of the alpha = inf search of `min_output_entropy`, the minorize-maximize
-    fixed point with its SQUAREM cycles, from every start. `Psi0`, when
-    given, is the start stack of `cfg`, already drawn."""
+    fixed point with its SQUAREM cycles, from every start. `start`, when
+    given, is the start stack of `cfg`, already drawn and evaluated."""
     cfg = cfg or OptConfig()
-    Psi0 = _stack_starts(T.dim_in, cfg) if Psi0 is None else Psi0
-    f, Psi, converged = _descend_starts(T, math.inf, Psi0, cfg.max_iters, cfg.tol)
-    return _report(cfg, 2.0 ** (-f), Psi, converged, pick_min=False)
+    start = _Outputs(T, _stack_starts(T.dim_in, cfg)) if start is None else start
+    f, Psi, converged, spectra = _descend_starts(T, math.inf, start, cfg.max_iters, cfg.tol)
+    return _report(cfg, 2.0 ** (-f), Psi, converged, spectra, pick_min=False)
 
 
 @dataclass
@@ -651,16 +739,17 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
         raise BadAlpha("alpha grid must be nonempty")
     reuse = 0.0 in alphas and 0.5 in alphas
     drawn = {}  # random start rows by index, shared by every search below
-    Psi0 = _stack_starts(T.dim_in, cfg, drawn)
-    reports = {a: min_output_entropy(T, a, cfg, Psi0=Psi0) for a in alphas
+    start = _Outputs(T, _stack_starts(T.dim_in, cfg, drawn))  # and their outputs
+    reports = {a: min_output_entropy(T, a, cfg, start=start) for a in alphas
                if not (reuse and a == 0.0) and not math.isinf(a)}
     if reuse:
-        reports[0.0] = _rank_report(T, Psi0, cfg, reports[0.5])
+        reports[0.0] = _rank_report(start, cfg, reports[0.5])
 
-    two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg, Psi0=Psi0)
+    two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg, start=start)
     witness_vec = two_report.per_start_args[two_report.best_start]
     norm_cfg = cfg.with_warm_starts([witness_vec])
-    norm_report = max_output_norm(T, norm_cfg, Psi0=_stack_starts(T.dim_in, norm_cfg, drawn))
+    norm_start = _Outputs(T, _stack_starts(T.dim_in, norm_cfg, drawn), known=start)
+    norm_report = max_output_norm(T, norm_cfg, start=norm_start)
     argmax_state = norm_report.arg_state
     norm_value = norm_report.value
     nu = {a: reports[a].value if a in reports else -math.log2(max(norm_value, EIG_FLOOR)) for a in alphas}

@@ -24,7 +24,7 @@ from .capacity import Ensemble
 from .entropy import _armijo_descent, _best_start, _entropy_from_eigs
 from .errors import BadDims, DimensionOverflow, DimMismatch, SpecInvalid
 from .linalg import BATCH_BLOCK, DIM_CAP, dag
-from .sampling import complex_normal, split_seed
+from .sampling import complex_normal_streams
 
 EOF_STEP_CAP = 1e2  # largest Armijo trial step on the Stiefel manifold
 
@@ -161,8 +161,8 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
         WG = W.conj().swapaxes(-1, -2) @ G
         return f, G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2)
 
-    W0 = _qr_retract(np.concatenate([complex_normal(split_seed(cfg.seed, i), 1, k, r) for i in range(cfg.starts)]))
-    values, Ws, reasons, _ = _armijo_descent(fg, _qr_retract, W0, cfg.max_iters, cfg.tol, EOF_STEP_CAP)
+    W0 = _qr_retract(complex_normal_streams(cfg.seed, range(cfg.starts), k, r))
+    values, Ws, reasons, _ = _armijo_descent(fg, _qr_retract, W0, fg(W0), cfg.max_iters, cfg.tol, EOF_STEP_CAP)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E
     probs = np.real(np.einsum("ji,ji->j", Phi.conj(), Phi))

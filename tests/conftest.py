@@ -5,7 +5,7 @@ from projchan import additivity as add
 from projchan import channels as ch
 from projchan import linalg
 from projchan import zoo
-from projchan.sampling import split_seed
+from projchan.sampling import complex_normal, split_seed
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +41,14 @@ def trace_square_bound(maps, rho):
     bound = add._trace_square_limit(maps)
     lhs = float(add._trace_squares(add.apply_product_map(maps, rho)))
     return lhs, bound, bool(lhs <= bound + 1e-9)
+
+
+def haar_state_vector(rng, d):
+    """One unit vector v / |v| of a complex Gaussian v drawn from rng, real
+    part then imaginary part: a test input, and the per-row reference for
+    sampling.haar_state_vectors."""
+    v = complex_normal(rng, 1, d)[0]
+    return v / np.linalg.norm(v)
 
 
 def haar_unitary(rng, d):

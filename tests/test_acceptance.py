@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import m_mismatch, m_ref, max_entangled
+from conftest import haar_state_vector, m_mismatch, m_ref, max_entangled
 from projchan import additivity as add
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import cli, entropy, eof, linalg, zoo
-from projchan.sampling import haar_state_vector, random_density, split_seed
+from projchan.sampling import random_density, split_seed
 
 LOG2_3 = math.log2(3)
 CFG64 = entropy.OptConfig(starts=64)

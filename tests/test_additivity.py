@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (coarse_m_ref, max_entangled, pinching_m_ref, trace_square_bound, transpose_m_ref,
-                      weyl_m_ref)
+from conftest import (coarse_m_ref, haar_state_vector, max_entangled, pinching_m_ref, trace_square_bound,
+                      transpose_m_ref, weyl_m_ref)
 from projchan import additivity as add
 from projchan import channels as ch
 from projchan import cli, entropy, linalg, zoo
 from projchan.errors import DimMismatch, NotProjectiveClass, SpecInvalid
-from projchan.sampling import haar_state_vector, random_density, split_seed
+from projchan.sampling import random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import _closed_by_all_pairs, haar_unitary, identity_channel
+from conftest import _closed_by_all_pairs, haar_state_vector, haar_unitary, identity_channel
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
 from projchan.errors import DimensionOverflow, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from projchan.linalg import dag
-from projchan.sampling import flat_simplex, haar_state_vector, split_seed
+from projchan.sampling import flat_simplex, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 LOG2_3 = math.log2(3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import flip, identity_channel, max_entangled, permute_systems, random_channel
+from conftest import flip, haar_state_vector, identity_channel, max_entangled, permute_systems, random_channel
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
@@ -20,7 +20,7 @@ from projchan.errors import (
     ValidationError,
 )
 from projchan.linalg import dag
-from projchan.sampling import haar_state_vector, random_density, split_seed
+from projchan.sampling import random_density, split_seed
 
 
 def test_validate_identity():

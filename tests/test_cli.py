@@ -314,8 +314,8 @@ def test_oversize_start_stack_is_refused_before_drawing(monkeypatch, module, cap
     def draw(*args):
         raise AssertionError("a start was drawn")
 
-    monkeypatch.setattr(entropy, "haar_state_vector", draw)
-    monkeypatch.setattr(eof, "complex_normal", draw)
+    monkeypatch.setattr(entropy, "haar_state_vectors", draw)
+    monkeypatch.setattr(eof, "complex_normal_streams", draw)
     monkeypatch.setattr(module, "DIM_CAP", cap)
     assert cli.main(argv) == 2
 

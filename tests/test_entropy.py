@@ -1,17 +1,18 @@
 import json
 import math
 import pathlib
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import identity_channel, offclass_channel, random_channel
+from conftest import haar_state_vector, identity_channel, offclass_channel, random_channel
 from projchan import channels as ch
-from projchan import entropy, eof, linalg, zoo
+from projchan import cli, entropy, eof, linalg, zoo
 from projchan.errors import BadAlpha, DimMismatch, ProjchanError
-from projchan.sampling import complex_normal, haar_state_vector, random_density, split_seed
+from projchan.sampling import complex_normal, random_density, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 GRID = [0.0, 0.5, 1.0, 2.0, 5.0, math.inf]
@@ -202,7 +203,7 @@ def test_converged_is_the_best_starts_flag():
     cfg = entropy.OptConfig(starts=2, max_iters=1).with_warm_starts([one])
     rep = entropy.min_output_entropy(T, math.inf, cfg)
     assert abs(rep.per_start_values[0] + math.log2(0.7)) < 1e-12
-    assert entropy._descend_starts(T, math.inf, one[None], cfg.max_iters, cfg.tol)[2][0]
+    assert entropy._descend_starts(T, math.inf, entropy._Outputs(T, one[None]), cfg.max_iters, cfg.tol)[2][0]
     assert rep.best_start != 0
     assert not rep.converged
 
@@ -223,9 +224,9 @@ def test_norm_polish_flags_rows_stopped_at_the_cap():
     # the alpha = inf fixed point: on this channel the rows need 11 to 32
     # steps (the plain step alone: 14 to 73)
     T = random_channel(3, 3, 2, 1)[1]
-    Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3))
-    assert not entropy._fixed_point(T, math.inf, Psi0, 1, 1e-12)[2].any()
-    assert entropy._fixed_point(T, math.inf, Psi0, 2000, 1e-12)[2].all()
+    start = entropy._Outputs(T, entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3)))
+    assert not entropy._fixed_point(T, math.inf, start, 1, 1e-12)[2].any()
+    assert entropy._fixed_point(T, math.inf, start, 2000, 1e-12)[2].all()
 
 
 @pytest.mark.parametrize("grid", [[0.0, 1.0, 2.0, math.inf], [0.0, 1.0, 1.0, math.inf]])
@@ -254,20 +255,21 @@ def test_characterize_reads_nu_inf_off_the_norm_search(spec):
 
 
 def _recording_eigh_in_descent(monkeypatch, module):
-    """Record, while `module._armijo_descent` runs, the stacks its `fg` is
-    given, the inputs of every np.linalg.eigh call and the number of
-    np.linalg.eigvalsh calls."""
+    """Record, while `module._armijo_descent` runs, its start stack x0, the
+    stacks its `fg` is given, the inputs of every np.linalg.eigh call and the
+    number of np.linalg.eigvalsh calls."""
     seen = {"fg_rows": [], "eigh_inputs": [], "eigvalsh_calls": 0}
     descent, eigh, eigvalsh = module._armijo_descent, np.linalg.eigh, np.linalg.eigvalsh
     inside = []
 
-    def recording_descent(fg, *rest, **kwargs):
+    def recording_descent(fg, retract, x0, *rest, **kwargs):
         def recording_fg(X):
             seen["fg_rows"].append(X.copy())
             return fg(X)
+        seen["x0"] = np.array(x0)
         inside.append(True)
         try:
-            return descent(recording_fg, *rest, **kwargs)
+            return descent(recording_fg, retract, x0, *rest, **kwargs)
         finally:
             inside.pop()
 
@@ -302,9 +304,11 @@ def _example9_members(W):
 def test_search_decomposes_each_point_once(monkeypatch, which):
     # Inside the descent, eigh sees exactly the outputs at the points `fg` is
     # given, once each, and eigvalsh is never called: the value and the
-    # gradient of a point come from one decomposition. At alpha = 1.5 the
-    # fixed point hands every start on casimir:d=4 to the descent. (At an
-    # integer alpha >= 2 the descent decomposes no output at all.)
+    # gradient of a point come from one decomposition. The descent takes its
+    # first value and gradient from the caller and gives `fg` no row of its
+    # start stack. At alpha = 1.5 the fixed point hands every start on
+    # casimir:d=4 to the descent. (At an integer alpha >= 2 the descent
+    # decomposes no output at all.)
     if which == "example9":
         seen = _recording_eigh_in_descent(monkeypatch, eof)
         eof.eof_upper(eof.example9_state(), eof.EofConfig(starts=64))
@@ -316,7 +320,9 @@ def test_search_decomposes_each_point_once(monkeypatch, which):
         entropy.min_output_entropy(T, 1.5, entropy.OptConfig(starts=8, seed=7))
         rows = np.concatenate(seen["fg_rows"])
         want = T.apply_raw(rows[:, :, None] * rows[:, None].conj())
-        assert len(seen["fg_rows"][0]) == 8
+        assert len(seen["x0"]) == 8
+    x0 = seen["x0"].reshape(len(seen["x0"]), -1)
+    assert not (rows.reshape(len(rows), -1)[:, None] == x0[None]).all(axis=2).any()
     decomposed = np.concatenate(seen["eigh_inputs"])
     assert seen["eigvalsh_calls"] == 0
     assert len(decomposed) == len(rows)
@@ -325,6 +331,115 @@ def test_search_decomposes_each_point_once(monkeypatch, which):
         # before, the descent judged 1353 trial rows by eigvalsh and took
         # eigh again at the 1216 rows its gradient was evaluated at
         assert len(rows) < 1353 + 1216
+
+
+def _entropy_and_gradient(sigma, alpha):
+    """S_alpha and dS_alpha/dsigma of each output, as the descent's `fg` forms them."""
+    f, parts = entropy._evaluate(sigma, alpha)
+    return f, entropy._gradient_matrix(parts, alpha)
+
+
+def _descend_recomputing(T, alpha, start, max_iters, tol):
+    """`entropy._descend_starts` at alpha >= 1 without the hand-off, the reference:
+    the gradient test of the settled starts and the descent's first value
+    and gradient evaluate `fg` again at the fixed point's best points.
+    Returns (values, end points, converged flags, starts handed on)."""
+    fg = entropy._sphere_objective(T, alpha)
+    lead = min(max_iters, entropy.VON_NEUMANN_FIXED_POINT_ITERS if alpha == 1.0 else
+               entropy.CONVEX_FIXED_POINT_ITERS)
+    f, Psi, converged, _ = entropy._fixed_point(T, alpha, start, lead, tol)
+    settled = np.flatnonzero(converged)
+    if len(settled):
+        converged[settled] = np.linalg.norm(fg(Psi[settled])[1], axis=1) <= entropy.STATIONARY_GRAD
+    rest = np.flatnonzero(~converged)
+    if len(rest) and max_iters > lead:
+        f[rest], Psi[rest], reasons, *_ = entropy._armijo_descent(fg, entropy._sphere_retract, Psi[rest],
+                                                                  fg(Psi[rest]), max_iters - lead, tol,
+                                                                  entropy.ENTROPY_STEP_CAP)
+        converged[rest] = reasons != "max_iters"
+    return f, Psi, converged, len(rest)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_handed_on_evaluation_matches_recomputing_it(alpha, seed):
+    # The fixed point hands its evaluation of each best point to the
+    # gradient test and to the descent's first step. On wh:d=3 x wh:d=3 (32
+    # starts) each start's value, end point and flag are those of a search
+    # that evaluates those points again, to 1e-14; the descent runs in each.
+    TT = _wh_pair()
+    cfg = entropy.OptConfig(starts=32, seed=seed)
+    rep = entropy.min_output_entropy(TT, alpha, cfg)
+    start = entropy._Outputs(TT, entropy._stack_starts(TT.dim_in, cfg))
+    f, Psi, converged, handed_on = _descend_recomputing(TT, alpha, start, cfg.max_iters, cfg.tol)
+    assert handed_on > 0
+    assert np.abs(np.array(rep.per_start_values) - f).max() <= 1e-14
+    assert np.abs(rep.per_start_args - Psi).max() <= 1e-14
+    assert np.array_equal(rep.per_start_converged, converged)
+
+
+CHARACTERIZATION_SPECS = ["wh:d=3", "weyl:d=3", "pinch:d=3,blocks=2+1", "casimir-reducible", "coarse:n=2,D=2"]
+
+
+def _recording_decompositions(monkeypatch):
+    """Record the bytes of every matrix that np.linalg.eigh or eigvalsh is
+    given, each with whether the call is one of those that first evaluate a
+    point a fixed-point step produced: the step's own (its eigh of T+(W), or
+    its evaluation of the point it lands on), characterize's evaluation of
+    the new rows of its norm search (the witness is an alpha = 2 end point),
+    and its projection check of the output at the norm search's end point."""
+    seen, eigh, eigvalsh = [], np.linalg.eigh, np.linalg.eigvalsh
+
+    def stepped():
+        frame = sys._getframe(2)
+        while frame is not None:
+            name, caller = frame.f_code.co_qualname, frame.f_back and frame.f_back.f_code.co_qualname
+            if (name == "_fixed_point.<locals>.step" or name == "_Outputs.__init__" and frame.f_locals["known"]
+                    or name == "apply" and caller == "characterize"):
+                return True
+            frame = frame.f_back
+        return False
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            A, step = np.asarray(a), stepped()
+            seen.extend((M.tobytes(), step) for M in np.ascontiguousarray(A).reshape(-1, *A.shape[-2:]))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(eigvalsh))
+    return seen
+
+
+@pytest.mark.parametrize("seed", [5, 12648430])
+def test_no_matrix_is_decomposed_twice(monkeypatch, tmp_path, seed):
+    # Every start stack, visited point, output and state is decomposed once,
+    # in characterize on the five characterization channels, in capacity and
+    # in the two-copy additivity run. Two repeats stay. A point that a
+    # fixed-point step produced can be, bit for bit, one evaluated before:
+    # on these channels the steps of different alphas, and a stalled step,
+    # land on the same vector, and where a step lands is known only from
+    # its eigh of T+(W); so the calls that first evaluate such a point may
+    # repeat a matrix. And capacity takes the eigh of its witness rho0 for
+    # the top eigenvector, after the state's validation took its eigenvalues.
+    # Before, characterize on weyl:d=3 decomposed 104 of 408 matrices a
+    # second time.
+    rho0 = zoo.build(zoo.parse_spec("weyl:d=3"))[1].rho0.mat.tobytes()
+    runs = [["characterize", "--spec", spec, "--alphas", "0,0.5,1,2,inf", "--starts", "16"]
+            for spec in CHARACTERIZATION_SPECS]
+    runs += [["capacity", "--spec", "weyl:d=3", "--group", "auto", "--starts", "16"],
+             ["additivity", "--spec", "wh:d=3", "--spec", "wh:d=3", "--alpha", "1", "--starts", "32"]]
+    seen = _recording_decompositions(monkeypatch)
+    for argv in runs:
+        seen.clear()
+        assert cli.main(argv + ["--seed", str(seed), "--out", str(tmp_path / "report.json")]) == 0
+        earlier, repeated = set(), []
+        for matrix, step in seen:
+            if matrix in earlier and not step and matrix != rho0:
+                repeated.append(matrix)
+            earlier.add(matrix)
+        assert not repeated, f"{' '.join(argv[:3])}: {len(repeated)} of {len(seen)} matrices decomposed again"
 
 
 def _unit_trace_states(d, rank, count, seed):
@@ -344,7 +459,7 @@ def test_integer_alpha_powers_match_the_spectrum(n, kind):
     for d in range(2, 10):
         rank = {"random": d, "pure": 1, "rank-deficient": max(1, d // 2)}[kind]
         sigma = _unit_trace_states(d, rank, 8, seed=100 * n + d)
-        f, G = entropy._entropy_and_gradient(sigma, float(n))
+        f, G = _entropy_and_gradient(sigma, float(n))
         w, V = np.linalg.eigh(sigma)
         f_ref = entropy._entropy_from_eigs(w, float(n))
         G_ref = entropy._entropy_gradient_matrices(w, V, float(n))
@@ -445,12 +560,12 @@ def test_large_alpha_does_not_underflow(wh3):
     for alpha in (1100.0, 2000.5):
         assert abs(entropy._entropy_from_eigs(w, alpha)[0] - 1.0) <= 1e-12
         assert np.isfinite(entropy._entropy_gradient_matrices(w, np.eye(3)[None], alpha)).all()
-    f, G = entropy._entropy_and_gradient(np.diag([0.5, 0.5, 0.0])[None].astype(complex), 5000.0)
+    f, G = _entropy_and_gradient(np.diag([0.5, 0.5, 0.0])[None].astype(complex), 5000.0)
     assert abs(f[0] - 1.0) <= 1e-12 and np.isfinite(G).all()
     # about 1000 squarings: without the Hermitian part of each product, the
     # phase of a roundoff eigenvalue doubles on each and the trace goes NaN
     sigma = _unit_trace_states(9, 9, 4, seed=29)
-    f, G = entropy._entropy_and_gradient(sigma, 1e300)
+    f, G = _entropy_and_gradient(sigma, 1e300)
     assert np.abs(f + np.log2(np.linalg.eigvalsh(sigma)[:, -1])).max() <= 1e-12 and np.isfinite(G).all()
     rep = entropy.characterize(T, [1.0, 1100.0, 5000.0, 1100.5], CFG)
     assert all(abs(v - 1.0) <= 1e-9 for v in rep.nu_values.values()), rep.nu_values
@@ -491,7 +606,7 @@ def test_lockstep_polish_matches_one_start_polish(which):
         warm = [np.linalg.eigh(form.rho0.mat)[1][:, -1]]
     Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=8, seed=3).with_warm_starts(warm))
     lead = entropy.CONVEX_FIXED_POINT_ITERS
-    f, Psi, converged = entropy._fixed_point(T, math.inf, Psi0, lead, 1e-12)
+    f, Psi, converged, _ = entropy._fixed_point(T, math.inf, entropy._Outputs(T, Psi0), lead, 1e-12)
     assert list(converged) == [which != "random"] * len(Psi0)
     for i, psi0 in enumerate(Psi0):
         lam1, psi1, stopped = _polish_one_start(T, psi0, lead, 1e-12)
@@ -535,12 +650,13 @@ def test_lockstep_starts_match_starts_run_alone():
     found = entropy.min_output_entropy(T, 2.0, entropy.OptConfig(starts=4, seed=1))
     cfg = entropy.OptConfig(starts=3, max_iters=9, seed=4242).with_warm_starts([found.per_start_args[found.best_start]])
     Psi0 = entropy._stack_starts(T.dim_in, cfg)
-    assert list(entropy._fixed_point(T, 2.0, Psi0, entropy.CONVEX_FIXED_POINT_ITERS, cfg.tol)[2]) == \
+    start = entropy._Outputs(T, Psi0)
+    assert list(entropy._fixed_point(T, 2.0, start, entropy.CONVEX_FIXED_POINT_ITERS, cfg.tol)[2]) == \
         [True, False, False, False]
-    f, _, conv = entropy._descend_starts(T, 2.0, Psi0, cfg.max_iters, cfg.tol)
+    f, _, conv, _ = entropy._descend_starts(T, 2.0, start, cfg.max_iters, cfg.tol)
     assert list(conv) == [True, True, False, False]
     for i in range(len(Psi0)):
-        f1, _, conv1 = entropy._descend_starts(T, 2.0, Psi0[i:i + 1], cfg.max_iters, cfg.tol)
+        f1, _, conv1, _ = entropy._descend_starts(T, 2.0, entropy._Outputs(T, Psi0[i:i + 1]), cfg.max_iters, cfg.tol)
         assert abs(f1[0] - f[i]) <= 1e-12
         assert conv1[0] == conv[i]
 
@@ -554,12 +670,14 @@ def test_norm_search_starts_match_starts_run_alone():
     T = random_channel(3, 3, 2, 0)[1]
     cfg = entropy.OptConfig(starts=16, seed=4242)
     Psi0 = entropy._stack_starts(T.dim_in, cfg)
-    assert not entropy._fixed_point(T, math.inf, Psi0, entropy.CONVEX_FIXED_POINT_ITERS, cfg.tol)[2].any()
-    assert entropy._fixed_point(T, math.inf, Psi0, 80, cfg.tol)[2].all()
-    f, _, conv = entropy._descend_starts(T, math.inf, Psi0, cfg.max_iters, cfg.tol)
+    start = entropy._Outputs(T, Psi0)
+    assert not entropy._fixed_point(T, math.inf, start, entropy.CONVEX_FIXED_POINT_ITERS, cfg.tol)[2].any()
+    assert entropy._fixed_point(T, math.inf, start, 80, cfg.tol)[2].all()
+    f, _, conv, _ = entropy._descend_starts(T, math.inf, start, cfg.max_iters, cfg.tol)
     assert conv.all()
     for i in range(len(Psi0)):
-        f1, _, conv1 = entropy._descend_starts(T, math.inf, Psi0[i:i + 1], cfg.max_iters, cfg.tol)
+        f1, _, conv1, _ = entropy._descend_starts(T, math.inf, entropy._Outputs(T, Psi0[i:i + 1]), cfg.max_iters,
+                                                  cfg.tol)
         assert abs(f1[0] - f[i]) <= 1e-12
         assert conv1[0] == conv[i]
 
@@ -751,11 +869,11 @@ def test_minorize_maximize_steps_gain_off_the_class(label):
     # gains nothing on 2 to 10 of the starts of each random channel but
     # 3,3,2,0.
     T = offclass_channel(label)
-    Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=16, seed=4242))
+    start = entropy._Outputs(T, entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=16, seed=4242)))
     for alpha in (1.5, 2.0, 5.0):
         f = _start_values(T, alpha, entropy.OptConfig(starts=16, seed=4242))
         for steps in (1, 2):
-            f_next, _, settled = entropy._fixed_point(T, alpha, Psi0, steps, 1e-12)
+            f_next, _, settled, _ = entropy._fixed_point(T, alpha, start, steps, 1e-12)
             assert (f - f_next > 1e-12).all() and not settled.any(), (alpha, steps)
             f = f_next
 
@@ -827,9 +945,9 @@ def test_norm_search_stops_where_a_step_gains_nothing(label):
     # to 4.9e-3 short of where a plain step goes (4,4,3,0, 4,4,3,1, 3,3,2,1).
     T = offclass_channel(label)
     Psi0 = entropy._stack_starts(T.dim_in, entropy.OptConfig(starts=16, seed=4242))
-    f, ends, converged = entropy._descend_starts(T, math.inf, Psi0, 2000, 1e-12)
+    f, ends, converged, _ = entropy._descend_starts(T, math.inf, entropy._Outputs(T, Psi0), 2000, 1e-12)
     assert converged.all()
-    assert (f - entropy._fixed_point(T, math.inf, ends, 1, 1e-12)[0]).max() <= 1e-10
+    assert (f - entropy._fixed_point(T, math.inf, entropy._Outputs(T, ends), 1, 1e-12)[0]).max() <= 1e-10
 
 
 @pytest.mark.parametrize("spec", ["dephasing:2", "weyl:d=3"])
@@ -841,8 +959,9 @@ def test_real_start_stack_is_searched_as_complex(spec):
     x /= np.linalg.norm(x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        f = entropy._descend_starts(T, 2.0, x, 2000, 1e-12)[0]
-    assert abs(f[0] - entropy._descend_starts(T, 2.0, x.astype(complex), 2000, 1e-12)[0][0]) <= 1e-12
+        f = entropy._descend_starts(T, 2.0, entropy._Outputs(T, x), 2000, 1e-12)[0]
+    assert abs(f[0] - entropy._descend_starts(T, 2.0, entropy._Outputs(T, x.astype(complex)), 2000, 1e-12)[0][0]) \
+        <= 1e-12
 
 
 def test_characterize_draws_each_random_start_once(wh3, monkeypatch):
@@ -850,10 +969,10 @@ def test_characterize_draws_each_random_start_once(wh3, monkeypatch):
     # shifts its random rows up by one index, so it draws only the last
     T, _ = wh3
     draws = []
-    draw = entropy.haar_state_vector
-    monkeypatch.setattr(entropy, "haar_state_vector", lambda rng, d: draws.append(d) or draw(rng, d))
+    draw = entropy.haar_state_vectors
+    monkeypatch.setattr(entropy, "haar_state_vectors", lambda seed, idx, d: draws.extend(idx) or draw(seed, idx, d))
     entropy.characterize(T, [0.0, 0.5, 1.0, 2.0, math.inf], entropy.OptConfig(starts=6))
-    assert draws == [3] * 7
+    assert draws == list(range(7))
 
 
 def test_shared_start_rows_match_fresh_draws_and_are_not_shared():
@@ -938,7 +1057,8 @@ def test_barzilai_borwein_descent_reaches_the_smallest_eigenvalue():
     G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     A = (G + G.conj().T) / 2
     X0 = np.array([haar_state_vector(split_seed(11, i), 6) for i in range(8)])
-    f, _, reasons, _ = entropy._armijo_descent(_sphere_rayleigh(A), entropy._sphere_retract, X0,
+    fg = _sphere_rayleigh(A)
+    f, _, reasons, _ = entropy._armijo_descent(fg, entropy._sphere_retract, X0, fg(X0),
                                                2000, 1e-12, entropy.ENTROPY_STEP_CAP)
     assert np.abs(f - np.linalg.eigvalsh(A)[0]).max() <= 1e-12
     assert "max_iters" not in reasons
@@ -959,5 +1079,5 @@ def test_vanishing_curvature_takes_the_doubled_step():
         x[0] = X[0]
         return X
 
-    entropy._armijo_descent(fg, retract, x.copy(), 8, 1e-12, 100.0)
+    entropy._armijo_descent(fg, retract, x.copy(), fg(x), 8, 1e-12, 100.0)
     assert np.allclose(trial_steps, [2, 4, 8, 16, 32, 64, 100, 100], rtol=1e-12)

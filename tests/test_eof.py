@@ -5,12 +5,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import identity_channel, max_entangled
+from conftest import haar_state_vector, identity_channel, max_entangled
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import eof, linalg, zoo
 from projchan.errors import NonPureEnsemble
-from projchan.sampling import haar_state_vector, split_seed
+from projchan.sampling import split_seed
 
 CFG = eof.EofConfig(starts=16)
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import (_closed_by_all_pairs, flip, heisenberg_weyl_unitaries_ref, kraus_ref, m_mismatch, m_ref,
-                      permute_systems, phase_unitaries_ref, same_bytes, su2_generators_ref, transpose_m_ref,
-                      weyl_m_ref, weyl_unitaries_ref, wh_kraus_ref)
+from conftest import (_closed_by_all_pairs, flip, haar_state_vector, heisenberg_weyl_unitaries_ref, kraus_ref,
+                      m_mismatch, m_ref, permute_systems, phase_unitaries_ref, same_bytes, su2_generators_ref,
+                      transpose_m_ref, weyl_m_ref, weyl_unitaries_ref, wh_kraus_ref)
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import ParseError, SpecInvalid
 from projchan.linalg import dag
-from projchan.sampling import haar_state_vector, random_density, split_seed
+from projchan.sampling import random_density, split_seed
 
 ALL_SPECS = [
     zoo.WernerHolevo(3),
