@@ -5,13 +5,16 @@ trace-square bound tr[(M1 x ... x MN)(rho)^2] <= prod 1/m_i, and the
 subset-expansion identity for the output purity of product channels in the
 projective class, checked against direct evaluation.
 
-Every product map of the sampled checks goes through one leg-wise kernel,
-apply_product_map: each factor's superoperator acts on its own tensor leg by
-one GEMM, so neither a product channel nor a product superoperator is built.
-The trace-square suite, both sides of the purity expansion and
-capacity.chi_product_bound_check (T x T on pure inputs) call it. The entropy
-searches over a product channel still take its Kraus set from
-channels.tensor_channels.
+Every product map of the sampled checks, and every M map, goes through one
+leg-wise kernel, apply_product_map: each factor's superoperator acts on its
+own tensor leg by one GEMM, so neither a product channel nor a product
+superoperator is built. The trace-square suite, both sides of the purity
+expansion, capacity.chi_product_bound_check (T x T on pure inputs) and
+ProjectiveForm.projector call it. The purity expansion maps each state once:
+every subset's reduction is a chain of np.trace calls over axis pairs of one
+(d_1..d_N, d_1..d_N) view of omega, and every tr X^2, like the direct purity,
+is the contraction of X with its transpose. The entropy searches over a
+product channel still take its Kraus set from channels.tensor_channels.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from . import linalg
 from .entropy import OptConfig, OptReport, min_output_entropy
 from .errors import DimMismatch, NotProjectiveClass, SpecInvalid
 from .sampling import random_densities, split_seed
@@ -188,7 +190,9 @@ def purity_expansion(channel_forms, rho: np.ndarray):
                                   * prod_{j not in G} (d_j - 2 m_j),
 
     with tr[omega_{}^2] = 1 for the empty subset. Returns (expansion, direct)
-    where `direct` applies each channel to its tensor leg and squares.
+    where `direct` applies each channel to its tensor leg and squares. The
+    legs outside G are traced out of omega's view last first, so that the
+    legs before each keep their axes.
     """
     channel_forms = list(channel_forms)
     for T, form in channel_forms:
@@ -197,24 +201,16 @@ def purity_expansion(channel_forms, rho: np.ndarray):
     dims = [T.dim_in for T, _ in channel_forms]
     ms = [form.m for _, form in channel_forms]
     N = len(dims)
-    omega = apply_product_map([form.M for _, form in channel_forms], rho)
-    prefactor = float(np.prod([1.0 / (dims[i] - ms[i]) ** 2 for i in range(N)]))
+    omega = apply_product_map([form.M for _, form in channel_forms], rho).reshape(dims + dims)
     total = 0.0
     for mask in range(2 ** N):
         keep = [i for i in range(N) if (mask >> i) & 1]
-        if keep:
-            om_g = linalg.partial_trace(omega, dims, keep)
-            term = float(np.trace(om_g @ om_g).real)
-        else:
-            term = 1.0
-        for k in keep:
-            term *= ms[k] ** 2
-        for j in range(N):
+        om_g = omega
+        for j in reversed(range(N)):
             if j not in keep:
-                term *= dims[j] - 2 * ms[j]
-        total += term
-    expansion = prefactor * total
-
-    out = apply_product_map([T for T, _ in channel_forms], rho)
-    direct = float(np.trace(out @ out).real)
-    return expansion, direct
+                om_g = np.trace(om_g, axis1=j, axis2=j + om_g.ndim // 2)
+        dk = math.prod(dims[k] for k in keep)
+        term = float(_trace_squares(om_g.reshape(dk, dk))) if keep else 1.0
+        total += term * math.prod(ms[k] ** 2 if k in keep else dims[k] - 2 * ms[k] for k in range(N))
+    expansion = math.prod(1.0 / (d - m) ** 2 for d, m in zip(dims, ms)) * total
+    return expansion, float(_trace_squares(apply_product_map([T for T, _ in channel_forms], rho)))

@@ -26,6 +26,7 @@ conjugate representation is conj(average(conj X)):
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -37,17 +38,17 @@ from .additivity import apply_product_map
 from .entropy import OptConfig, _entropy_from_eigs, min_output_entropy, renyi_entropy
 from .errors import DimensionOverflow, DimMismatch, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from .linalg import dag
-from .sampling import complex_normal, flat_simplex, haar_unitaries, split_seed
+from .sampling import complex_normal, flat_simplex, haar_unitaries, split_seed, split_seeds
 
 COVARIANCE_GATE = 1e-6
 COVARIANCE_SAMPLES = 64
 SU2_TOL = 1e-10  # Hermiticity and commutation-relation residual of SU2Euler generators
 # Trials per apply_product_map and check_states call in chi_product_bound_check.
-# Peak memory, not speed, sets it: on the sampled-checks benchmark (4 runs
-# each) peak RSS read 40.6, 41.2, 42.0 and 43.5 MiB at 1, 2, 4 and 8 trials,
-# about 0.4-0.55 MiB per further trial, while wall_s fell 7% from 1 to 2
-# trials and only 2-4% more at 4 or 8.
-CHI_GROUP = 2
+# Four trials halve the passes of two for more memory: a 200-trial check's
+# traced peak 0.70 -> 1.10 MiB, sampled-checks peak_rss_mib +0.83 MiB (+2.1%,
+# BENCH_31.json). Groups of at most 162 states kept the old peak but raised a
+# chi task's minor page faults in that benchmark from about 2.8k to 3.9k.
+CHI_GROUP = 4
 
 
 @dataclass
@@ -278,14 +279,14 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
     """Randomized one-sided additivity check at N = 2.
 
     Over `trials` seeded random entangled ensembles on the doubled input
-    space, returns max chi(T x T, ensemble) - 2 * capacity. Each trial draws
-    its ensemble from its own generator; CHI_GROUP trials at a time share one
-    apply_product_map call, which applies T.superop to each tensor leg of the
-    projectors psi psi+, and one check_states call over the outputs and
-    averages. The pure inputs are checked from their vectors by
-    check_pure_states. A group whose input or output stack could hold more
+    space, returns max chi(T x T, ensemble) - 2 * capacity. Trial t draws its
+    ensemble from split_seed(cfg.seed, 17, t), made by split_seeds. CHI_GROUP
+    trials at a time share one apply_product_map call, which applies T.superop
+    to each tensor leg of the projectors psi psi+, and one check_states call
+    over the outputs and averages; check_pure_states checks the pure inputs
+    from their vectors. A group whose input or output stack could hold more
     than DIM_CAP**2 entries (trials draw up to d_in^4 members) is refused
-    with DimensionOverflow before anything is drawn. Random ensembles sit far
+    with DimensionOverflow before any trial generator is made. Random ensembles sit far
     below the bound: over 200 trials at the default seed the best chi is
     0.47 bits under 2C for wh:d=3 and 1.04 bits under for weyl:d=3, so a
     pass does not show that an optimized ensemble stays under it.
@@ -302,10 +303,10 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
     cfg = cfg or OptConfig()
     S = T.superop
     max_chi = -np.inf
-    for first in range(0, trials, CHI_GROUP):
+    streams = split_seeds(cfg.seed, (17,), range(trials))
+    for _ in range(0, trials, CHI_GROUP):
         probs, Psi = [], []
-        for trial in range(first, min(first + CHI_GROUP, trials)):
-            rng = split_seed(cfg.seed, 17, trial)
+        for rng in itertools.islice(streams, CHI_GROUP):
             size = int(rng.integers(2, T.dim_in ** 4 + 1))
             probs.append(flat_simplex(rng, size))
             Psi.append(complex_normal(rng, size, d2))  # as `size` haar_state_vector draws

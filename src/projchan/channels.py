@@ -223,10 +223,6 @@ class LinearMap:
     superop: np.ndarray
     m: int | None = None
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return (self.superop @ np.asarray(X, dtype=complex).reshape(-1)).reshape(d, d)
-
 
 @dataclass
 class ProjectiveForm:
@@ -247,7 +243,8 @@ class ProjectiveForm:
     @property
     def projector(self) -> np.ndarray:
         """m M(rho0), a rank-m projection for a valid witness."""
-        return self.m * self.M.apply(self.rho0.mat)
+        from .additivity import apply_product_map  # additivity imports this module
+        return self.m * apply_product_map([self.M], self.rho0.mat)
 
 
 @dataclass

@@ -36,16 +36,22 @@ def complex_normal(rng: np.random.Generator, count: int, *shape: int) -> np.ndar
     return G[:, 0] + 1j * G[:, 1]
 
 
+def split_seeds(master_seed: int, keys, indices):
+    """split_seed(master_seed, *keys, i) for each index i (below 2^32) of
+    `indices`, bit for bit, from one word array whose last word is set per i."""
+    words = np.array(_seed_words(master_seed, *keys, 0), dtype=np.uint32)
+    for i in indices:
+        words[-1] = i
+        yield np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
 def complex_normal_streams(seed: int, indices, *shape: int) -> np.ndarray:
     """complex_normal(split_seed(seed, i), 1, *shape)[0] for each index i
     (below 2^32) of `indices`, bit for bit, as one (len(indices), *shape)
-    stack: the entropy words of `seed` are built once, and each index's
-    stream fills its slot of one Gaussian buffer."""
-    words = np.array(_seed_words(seed, 0), dtype=np.uint32)
+    stack: each index's stream fills its slot of one Gaussian buffer."""
     G = np.empty((len(indices), 2, *shape))
-    for row, i in zip(G, indices):
-        words[-1] = i
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(words))).standard_normal(out=row)
+    for row, rng in zip(G, split_seeds(seed, (), indices)):
+        rng.standard_normal(out=row)
     return G[:, 0] + 1j * G[:, 1]
 
 

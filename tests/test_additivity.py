@@ -236,6 +236,40 @@ def test_purity_expansion_direct_matches_tensor_channel(names, request):
         assert abs(direct - np.trace(out @ out).real) <= 1e-12
 
 
+def _purity_expansion_reference(channel_forms, rho):
+    """(expansion, direct) with one linalg.partial_trace and one matmul per
+    subset, and a matmul for the direct purity."""
+    dims = [T.dim_in for T, _ in channel_forms]
+    ms = [form.m for _, form in channel_forms]
+    N = len(dims)
+    omega = add.apply_product_map([form.M for _, form in channel_forms], rho)
+    total = 0.0
+    for r in range(N + 1):
+        for keep in itertools.combinations(range(N), r):
+            om_g = linalg.partial_trace(omega, dims, keep)
+            term = float(np.trace(om_g @ om_g).real) if keep else 1.0
+            term *= math.prod(ms[k] ** 2 for k in keep)
+            term *= math.prod(dims[j] - 2 * ms[j] for j in range(N) if j not in keep)
+            total += term
+    out = add.apply_product_map([T for T, _ in channel_forms], rho)
+    return math.prod(1.0 / (d - m) ** 2 for d, m in zip(dims, ms)) * total, float(np.trace(out @ out).real)
+
+
+@pytest.mark.parametrize("names", [("wh3",), ("coarse22",), ("wh3", "wh3"), ("coarse22", "wh3"), ("wh3", "coarse22"),
+                                   ("wh3", "coarse22", "wh3"), ("coarse22", "wh3", "wh3")],
+                         ids=["wh3", "coarse", "wh3_wh3", "coarse_wh3", "wh3_coarse", "wh3_coarse_wh3",
+                              "coarse_wh3_wh3"])
+def test_purity_expansion_matches_the_partial_trace_form(names, request):
+    # the one-view traces give every subset term the partial_trace form gives
+    combo = [request.getfixturevalue(n) for n in names]
+    n = math.prod(T.dim_in for T, _ in combo)
+    rng = split_seed(38, n)
+    for _ in range(5):
+        rho = random_density(rng, n)
+        got, want = add.purity_expansion(combo, rho), _purity_expansion_reference(combo, rho)
+        assert abs(got[0] - want[0]) <= 1e-12 and abs(got[1] - want[1]) <= 1e-12
+
+
 def test_purity_expansion_needs_form():
     T, _ = zoo.build(zoo.dephasing(2))
     with pytest.raises(NotProjectiveClass):

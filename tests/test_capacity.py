@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import _closed_by_all_pairs, haar_state_vector, haar_unitary, identity_channel
+from conftest import _closed_by_all_pairs, haar_state_vector, haar_unitary, identity_channel, same_bytes
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import entropy, linalg, zoo
 from projchan.errors import DimensionOverflow, NotWeaklyCovariant, OptimalStateMismatch, SpecInvalid
 from projchan.linalg import dag
-from projchan.sampling import flat_simplex, split_seed
+from projchan.sampling import complex_normal, flat_simplex, split_seed
 
 CFG = entropy.OptConfig(starts=16)
 LOG2_3 = math.log2(3)
@@ -399,12 +399,45 @@ def test_chi_product_bound_refuses_empty_run(wh3, trials):
         cap.chi_product_bound_check(wh3[0], LOG2_3 - 1.0, trials, CFG)
 
 
+@pytest.mark.parametrize("spec", [zoo.WernerHolevo(3), zoo.WeylShift(3)], ids=["wh3", "weyl3"])
+def test_chi_product_bound_does_not_depend_on_the_group_size(monkeypatch, spec):
+    # 19 trials leave a partial last group at every size
+    T, _ = zoo.build(spec)
+    got = []
+    for group in (1, 2, 4, 8):
+        monkeypatch.setattr(cap, "CHI_GROUP", group)
+        got.append(cap.chi_product_bound_check(T, LOG2_3 - 1.0, 19, CFG))
+    assert max(got) - min(got) <= 1e-15
+
+
+def test_chi_trials_draw_their_own_streams(monkeypatch, wh3):
+    # trial t draws what split_seed(seed, 17, t) draws, byte for byte
+    drawn = []
+
+    def recorded(fn):
+        def draw(*args):
+            drawn.append(fn(*args))
+            return drawn[-1]
+        return draw
+
+    monkeypatch.setattr(cap, "flat_simplex", recorded(flat_simplex))
+    monkeypatch.setattr(cap, "complex_normal", recorded(complex_normal))
+    cap.chi_product_bound_check(wh3[0], LOG2_3 - 1.0, 200, CFG)
+    assert len(drawn) == 2 * 200
+    for trial in (0, 1, 199):
+        rng = split_seed(CFG.seed, 17, trial)
+        size = int(rng.integers(2, 3 ** 4 + 1))
+        assert same_bytes(drawn[2 * trial], flat_simplex(rng, size))
+        assert same_bytes(drawn[2 * trial + 1], complex_normal(rng, size, 9))
+
+
 def test_chi_product_bound_refuses_an_oversize_group(monkeypatch):
-    # wh:d=8: two trials may draw 2 * 8^4 inputs whose outputs on T x T hold
-    # 2 * 8^4 * 8^4 = 2 DIM_CAP^2 entries (0.5 GiB); refused before any draw
+    # wh:d=8: a group of trials may draw 8^4 inputs each, whose outputs on
+    # T x T hold 8^4 * 8^4 = DIM_CAP^2 entries (256 MiB) per trial; refused
+    # before any trial generator is made
     T, _ = zoo.build(zoo.WernerHolevo(8))
     draws = []
-    monkeypatch.setattr(cap, "split_seed", lambda *args: draws.append(args))
+    monkeypatch.setattr(cap, "split_seeds", lambda *args: draws.append(args))
     tracemalloc.start()
     try:
         with pytest.raises(DimensionOverflow):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import flip, haar_state_vector, identity_channel, max_entangled, permute_systems, random_channel
+from projchan import additivity as add
 from projchan import channels as ch
 from projchan import linalg, zoo
 from projchan.errors import (
@@ -373,7 +374,7 @@ def test_extract_projective_form_wh3(wh3):
     for i in range(3):
         for j in range(3):
             E = np.outer(np.eye(3)[i], np.eye(3)[j])  # the matrix unit E_ij
-            assert linalg.herm_norm_inf(form.M.apply(E) - E.T) < 1e-10
+            assert linalg.herm_norm_inf(add.apply_product_map([form.M], E) - E.T) < 1e-10
 
 
 def test_extract_projective_form_identity_channel():

@@ -4,7 +4,7 @@ import pytest
 from conftest import haar_state_vector, haar_unitary, same_bytes
 from projchan import entropy, eof
 from projchan.sampling import (complex_normal, complex_normal_streams, haar_state_vectors, haar_unitaries,
-                               random_densities, split_seed)
+                               random_densities, split_seed, split_seeds)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
@@ -55,6 +55,15 @@ def _stream(seed, *keys):
 def test_split_seed_is_the_seed_sequence_of_its_list(seed):
     for keys in [(), (3,), (17, 5), (3, 9), (11, 2, 3), (2**40,)]:
         assert split_seed(seed, *keys).bit_generator.state == _stream(seed, *keys).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_split_seeds_are_the_per_index_streams(seed):
+    # one word array per call, its last word set per index
+    for keys in [(), (17,), (11, 2)]:
+        for i, rng in zip([0, 1, 199], split_seeds(seed, keys, [0, 1, 199])):
+            assert rng.bit_generator.state == _stream(seed, *keys, i).bit_generator.state
+            assert same_bytes(rng.standard_normal(7), split_seed(seed, *keys, i).standard_normal(7))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 9, 16])

@@ -4,6 +4,7 @@ import pytest
 from conftest import (_closed_by_all_pairs, flip, haar_state_vector, heisenberg_weyl_unitaries_ref, kraus_ref,
                       m_mismatch, m_ref, permute_systems, phase_unitaries_ref, same_bytes, su2_generators_ref,
                       transpose_m_ref, weyl_m_ref, weyl_unitaries_ref, wh_kraus_ref)
+from projchan import additivity as add
 from projchan import capacity as cap
 from projchan import channels as ch
 from projchan import linalg, zoo
@@ -125,14 +126,14 @@ def test_wh3_choi_spectrum(wh3):
 
 def test_weyl_witness_fixed_point():
     T, form = zoo.build(zoo.WeylShift(3))
-    out = form.M.apply(form.rho0.mat)
+    out = add.apply_product_map([form.M], form.rho0.mat)
     assert linalg.herm_norm_inf(out - form.rho0.mat) < 1e-12
 
 
 def test_stretching_witness():
     T, form = zoo.build(zoo.Stretching(3, 0.7))
     # rho0 = omega^T maps to omega itself, a rank-1 projection
-    out = form.M.apply(form.rho0.mat)
+    out = add.apply_product_map([form.M], form.rho0.mat)
     assert linalg.herm_norm_inf(out @ out - out) < 1e-12
 
 
