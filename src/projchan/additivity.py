@@ -89,10 +89,9 @@ def additivity_gap(channel_list, alpha: float, cfg: OptConfig | None = None) -> 
         return AdditivityReport(alpha, [rep.value], rep.value, 0.0, rep.arg_state, rep)
     joint_channel = ch.tensor_channels(channel_list)
     dims = [T.dim_in for T in channel_list]
-    tops = {id(rep): np.linalg.eigh(rep.arg_state.mat)[1][:, -1] for rep in runs.values()}  # one per distinct run
     product_vec = np.array([1.0 + 0j])
     for rep in singles:
-        product_vec = np.kron(product_vec, tops[id(rep)])
+        product_vec = np.kron(product_vec, rep.per_start_args[rep.best_start])
     warm = [product_vec, _ghz_vector(dims)]
     joint = min_output_entropy(joint_channel, alpha, cfg.with_warm_starts(warm))
     total = float(sum(r.value for r in singles))

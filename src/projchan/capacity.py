@@ -303,7 +303,7 @@ def chi_product_bound_check(T: ch.QuantumChannel, capacity: float, trials: int,
     cfg = cfg or OptConfig()
     S = T.superop
     max_chi = -np.inf
-    streams = split_seeds(cfg.seed, (17,), range(trials))
+    streams = split_seeds(cfg.seed, (17,), trials)
     for _ in range(0, trials, CHI_GROUP):
         probs, Psi = [], []
         for rng in itertools.islice(streams, CHI_GROUP):

@@ -148,10 +148,6 @@ def _opt_config(args, entropy):
                              tol=min(args.tol, 1e-12))
 
 
-def _state_to_json(state, ch):
-    return ch.matrix_to_json(state.mat)
-
-
 def run(argv) -> int:
     from . import channels as ch
     from . import additivity as addmod
@@ -212,13 +208,13 @@ def run(argv) -> int:
         alpha = _parse_alpha(args.alpha)
         rep = entropy.min_output_entropy(T, alpha, _opt_config(args, entropy))
         report = rep.to_dict()
-        report["arg_state"] = _state_to_json(rep.arg_state, ch)
+        report["arg_state"] = ch.matrix_to_json(rep.arg_state.mat)
 
     elif args.command == "norm":
         T = _load_channel_arg(args, zoo)[0]
         rep = entropy.max_output_norm(T, _opt_config(args, entropy))
         report = rep.to_dict()
-        report["arg_state"] = _state_to_json(rep.arg_state, ch)
+        report["arg_state"] = ch.matrix_to_json(rep.arg_state.mat)
 
     elif args.command == "characterize":
         T = _load_channel_arg(args, zoo)[0]

@@ -3,9 +3,11 @@
 The minimal output entropy is estimated over pure input vectors on the unit
 sphere:
 
-  * each start draws a complex-Gaussian unit vector from a per-start generator
-    split off the master seed, so the reduction over starts is order
-    independent (min value, ties to the lowest start index);
+  * the warm starts, each divided by its norm, come first; random start j
+    then draws a complex-Gaussian unit vector from the generator of
+    SeedSequence([seed, j]), whatever warm starts come before it, so the
+    reduction over starts is order independent (min value, ties to the
+    lowest start index);
   * for 0 < alpha < inf each start first takes fixed-point steps. Below
     alpha = 1, tr sigma^alpha (and S_1) is concave, and the majorize-minimize
     step is psi <- bottom eigenvector of T+(W) with W = V diag(p) V+ from its
@@ -388,28 +390,21 @@ def _sphere_objective(T: ch.QuantumChannel, alpha: float):
 class _Outputs:
     """A stack of unit input rows X with its outputs sigma under T, and each
     output's eigendecomposition `spectra`, taken on first use: the searches
-    that start from one stack read one evaluation of it. Rows of X equal to
-    the row at the same position of `known` take their outputs from it, and
-    their spectra too where `known` has taken them."""
+    that start from one stack read one evaluation of it."""
 
-    def __init__(self, T: ch.QuantumChannel, X: np.ndarray, known: _Outputs | None = None):
+    def __init__(self, T: ch.QuantumChannel, X: np.ndarray):
         self.X = np.asarray(X, dtype=complex)  # a real stack would drop its trial points' imaginary parts
-        lent = np.zeros(len(self.X), dtype=bool)
-        if known is not None:
-            n = min(len(self.X), len(known.X))
-            lent[:n] = (self.X[:n] == known.X[:n]).all(axis=1)
-        if not lent.any():
-            self.sigma = T.pure_outputs(self.X)[1]
-            return
+        self.sigma = T.pure_outputs(self.X)[1]
 
-        def merged(fresh, old):  # the fresh rows where X is new, old's rows where it is lent
-            out = np.empty((len(lent),) + fresh.shape[1:], dtype=fresh.dtype)
-            out[~lent], out[lent] = fresh, old[:n][lent[:n]]
-            return out
-        sigma = T.pure_outputs(self.X[~lent])[1]
-        self.sigma = merged(sigma, known.sigma)
-        if "spectra" in vars(known):
-            self.spectra = tuple(map(merged, np.linalg.eigh(sigma), known.spectra))
+    def prepend(self, T: ch.QuantumChannel, X: np.ndarray) -> _Outputs:
+        """The stack of the rows X followed by this one's. Only X is
+        evaluated; this stack's outputs, and its spectra where taken, are
+        concatenated behind those of X."""
+        front = _Outputs(T, X)
+        if "spectra" in vars(self):
+            front.spectra = tuple(map(np.concatenate, zip(front.spectra, self.spectra)))
+        front.X, front.sigma = np.concatenate([front.X, self.X]), np.concatenate([front.sigma, self.sigma])
+        return front
 
     @cached_property
     def spectra(self):
@@ -608,27 +603,23 @@ def _fixed_point(T: ch.QuantumChannel, alpha: float, start: _Outputs, max_iters:
     return f_best, Psi_best, ~np.isin(np.arange(len(f_best)), live), tuple(parts)
 
 
-def _stack_starts(d: int, cfg: OptConfig, drawn: dict | None = None) -> np.ndarray:
-    """The (starts, d) stack of unit start vectors: the warm starts, then the
-    seeded random starts. `drawn` maps a start index to its random row, to
-    share rows between the stacks of one seed; rows missing from it are drawn
-    and added. A stack of more than DIM_CAP**2 entries is refused before any
-    row is drawn."""
+def _stack_starts(d: int, cfg: OptConfig) -> np.ndarray:
+    """The (starts, d) stack of unit start vectors: the warm starts, each
+    divided by its norm, then random start j < cfg.starts, the unit vector of
+    the stream SeedSequence([cfg.seed, j]) whatever warm starts come before
+    it. A stack of more than DIM_CAP**2 entries is refused before any row is
+    drawn."""
     for wv in cfg.warm_starts:
         if len(wv) != d:
             raise DimMismatch(f"warm start length {len(wv)} != channel input dim {d}")
-    first = len(cfg.warm_starts)
-    if (first + cfg.starts) * d > linalg.DIM_CAP ** 2:
-        raise DimensionOverflow(f"{first + cfg.starts} starts of length {d} exceed the cap of "
-                                f"{linalg.DIM_CAP ** 2} entries")
-    drawn = {} if drawn is None else drawn
-    missing = [i for i in range(first, first + cfg.starts) if i not in drawn]
-    drawn.update(zip(missing, haar_state_vectors(cfg.seed, missing, d)))
-    rows = [np.asarray(wv, dtype=complex) / np.linalg.norm(wv) for wv in cfg.warm_starts]
-    rows += [drawn[i] for i in range(first, first + cfg.starts)]
-    if not rows:
+    starts = max(cfg.starts, 0)
+    count = len(cfg.warm_starts) + starts
+    if count * d > linalg.DIM_CAP ** 2:
+        raise DimensionOverflow(f"{count} starts of length {d} exceed the cap of {linalg.DIM_CAP ** 2} entries")
+    if not count:
         raise SpecInvalid(f"no optimizer start to run (starts = {cfg.starts}, no warm starts)")
-    return np.array(rows)
+    warm = [np.asarray(wv, dtype=complex) / np.linalg.norm(wv) for wv in cfg.warm_starts]
+    return np.concatenate([np.reshape(warm, (-1, d)), haar_state_vectors(cfg.seed, starts, d)])
 
 
 def _report(cfg: OptConfig, values, args: np.ndarray, converged: np.ndarray, spectra: np.ndarray | None,
@@ -738,17 +729,16 @@ def characterize(T: ch.QuantumChannel, alpha_grid, cfg: OptConfig | None = None)
     if not alphas:
         raise BadAlpha("alpha grid must be nonempty")
     reuse = 0.0 in alphas and 0.5 in alphas
-    drawn = {}  # random start rows by index, shared by every search below
-    start = _Outputs(T, _stack_starts(T.dim_in, cfg, drawn))  # and their outputs
+    start = _Outputs(T, _stack_starts(T.dim_in, cfg))  # shared by every search below
     reports = {a: min_output_entropy(T, a, cfg, start=start) for a in alphas
                if not (reuse and a == 0.0) and not math.isinf(a)}
     if reuse:
         reports[0.0] = _rank_report(start, cfg, reports[0.5])
 
     two_report = reports[2.0] if 2.0 in reports else min_output_entropy(T, 2.0, cfg, start=start)
-    witness_vec = two_report.per_start_args[two_report.best_start]
-    norm_cfg = cfg.with_warm_starts([witness_vec])
-    norm_start = _Outputs(T, _stack_starts(T.dim_in, norm_cfg, drawn), known=start)
+    witness = [two_report.per_start_args[two_report.best_start]]
+    norm_cfg = cfg.with_warm_starts(witness + list(cfg.warm_starts))
+    norm_start = start.prepend(T, _stack_starts(T.dim_in, replace(cfg, starts=0).with_warm_starts(witness)))
     norm_report = max_output_norm(T, norm_cfg, start=norm_start)
     argmax_state = norm_report.arg_state
     norm_value = norm_report.value

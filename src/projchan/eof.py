@@ -161,7 +161,7 @@ def eof_upper(state: BipartiteState, cfg: EofConfig | None = None) -> EofReport:
         WG = W.conj().swapaxes(-1, -2) @ G
         return f, G - W @ ((WG + WG.conj().swapaxes(-1, -2)) / 2)
 
-    W0 = _qr_retract(complex_normal_streams(cfg.seed, range(cfg.starts), k, r))
+    W0 = _qr_retract(complex_normal_streams(cfg.seed, cfg.starts, k, r))
     values, Ws, reasons, _ = _armijo_descent(fg, _qr_retract, W0, fg(W0), cfg.max_iters, cfg.tol, EOF_STEP_CAP)
     best = _best_start(values, pick_min=True)
     Phi = Ws[best] @ E

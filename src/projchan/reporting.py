@@ -85,17 +85,7 @@ def flatten_scalars(obj, prefix: str = ""):
 def to_csv(obj) -> str:
     lines = ["metric,value"]
     for metric, value in flatten_scalars(obj):
-        value = _normalize(value)
-        if isinstance(value, str):
-            rendered = value
-        elif value is None:
-            rendered = ""
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float) and math.isinf(value):
-            rendered = "inf" if value > 0 else "-inf"
-        else:
-            rendered = _format_scalar(value)
+        rendered = value if isinstance(value, str) else "" if value is None else _format_scalar(value).strip('"')
         lines.append(f"{metric},{rendered}")
     return "\n".join(lines) + "\n"
 

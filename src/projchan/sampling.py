@@ -36,31 +36,30 @@ def complex_normal(rng: np.random.Generator, count: int, *shape: int) -> np.ndar
     return G[:, 0] + 1j * G[:, 1]
 
 
-def split_seeds(master_seed: int, keys, indices):
-    """split_seed(master_seed, *keys, i) for each index i (below 2^32) of
-    `indices`, bit for bit, from one word array whose last word is set per i."""
+def split_seeds(master_seed: int, keys, count: int):
+    """split_seed(master_seed, *keys, i) for each i < count (below 2^32), bit
+    for bit, from one word array whose last word is set per i."""
     words = np.array(_seed_words(master_seed, *keys, 0), dtype=np.uint32)
-    for i in indices:
+    for i in range(count):
         words[-1] = i
         yield np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def complex_normal_streams(seed: int, indices, *shape: int) -> np.ndarray:
-    """complex_normal(split_seed(seed, i), 1, *shape)[0] for each index i
-    (below 2^32) of `indices`, bit for bit, as one (len(indices), *shape)
-    stack: each index's stream fills its slot of one Gaussian buffer."""
-    G = np.empty((len(indices), 2, *shape))
-    for row, rng in zip(G, split_seeds(seed, (), indices)):
+def complex_normal_streams(seed: int, count: int, *shape: int) -> np.ndarray:
+    """complex_normal(split_seed(seed, i), 1, *shape)[0] for each i < count
+    (below 2^32), bit for bit, as one (count, *shape) stack: each stream
+    fills its slot of one Gaussian buffer."""
+    G = np.empty((count, 2, *shape))
+    for row, rng in zip(G, split_seeds(seed, (), count)):
         rng.standard_normal(out=row)
     return G[:, 0] + 1j * G[:, 1]
 
 
-def haar_state_vectors(seed: int, indices, d: int) -> np.ndarray:
-    """The unit vector v / |v| of each index's stream of
-    `complex_normal_streams`, as a (len(indices), d) stack. Each row is
-    normalized alone, by the norm of that one vector, so that it does not
-    depend on the other rows drawn with it."""
-    V = complex_normal_streams(seed, indices, d)
+def haar_state_vectors(seed: int, count: int, d: int) -> np.ndarray:
+    """The unit vector v / |v| of each stream of `complex_normal_streams`, as
+    a (count, d) stack. Each row is normalized alone, by the norm of that one
+    vector, so that it does not depend on the other rows drawn with it."""
+    V = complex_normal_streams(seed, count, d)
     return V / np.array([np.linalg.norm(v) for v in V])[:, None]
 
 

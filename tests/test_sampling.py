@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import haar_state_vector, haar_unitary, same_bytes
-from projchan import entropy, eof
+from projchan import entropy, eof, zoo
 from projchan.sampling import (complex_normal, complex_normal_streams, haar_state_vectors, haar_unitaries,
                                random_densities, split_seed, split_seeds)
 
@@ -61,34 +63,44 @@ def test_split_seed_is_the_seed_sequence_of_its_list(seed):
 def test_split_seeds_are_the_per_index_streams(seed):
     # one word array per call, its last word set per index
     for keys in [(), (17,), (11, 2)]:
-        for i, rng in zip([0, 1, 199], split_seeds(seed, keys, [0, 1, 199])):
-            assert rng.bit_generator.state == _stream(seed, *keys, i).bit_generator.state
-            assert same_bytes(rng.standard_normal(7), split_seed(seed, *keys, i).standard_normal(7))
+        for i, rng in enumerate(split_seeds(seed, keys, 200)):
+            if i in (0, 1, 199):
+                assert rng.bit_generator.state == _stream(seed, *keys, i).bit_generator.state
+                assert same_bytes(rng.standard_normal(7), split_seed(seed, *keys, i).standard_normal(7))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 9, 16])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_start_rows_are_the_per_row_streams(seed, d):
-    # the one pass draws, bit for bit, what one generator per row drew;
-    # the gaps are the indices that a `drawn` map already holds
-    for indices in ([0, 1, 2, 3], [1, 2, 5, 6, 11], [7], []):
-        want = np.array([haar_state_vector(_stream(seed, i), d) for i in indices], dtype=complex)
-        assert same_bytes(haar_state_vectors(seed, indices, d), want.reshape(-1, d))
-        want = np.array([complex_normal(_stream(seed, i), 1, d, 2)[0] for i in indices], dtype=complex)
-        assert same_bytes(complex_normal_streams(seed, indices, d, 2), want.reshape(-1, d, 2))
+    # the one pass draws, bit for bit, what one generator per row drew
+    for count in (4, 5, 1, 0):
+        want = np.array([haar_state_vector(_stream(seed, i), d) for i in range(count)], dtype=complex)
+        assert same_bytes(haar_state_vectors(seed, count, d), want.reshape(-1, d))
+        want = np.array([complex_normal(_stream(seed, i), 1, d, 2)[0] for i in range(count)], dtype=complex)
+        assert same_bytes(complex_normal_streams(seed, count, d, 2), want.reshape(-1, d, 2))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("seed", [5, 2**70])
-def test_shared_start_stacks_are_the_per_row_streams(seed):
-    # characterize's two stacks: the second reuses the rows of the first and
-    # draws the rest, from the shifted index on
-    d, drawn = 3, {}
-    cfg = entropy.OptConfig(starts=6, seed=seed)
-    want = np.array([haar_state_vector(_stream(seed, i), d) for i in range(8)])
-    assert same_bytes(entropy._stack_starts(d, cfg, drawn), want[:6])
-    warm = entropy._stack_starts(d, cfg.with_warm_starts([want[7], want[7]]), drawn)
-    assert same_bytes(warm[2:], want[2:])
-    assert sorted(drawn) == list(range(8))
+def test_warm_starts_do_not_shift_the_random_rows(monkeypatch, seed, k):
+    # random start j takes the stream SeedSequence([seed, j]) whatever warm
+    # starts come before it, and characterize's norm stack is the stack of
+    # its norm search's config: the witness, then its own start stack
+    d = 3
+    warm = [np.arange(1.0, d + 1.0) * (1.0 + 1j) ** i for i in range(k)]
+    cfg = entropy.OptConfig(starts=6, seed=seed).with_warm_starts(warm)
+    stack = entropy._stack_starts(d, cfg)
+    assert same_bytes(stack[k:], entropy._stack_starts(d, replace(cfg, warm_starts=())))
+    assert same_bytes(stack[k:], np.array([haar_state_vector(_stream(seed, j), d) for j in range(6)]))
+    assert np.abs(np.linalg.norm(stack, axis=1) - 1.0).max() <= 1e-15
+    seen = []
+    search = entropy.max_output_norm
+    monkeypatch.setattr(entropy, "max_output_norm",
+                        lambda T, norm_cfg, *, start: seen.append((norm_cfg, start.X)) or search(T, norm_cfg, start=start))
+    entropy.characterize(zoo.build(zoo.parse_spec("wh:d=3"))[0], [2.0], cfg)
+    (norm_cfg, X), = seen
+    assert len(norm_cfg.warm_starts) == k + 1
+    assert same_bytes(X, entropy._stack_starts(d, norm_cfg))
 
 
 @pytest.mark.parametrize("seed", [5, 2**70])
