@@ -85,8 +85,11 @@ def flatten_scalars(obj, prefix: str = ""):
 def to_csv(obj) -> str:
     lines = ["metric,value"]
     for metric, value in flatten_scalars(obj):
-        rendered = value if isinstance(value, str) else "" if value is None else _format_scalar(value).strip('"')
-        lines.append(f"{metric},{rendered}")
+        if value is None:
+            value = ""
+        elif not isinstance(value, str):
+            value = _format_scalar(value).strip('"')  # "inf" unquoted
+        lines.append(f"{metric},{value}")
     return "\n".join(lines) + "\n"
 
 
